@@ -1,9 +1,9 @@
 """Minimum-cost assignment: a shortest-augmenting-path solver plus a brute-force oracle.
 
-The solver handles rectangular matrices by padding to square with a sentinel
-cost that is guaranteed not to beat any real edge, then discarding sentinel
-pairs. Rows that end up on sentinel columns are reported as unmatched, which
-is how partial matchings (more rows than columns) come out.
+The solver inserts one row at a time into a matrix with no more rows than
+columns, so every row gets a column. A matrix with more rows than columns
+is solved transposed: each column picks a row, and rows no column picked
+are reported as unmatched, which is how partial matchings come out.
 """
 
 import itertools
@@ -32,24 +32,24 @@ def _check_cost(cost) -> np.ndarray:
     return arr
 
 
-def _solve_square(cost: np.ndarray) -> np.ndarray:
-    """Column index assigned to each row of a square cost matrix.
+def _solve_rectangular(cost: np.ndarray) -> np.ndarray:
+    """Column index assigned to each row of an r x c cost matrix with r <= c.
 
     Jonker-Volgenant style shortest augmenting paths with dual potentials,
     one row inserted at a time. Ties in the path search break toward the
     smallest column index, so the result is deterministic.
     """
-    n = cost.shape[0]
-    u = np.zeros(n + 1)
-    v = np.zeros(n + 1)
+    r, c = cost.shape
+    u = np.zeros(r + 1)
+    v = np.zeros(c + 1)
     # p[j] = row matched to column j (1-based, 0 = free); column 0 is virtual.
-    p = np.zeros(n + 1, dtype=np.intp)
-    way = np.zeros(n + 1, dtype=np.intp)
-    for i in range(1, n + 1):
+    p = np.zeros(c + 1, dtype=np.intp)
+    way = np.zeros(c + 1, dtype=np.intp)
+    for i in range(1, r + 1):
         p[0] = i
         j0 = 0
-        minv = np.full(n + 1, np.inf)
-        used = np.zeros(n + 1, dtype=bool)
+        minv = np.full(c + 1, np.inf)
+        used = np.zeros(c + 1, dtype=bool)
         while True:
             used[j0] = True
             i0 = p[j0]
@@ -72,8 +72,9 @@ def _solve_square(cost: np.ndarray) -> np.ndarray:
             j1 = int(way[j0])
             p[j0] = p[j1]
             j0 = j1
-    row_to_col = np.empty(n, dtype=np.intp)
-    row_to_col[p[1:] - 1] = np.arange(n, dtype=np.intp)
+    taken = np.flatnonzero(p[1:])
+    row_to_col = np.empty(r, dtype=np.intp)
+    row_to_col[p[1:][taken] - 1] = taken
     return row_to_col
 
 
@@ -88,26 +89,20 @@ def hungarian(cost) -> Assignment:
     r, c = arr.shape
     if r == 0 or c == 0:
         return Assignment((), 0.0, tuple(range(r)))
-    n = max(r, c)
-    if r == c:
-        padded = arr
+    if r <= c:
+        rows, cols = np.arange(r), _solve_rectangular(arr)
     else:
-        # Larger than any |entry| times the path length, so sentinel edges
-        # never displace a real edge regardless of sign.
-        sentinel = (float(np.max(np.abs(arr))) + 1.0) * (n + 1)
-        padded = np.full((n, n), sentinel, dtype=np.float64)
-        padded[:r, :c] = arr
-    row_to_col = _solve_square(padded)
-    pairs = []
-    unmatched = []
-    for i in range(r):
-        j = int(row_to_col[i])
-        if j < c:
-            pairs.append((i, j))
-        else:
-            unmatched.append(i)
-    total = float(sum(arr[i, j] for i, j in pairs))
-    return Assignment(tuple(pairs), total, tuple(unmatched))
+        col_to_row = _solve_rectangular(arr.T)
+        cols = np.argsort(col_to_row)
+        rows = col_to_row[cols]
+    # A mask, not np.setdiff1d, which imports numpy.ma (about 2 MB resident).
+    unmatched = np.ones(r, dtype=bool)
+    unmatched[rows] = False
+    return Assignment(
+        tuple(zip(rows.tolist(), cols.tolist())),
+        float(arr[rows, cols].sum()),
+        tuple(np.flatnonzero(unmatched).tolist()),
+    )
 
 
 _ORACLE_MIN_SIDE = 8

@@ -9,7 +9,7 @@ so that short absences (occlusion, missed detection) do not inflate the
 count when the individual comes back.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -53,23 +53,28 @@ class McpConfig:
 
 @dataclass(frozen=True)
 class TemplateEntry:
-    """One remembered individual: its recent appearance templates and time to live."""
+    """One remembered individual: its recent appearance templates and time to live.
+
+    templates is stored as a read-only (k, D) array, oldest template first.
+    """
 
     entry_id: int
-    templates: tuple[np.ndarray, ...]
+    templates: np.ndarray
     ttl: int
 
     def __post_init__(self):
-        if not self.templates:
+        if not len(self.templates):
             raise DataError("a template entry needs at least one template")
         if self.ttl < 0:
             raise DataError(f"ttl must be non-negative, got {self.ttl}")
-        frozen = []
-        for t in self.templates:
-            arr = np.asarray(t, dtype=np.float64).copy()
-            arr.setflags(write=False)
-            frozen.append(arr)
-        object.__setattr__(self, "templates", tuple(frozen))
+        try:
+            arr = np.array(self.templates, dtype=np.float64)
+        except ValueError as exc:
+            raise DataError(f"templates must stack to a (k, D) array: {exc}") from None
+        if arr.ndim != 2:
+            raise DataError(f"templates must stack to a (k, D) array, got shape {arr.shape}")
+        arr.setflags(write=False)
+        object.__setattr__(self, "templates", arr)
 
 
 @dataclass(frozen=True)
@@ -102,6 +107,31 @@ class CountReport:
     total: int
 
 
+def _cost_matrix(detections, entries, aggregator: str) -> np.ndarray:
+    """template_cost of every detection (rows) against every entry (columns)."""
+    if aggregator not in _AGGREGATORS:
+        raise DataError(f"template_aggregator must be one of {_AGGREGATORS}, got {aggregator!r}")
+    det_dims = {d.dim for d in detections}
+    template_dims = {e.templates.shape[1] for e in entries}
+    if len(det_dims | template_dims) > 1:
+        raise DataError(
+            f"feature dimension mismatch: detection {sorted(det_dims)} "
+            f"vs template {sorted(template_dims)}"
+        )
+    features = np.array([d.feature for d in detections])
+    stacked = np.concatenate([e.templates for e in entries])
+    sizes = np.array([len(e.templates) for e in entries])
+    starts = np.cumsum(sizes) - sizes
+    costs = features @ stacked.T
+    # In place, as this (detections, templates) block is the largest array a step makes.
+    np.subtract(1.0, costs, out=costs)
+    if aggregator == "max":
+        return np.maximum.reduceat(costs, starts, axis=1)
+    if aggregator == "min":
+        return np.minimum.reduceat(costs, starts, axis=1)
+    return np.add.reduceat(costs, starts, axis=1) / sizes
+
+
 def template_cost(detection: Detection, entry: TemplateEntry, aggregator: str = "max") -> float:
     """Cost of associating a detection with a remembered individual.
 
@@ -110,27 +140,11 @@ def template_cost(detection: Detection, entry: TemplateEntry, aggregator: str = 
     Taking the max is the conservative default: the detection must resemble
     every remembered appearance.
     """
-    if aggregator not in _AGGREGATORS:
-        raise DataError(f"template_aggregator must be one of {_AGGREGATORS}, got {aggregator!r}")
-    feat = detection.feature
-    costs = []
-    for t in entry.templates:
-        if t.shape != feat.shape:
-            raise DataError(
-                f"feature dimension mismatch: detection {feat.shape[0]} vs template {t.shape[0]}"
-            )
-        costs.append(1.0 - float(np.dot(feat, t)))
-    if aggregator == "max":
-        return max(costs)
-    if aggregator == "min":
-        return min(costs)
-    return float(sum(costs) / len(costs))
+    return float(_cost_matrix((detection,), (entry,), aggregator)[0, 0])
 
 
 def _matched_entry(entry: TemplateEntry, feature: np.ndarray, cfg: McpConfig) -> TemplateEntry:
-    templates = entry.templates + (feature,)
-    if len(templates) > cfg.mem_max:
-        templates = templates[-cfg.mem_max:]
+    templates = np.vstack((entry.templates, feature))[-cfg.mem_max:]
     return TemplateEntry(entry.entry_id, templates, cfg.ttl_max)
 
 
@@ -145,13 +159,10 @@ def step(memory: MemoryState, detections, cfg: McpConfig) -> tuple[MemoryState, 
     frame_index 0 (the caller knows the real index).
     """
     dets = tuple(detections)
-    n, big_n = len(dets), len(memory.entries)
-    cost = np.empty((n, big_n), dtype=np.float64)
-    for i, det in enumerate(dets):
-        for k, entry in enumerate(memory.entries):
-            cost[i, k] = template_cost(det, entry, cfg.template_aggregator)
+    n = len(dets)
     accepted: dict[int, int] = {}
-    if n and big_n:
+    if n and memory.entries:
+        cost = _cost_matrix(dets, memory.entries, cfg.template_aggregator)
         for i, k in hungarian(cost).pairs:
             if cost[i, k] <= cfg.zeta:
                 accepted[i] = k
@@ -185,27 +196,13 @@ def step(memory: MemoryState, detections, cfg: McpConfig) -> tuple[MemoryState, 
 def count_video(stream: DetectionStream, cfg: McpConfig) -> CountReport:
     """Count distinct individuals over a stream with the template memory.
 
-    Seeds the memory with the first frame (everyone there is counted), then
-    steps through the remaining frames accumulating inflow. An empty stream
-    counts zero.
+    Steps every frame through the memory starting empty, so everyone in the
+    first frame is counted, and accumulates inflow. An empty stream counts
+    zero.
     """
-    frames = stream.frames
-    if not frames:
-        return CountReport((), 0)
-    first = frames[0]
     memory = MemoryState.empty()
-    entries = []
-    first_ids = []
-    for i, det in enumerate(first.detections):
-        entries.append(TemplateEntry(i, (det.feature,), cfg.ttl_max))
-        first_ids.append(i)
-    memory = MemoryState(tuple(entries), len(entries))
-    records = [StepRecord(first.frame_index, len(first_ids), (), tuple(first_ids))]
-    total = len(first_ids)
-    for frame in frames[1:]:
+    records = []
+    for frame in stream.frames:
         memory, record = step(memory, frame.detections, cfg)
-        records.append(
-            StepRecord(frame.frame_index, record.inflow, record.associations, record.new_entry_ids)
-        )
-        total += record.inflow
-    return CountReport(tuple(records), total)
+        records.append(replace(record, frame_index=frame.frame_index))
+    return CountReport(tuple(records), sum(r.inflow for r in records))

@@ -15,7 +15,7 @@ import numpy as np
 
 from .assignment import hungarian
 from .errors import DataError, NumericalError
-from .stream import DetectionStream, SimilarityBlocks, pair_blocks, partition_similarity
+from .stream import DetectionStream, SimilarityBlocks, partition_similarity
 
 
 @dataclass(frozen=True)

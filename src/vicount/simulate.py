@@ -80,15 +80,15 @@ def derive_weak_labels(prev_ids, curr_ids) -> tuple[tuple[int, ...], tuple[int, 
     return inflow, outflow
 
 
-def _draw_bases(rng: np.random.Generator, cfg: SimConfig) -> list[np.ndarray]:
-    bases: list[np.ndarray] = []
+def _draw_bases(rng: np.random.Generator, cfg: SimConfig) -> np.ndarray:
+    bases = np.empty((cfg.num_identities, cfg.feature_dim))
     cap = cfg.max_base_similarity
-    for _ in range(cfg.num_identities):
+    for g in range(cfg.num_identities):
         attempts = 0
         while True:
             cand = normalize_feature(rng.standard_normal(cfg.feature_dim))
-            if cap is None or all(abs(float(np.dot(cand, b))) < cap for b in bases):
-                bases.append(cand)
+            if cap is None or np.all(np.abs(bases[:g] @ cand) < cap):
+                bases[g] = cand
                 break
             attempts += 1
             if attempts > 10000:

@@ -57,11 +57,18 @@ class TestHungarian:
 
     def test_integer_ties_match_oracle_cost(self):
         rng = np.random.default_rng(22)
-        for _ in range(30):
-            cost = rng.integers(0, 4, size=(5, 5)).astype(float)
-            got = hungarian(cost)
-            want = brute_force_assignment(cost)
-            assert got.total_cost == pytest.approx(want.total_cost)
+        for shape, low, high in [((5, 5), 0, 4), ((3, 6), 0, 4), ((6, 3), 0, 4),
+                                 ((2, 7), -4, 0), ((7, 2), -4, 0)]:
+            for _ in range(30):
+                cost = rng.integers(low, high, size=shape).astype(float)
+                got = hungarian(cost)
+                want = brute_force_assignment(cost)
+                assert got.total_cost == pytest.approx(want.total_cost), (shape, cost)
+                assert len(got.pairs) == min(shape)
+                assert sorted(i for i, _ in got.pairs) == [i for i, _ in got.pairs]
+                assert len({j for _, j in got.pairs}) == len(got.pairs)
+                matched = {i for i, _ in got.pairs}
+                assert got.unmatched_rows == tuple(i for i in range(shape[0]) if i not in matched)
 
     def test_deterministic(self):
         rng = np.random.default_rng(23)

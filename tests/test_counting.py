@@ -20,6 +20,7 @@ from vicount import (
     step,
     template_cost,
 )
+from vicount.counting import _cost_matrix
 
 
 def _det(feature):
@@ -54,6 +55,46 @@ class TestTemplateCost:
         entry = TemplateEntry(0, (np.array([1.0, 0.0]),), 3)
         with pytest.raises(DataError):
             template_cost(E0, entry, "median")
+
+
+class TestCostMatrix:
+    """The batched cost matrix against a per-pair, per-template loop."""
+
+    @staticmethod
+    def _memory(rng, cfg, dim):
+        entries = []
+        for k in range(1, cfg.mem_max + 1):
+            templates = rng.standard_normal((k, dim))
+            templates /= np.linalg.norm(templates, axis=1, keepdims=True)
+            entries.append(TemplateEntry(k, templates, cfg.ttl_max))
+        return MemoryState(tuple(entries), cfg.mem_max + 1)
+
+    def test_aggregators_match_nested_loops(self):
+        rng = np.random.default_rng(5)
+        cfg = McpConfig(mem_max=6)
+        memory = self._memory(rng, cfg, 8)
+        dets = [_det(f) for f in rng.standard_normal((7, 8))]
+        reduce = {"max": np.max, "min": np.min, "mean": np.mean}
+        for aggregator, agg in reduce.items():
+            want = np.array([
+                [agg([1.0 - np.dot(d.feature, t) for t in e.templates]) for e in memory.entries]
+                for d in dets
+            ])
+            got = _cost_matrix(dets, memory.entries, aggregator)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+            for i, d in enumerate(dets):
+                for k, e in enumerate(memory.entries):
+                    assert template_cost(d, e, aggregator) == pytest.approx(want[i, k], abs=1e-12)
+
+    def test_dimension_mismatch_in_step(self):
+        rng = np.random.default_rng(6)
+        cfg = McpConfig()
+        memory = self._memory(rng, cfg, 8)
+        with pytest.raises(DataError, match="dimension mismatch"):
+            step(memory, (E0, E1), cfg)
+        mixed = (_det(rng.standard_normal(8)), _det(rng.standard_normal(3)))
+        with pytest.raises(DataError, match="dimension mismatch"):
+            step(memory, mixed, cfg)
 
 
 class TestStep:
@@ -222,6 +263,12 @@ class TestTemplateEntryValidation:
     def test_negative_ttl(self):
         with pytest.raises(DataError):
             TemplateEntry(0, (np.array([1.0]),), -1)
+
+    def test_templates_of_one_dimension(self):
+        with pytest.raises(DataError):
+            TemplateEntry(0, (np.array([1.0, 0.0]), np.array([1.0, 0.0, 0.0])), 3)
+        with pytest.raises(DataError):
+            TemplateEntry(0, np.array([1.0, 0.0]), 3)
 
     def test_templates_read_only(self):
         entry = TemplateEntry(0, (np.array([1.0, 0.0]),), 3)
