@@ -215,7 +215,7 @@ def _cmd_gradcheck(args) -> int:
     worst = 0.0
     for blocks in blocks_list:
         omega = soft_contrastive_loss(blocks, cfg).plan.omega
-        analytic = loss_gradient(blocks, cfg)
+        analytic = loss_gradient(blocks, omega, cfg)
         fd = _fd_gradient(blocks, cfg, omega, args.step)
         worst = max(worst, _max_rel_err(analytic, fd))
     print(f"checked {len(blocks_list)} blocks, max relative error {worst:.3e}")

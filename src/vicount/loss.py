@@ -76,23 +76,17 @@ def _plan_violation(plan: np.ndarray) -> float:
     )
 
 
-# Above this size the dense Newton system is not worth assembling; plain
-# scaling iterations mix well on large matrices anyway.
-_NEWTON_SIZE_LIMIT = 256
-
-
 def sinkhorn(cost, reg: float, max_iters: int = 500, tol: float = 1e-6) -> TransportPlan:
     """Entropic-regularized balanced transport between uniform unit marginals.
 
-    Iterates log-domain scaling sweeps on a square cost matrix until the
-    worst row or column sum of the plan is within tol of 1, or the iteration
+    Iterates on the dual potentials of a square cost matrix until the worst
+    row or column sum of the plan is within tol of 1, or the iteration
     budget runs out (converged is False then, with the last iterate
-    returned). Plain sweeps slow to a crawl when the plan approaches a hard
-    permutation (sharp reg relative to the cost gaps), so once the opening
-    sweeps are done the solver switches to damped Newton steps on the dual
-    potentials, falling back to bursts of sweeps whenever a step does not
-    reduce the violation. Every sweep and every Newton step counts toward
-    max_iters.
+    returned). A few log-domain scaling sweeps open the solve. Plain sweeps
+    crawl when the plan nears a hard permutation (sharp reg relative to the
+    cost gaps), so at every size each later iteration is a damped Newton
+    step, or a burst of sweeps when the step does not reduce the violation.
+    Every sweep and every Newton step counts toward max_iters.
     """
     arr = np.asarray(cost, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -128,7 +122,7 @@ def sinkhorn(cost, reg: float, max_iters: int = 500, tol: float = 1e-6) -> Trans
             break
         if iters >= max_iters:
             break
-        if iters < opening or n > _NEWTON_SIZE_LIMIT:
+        if iters < opening:
             sweep()
             continue
         if not _dual_newton_step(mr, plan, err, f, g):
@@ -141,29 +135,29 @@ def sinkhorn(cost, reg: float, max_iters: int = 500, tol: float = 1e-6) -> Trans
 def _dual_newton_step(mr, plan, err, f, g) -> bool:
     """One damped Newton step on the dual potentials, in place.
 
-    The dual of the balanced problem is smooth and concave with gradient
-    (1 - row sums, 1 - column sums) and a Hessian assembled from the plan.
-    Backtracks until the marginal violation strictly decreases; reports
-    False when no step length manages that.
+    The dual is concave with gradient (1 - r, 1 - c) and Hessian
+    [[diag(r), P], [P^T, diag(c)]] for the plan P with row sums r and column
+    sums c. Eliminating the column block leaves the n-by-n Schur complement
+    diag(r) - P diag(1/c) P^T for the row step. Backtracks until the
+    marginal violation strictly decreases; reports False when no step length
+    manages that.
     """
-    n = plan.shape[0]
     r = plan.sum(axis=1)
     c = plan.sum(axis=0)
-    h = np.zeros((2 * n, 2 * n))
-    h[:n, :n] = np.diag(r)
-    h[:n, n:] = plan
-    h[n:, :n] = plan.T
-    h[n:, n:] = np.diag(c)
-    h[np.arange(2 * n), np.arange(2 * n)] += 1e-12
-    rhs = np.concatenate([1.0 - r, 1.0 - c])
+    col = c + 1e-12
+    schur = (plan / -col) @ plan.T
+    schur.flat[:: plan.shape[0] + 1] += r + 1e-12
+    rhs = (1.0 - r) - plan @ ((1.0 - c) / col)
     try:
-        d = np.linalg.solve(h, rhs)
+        dx = np.linalg.solve(schur, rhs)
     except np.linalg.LinAlgError:
-        d = np.linalg.lstsq(h, rhs, rcond=None)[0]
+        dx = np.linalg.lstsq(schur, rhs, rcond=None)[0]
+    del schur
+    dy = ((1.0 - c) - plan.T @ dx) / col
     step = 1.0
     for _ in range(30):
-        f_try = f + step * d[:n]
-        g_try = g + step * d[n:]
+        f_try = f + step * dx
+        g_try = g + step * dy
         with np.errstate(over="ignore"):
             trial = np.exp(mr + f_try[:, None] + g_try[None, :])
         trial_err = _plan_violation(trial) if np.all(np.isfinite(trial)) else np.inf
@@ -242,6 +236,8 @@ def soft_contrastive_loss(blocks: SimilarityBlocks, cfg: LossConfig) -> SoftCont
     similarity, then scores the negative plan-weighted contrast, averaged
     over the m shared individuals. Lies in [-1, 0]; lower means the shared
     groups match more cleanly. A pair with nothing shared contributes zero.
+    Raises NumericalError when the solve does not converge within the
+    configured iteration budget and tolerance.
     """
     m = blocks.m
     if m == 0:
@@ -251,6 +247,11 @@ def soft_contrastive_loss(blocks: SimilarityBlocks, cfg: LossConfig) -> SoftCont
     plan = sinkhorn(
         1.0 - c, cfg.sinkhorn_reg, cfg.sinkhorn_max_iters, cfg.sinkhorn_tol
     )
+    if not plan.converged:
+        raise NumericalError(
+            f"transport solve for m={m} did not converge "
+            f"in {plan.iterations_used} iterations"
+        )
     raw = -float(np.sum(plan.omega * c))
     return SoftContrastiveLoss(raw / m, raw, plan)
 
@@ -316,26 +317,26 @@ def group_matching_loss(pairs, cfg: LossConfig) -> float:
     return total
 
 
-def loss_gradient(blocks: SimilarityBlocks, cfg: LossConfig) -> np.ndarray:
-    """Gradient of the pair loss with respect to the full similarity matrix.
+def loss_gradient(blocks: SimilarityBlocks, omega, cfg: LossConfig) -> np.ndarray:
+    """Gradient of frozen_plan_loss with respect to the full similarity matrix.
 
-    The transport plan is solved once and treated as a constant, so this is
-    the partial derivative through the contrastive and hinge terms only.
-    Returned in block order, shape (n_i, n_j). Every entry of the full
-    matrix participates: non-shared entries enter the contrastive
-    denominators as competitors, and the bottom-right block feeds the hinge.
+    omega is the m-by-m transport plan, typically the one soft_contrastive_loss
+    solved, held constant, so this is the partial derivative through the
+    contrastive and hinge terms only. Returned in block order, shape
+    (n_i, n_j). Every entry of the full matrix participates: non-shared
+    entries enter the contrastive denominators as competitors, and the
+    bottom-right block feeds the hinge.
     """
     m = blocks.m
     if m == 0:
         raise DataError("no shared individuals")
+    omega = np.asarray(omega, dtype=np.float64)
+    if omega.shape != (m, m):
+        raise DataError(f"plan shape {omega.shape} does not match shared count {m}")
     s = blocks.full
     n_i, n_j = s.shape
     scale = cfg.temperature
-    e, _, _, e0, denom, c = _contrastive_parts(s, m, scale)
-    plan = sinkhorn(
-        1.0 - c, cfg.sinkhorn_reg, cfg.sinkhorn_max_iters, cfg.sinkhorn_tol
-    )
-    omega = plan.omega
+    e, _, _, e0, denom, _ = _contrastive_parts(s, m, scale)
     # d(-sum(omega*C))/dS splits into a direct term on the shared block and
     # competitor terms wherever an entry shares a row or column with it.
     w = omega * e0 / denom**2
@@ -378,9 +379,9 @@ class PseudoTrajectories:
 def pseudo_trajectories(stream: DetectionStream, cfg: LossConfig) -> PseudoTrajectories:
     """Recover hard correspondences from the soft plans of a labeled stream.
 
-    For each adjacent pair, solves the soft loss, then runs a minimum-cost
-    assignment on one minus the plan restricted to the shared blocks, and
-    maps the matches back to original detection indices. Chaining matched
+    For each adjacent pair, solves the soft loss, rounds its plan over the
+    shared blocks to a permutation with round_to_permutation, and maps the
+    matches back to original detection indices. Chaining matched
     detections across pairs yields pseudo-trajectories usable as free
     supervision for association.
     """
@@ -400,11 +401,8 @@ def pseudo_trajectories(stream: DetectionStream, cfg: LossConfig) -> PseudoTraje
         m = blocks.m
         matches: list[tuple[int, int]] = []
         if m > 0:
-            result = soft_contrastive_loss(blocks, cfg)
-            assign = hungarian(1.0 - result.plan.omega)
-            for u, v in assign.pairs:
-                matches.append((int(blocks.perm_i[u]), int(blocks.perm_j[v])))
-            matches.sort()
+            perm = round_to_permutation(soft_contrastive_loss(blocks, cfg).plan.omega)
+            matches = sorted(zip(blocks.perm_i[:m].tolist(), blocks.perm_j[perm].tolist()))
         pair_results.append(
             PairMatching(prev.frame_index, curr.frame_index, tuple(matches))
         )

@@ -191,7 +191,7 @@ class TestGradientCheck:
         for blocks in blocks_list:
             for cfg in cfgs.values():
                 omega = soft_contrastive_loss(blocks, cfg).plan.omega
-                analytic = loss_gradient(blocks, cfg)
+                analytic = loss_gradient(blocks, omega, cfg)
                 numeric = _fd_gradient(blocks, cfg, omega, 1e-5)
                 denom = np.maximum(
                     np.maximum(np.abs(analytic), np.abs(numeric)), 1e-6

@@ -140,6 +140,16 @@ class TestExitCodes:
         assert rc == 3
         assert "numerical error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["loss", "pseudo"])
+    def test_unconverged_solve_is_three(self, tmp_path, capsys, command):
+        stream_path = _simulate(tmp_path, frames=4)
+        capsys.readouterr()
+        rc = main([command, "--in", str(stream_path), "--iters", "1", "--tol", "1e-14"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "numerical error" in err
+        assert "did not converge in 1 iterations" in err
+
     def test_invalid_config_is_two(self, tmp_path, capsys):
         stream_path = _simulate(tmp_path)
         rc = main(["count", "--in", str(stream_path), "--zeta", "-1"])

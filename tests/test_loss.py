@@ -18,6 +18,7 @@ from vicount import (
     group_matching_loss,
     hinge_loss,
     loss_gradient,
+    pair_blocks,
     pseudo_trajectories,
     random_similarity_blocks,
     round_to_permutation,
@@ -91,12 +92,26 @@ class TestSinkhorn:
 
     def test_marginals_at_convergence(self):
         rng = np.random.default_rng(33)
-        for n in (1, 2, 5, 13):
+        for n in (1, 2, 5, 13, 300, 600):
             plan = sinkhorn(rng.uniform(0, 1, (n, n)), reg=0.05)
             assert plan.converged
             np.testing.assert_allclose(plan.omega.sum(axis=1), np.ones(n), atol=1e-6)
             np.testing.assert_allclose(plan.omega.sum(axis=0), np.ones(n), atol=1e-6)
             assert np.all(plan.omega >= 0)
+
+    def test_sharp_large_pair_converges_fast(self):
+        # a sharp, large pair (m=435): scaling sweeps alone exhaust the
+        # default budget here, so this holds only if Newton steps run at
+        # this size
+        stream = generate_scene(
+            SimConfig(num_identities=900, num_frames=2, feature_dim=64,
+                      feature_noise_sigma=0.1, seed=0)
+        )
+        (blocks,) = pair_blocks(stream)
+        assert blocks.m == 435
+        plan = sinkhorn(1.0 - contrastive_similarity(blocks, 10.0), 0.01)
+        assert plan.converged
+        assert plan.iterations_used < 50
 
     def test_single_cell(self):
         plan = sinkhorn(np.array([[0.42]]), reg=0.5)
@@ -300,7 +315,7 @@ class TestLossGradient:
             ):
                 continue
             out = soft_contrastive_loss(blocks, cfg)
-            analytic = loss_gradient(blocks, cfg)
+            analytic = loss_gradient(blocks, out.plan.omega, cfg)
             numeric = _fd_gradient(blocks, cfg, out.plan.omega, 1e-5)
             denom = max(np.max(np.abs(numeric)), np.max(np.abs(analytic)), 1e-6)
             worst = max(worst, float(np.max(np.abs(analytic - numeric)) / denom))
@@ -313,15 +328,21 @@ class TestLossGradient:
         full[0, 0] = 1.0
         full[1:, 1:] = np.array([[0.5, 0.1], [0.1, 0.5]])
         blocks = SimilarityBlocks.from_full(full, 1)
-        grad = loss_gradient(blocks, LossConfig(hinge_threshold=0.2))
+        grad = loss_gradient(blocks, np.ones((1, 1)), LossConfig(hinge_threshold=0.2))
         np.testing.assert_allclose(
             grad[1:, 1:], np.array([[0.25, 0.0], [0.0, 0.25]]), atol=1e-12
         )
 
+    def test_plan_shape_must_match_shared_count(self):
+        # a 1x1 plan would broadcast silently against the 2x2 shared block
+        blocks = random_similarity_blocks(np.random.default_rng(40), 3, 3, 2)
+        with pytest.raises(DataError, match="plan shape"):
+            loss_gradient(blocks, np.ones((1, 1)), LossConfig())
+
     def test_m_zero_rejected(self):
         blocks = SimilarityBlocks.from_full(np.ones((2, 2)), 0)
         with pytest.raises(DataError, match="no shared individuals"):
-            loss_gradient(blocks, LossConfig())
+            loss_gradient(blocks, np.zeros((0, 0)), LossConfig())
 
 
 class TestPseudoTrajectories:
