@@ -120,9 +120,9 @@ def _cmd_count(args) -> int:
                 for rec in report.per_step
             ],
         }
+        # dumps runs the C encoder; dump would stream through the Python one.
         with open(args.report, "w", encoding="ascii") as fh:
-            json.dump(payload, fh, separators=(",", ":"))
-            fh.write("\n")
+            fh.write(json.dumps(payload, separators=(",", ":")) + "\n")
         print(f"report -> {args.report}")
     return 0
 

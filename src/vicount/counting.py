@@ -9,6 +9,7 @@ so that short absences (occlusion, missed detection) do not inflate the
 count when the individual comes back.
 """
 
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -77,16 +78,76 @@ class TemplateEntry:
         object.__setattr__(self, "templates", arr)
 
 
-@dataclass(frozen=True)
 class MemoryState:
-    """The template memory between steps. Updates come as new instances."""
+    """The template memory between steps, held as arrays. Updates come as new instances.
 
-    entries: tuple[TemplateEntry, ...] = ()
-    next_entry_id: int = 0
+    Row k of the (N, W, D) templates store holds remembered individual k's
+    templates, oldest first, in its first fill[k] slots; ttl and entry_id
+    are (N,) arrays in the same order. Every array is read-only. Built from
+    a sequence of TemplateEntry; entries gives them back.
+    """
+
+    __slots__ = ("templates", "fill", "ttl", "entry_id", "next_entry_id")
+
+    def __init__(self, entries=(), next_entry_id: int = 0):
+        entries = tuple(entries)
+        dims = {e.templates.shape[1] for e in entries}
+        if len(dims) > 1:
+            raise DataError(f"feature dimension mismatch: templates {sorted(dims)}")
+        fill = np.array([len(e.templates) for e in entries], dtype=np.intp)
+        templates = np.zeros((len(entries), max(fill, default=0), max(dims, default=0)))
+        for k, e in enumerate(entries):
+            templates[k, : fill[k]] = e.templates
+        self._set(
+            templates,
+            fill,
+            np.array([e.ttl for e in entries], dtype=np.intp),
+            np.array([e.entry_id for e in entries], dtype=np.intp),
+            next_entry_id,
+        )
 
     @classmethod
     def empty(cls) -> "MemoryState":
         return cls((), 0)
+
+    @classmethod
+    def _of_arrays(cls, templates, fill, ttl, entry_id, next_entry_id) -> "MemoryState":
+        memory = cls.__new__(cls)
+        memory._set(templates, fill, ttl, entry_id, next_entry_id)
+        return memory
+
+    def _set(self, templates, fill, ttl, entry_id, next_entry_id) -> None:
+        for name, arr in zip(self.__slots__, (templates, fill, ttl, entry_id)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "next_entry_id", int(next_entry_id))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"MemoryState is immutable; cannot set {name}")
+
+    @property
+    def entries(self) -> "_Entries":
+        """The remembered individuals as TemplateEntry values, in memory order."""
+        return _Entries(self)
+
+
+class _Entries(Sequence):
+    """Read-only sequence view of a MemoryState that builds each entry on access."""
+
+    __slots__ = ("_memory",)
+
+    def __init__(self, memory: MemoryState):
+        self._memory = memory
+
+    def __len__(self) -> int:
+        return len(self._memory.ttl)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(self[i] for i in range(len(self))[k])
+        m = self._memory
+        k = range(len(self))[k]
+        return TemplateEntry(int(m.entry_id[k]), m.templates[k, : m.fill[k]], int(m.ttl[k]))
 
 
 @dataclass(frozen=True)
@@ -107,29 +168,37 @@ class CountReport:
     total: int
 
 
-def _cost_matrix(detections, entries, aggregator: str) -> np.ndarray:
-    """template_cost of every detection (rows) against every entry (columns)."""
-    if aggregator not in _AGGREGATORS:
-        raise DataError(f"template_aggregator must be one of {_AGGREGATORS}, got {aggregator!r}")
+def _features(detections, memory: MemoryState) -> np.ndarray:
+    """Detection features stacked to (n, D), checked against the memory's dimension."""
     det_dims = {d.dim for d in detections}
-    template_dims = {e.templates.shape[1] for e in entries}
+    template_dims = {memory.templates.shape[2]} if len(memory.ttl) else set()
     if len(det_dims | template_dims) > 1:
         raise DataError(
             f"feature dimension mismatch: detection {sorted(det_dims)} "
             f"vs template {sorted(template_dims)}"
         )
-    features = np.array([d.feature for d in detections])
-    stacked = np.concatenate([e.templates for e in entries])
-    sizes = np.array([len(e.templates) for e in entries])
-    starts = np.cumsum(sizes) - sizes
+    if not detections:
+        return np.zeros((0, memory.templates.shape[2]))
+    return np.array([d.feature for d in detections])
+
+
+def _cost_matrix(features: np.ndarray, memory: MemoryState, aggregator: str) -> np.ndarray:
+    """template_cost of every feature row against every remembered individual (columns)."""
+    if aggregator not in _AGGREGATORS:
+        raise DataError(f"template_aggregator must be one of {_AGGREGATORS}, got {aggregator!r}")
+    fill = memory.fill
+    # Only filled slots, entry by entry and oldest first: the matmul covers no
+    # padding, and each segment sums in template order.
+    stacked = memory.templates[np.arange(memory.templates.shape[1]) < fill[:, None]]
     costs = features @ stacked.T
     # In place, as this (detections, templates) block is the largest array a step makes.
     np.subtract(1.0, costs, out=costs)
+    starts = np.cumsum(fill) - fill
     if aggregator == "max":
         return np.maximum.reduceat(costs, starts, axis=1)
     if aggregator == "min":
         return np.minimum.reduceat(costs, starts, axis=1)
-    return np.add.reduceat(costs, starts, axis=1) / sizes
+    return np.add.reduceat(costs, starts, axis=1) / fill
 
 
 def template_cost(detection: Detection, entry: TemplateEntry, aggregator: str = "max") -> float:
@@ -140,12 +209,20 @@ def template_cost(detection: Detection, entry: TemplateEntry, aggregator: str = 
     Taking the max is the conservative default: the detection must resemble
     every remembered appearance.
     """
-    return float(_cost_matrix((detection,), (entry,), aggregator)[0, 0])
+    memory = MemoryState((entry,))
+    return float(_cost_matrix(_features((detection,), memory), memory, aggregator)[0, 0])
 
 
-def _matched_entry(entry: TemplateEntry, feature: np.ndarray, cfg: McpConfig) -> TemplateEntry:
-    templates = np.vstack((entry.templates, feature))[-cfg.mem_max:]
-    return TemplateEntry(entry.entry_id, templates, cfg.ttl_max)
+def _append_templates(templates, fill, rows, features, mem_max: int) -> None:
+    """Append features[i] to row rows[i] of the store in place, keeping its newest mem_max."""
+    full = rows[fill[rows] >= mem_max]
+    if len(full):
+        slots = np.arange(mem_max - 1)
+        oldest_kept = fill[full] - (mem_max - 1)
+        templates[full[:, None], slots] = templates[full[:, None], oldest_kept[:, None] + slots]
+        fill[full] = mem_max - 1
+    templates[rows, fill[rows]] = features
+    fill[rows] += 1
 
 
 def step(memory: MemoryState, detections, cfg: McpConfig) -> tuple[MemoryState, StepRecord]:
@@ -159,37 +236,41 @@ def step(memory: MemoryState, detections, cfg: McpConfig) -> tuple[MemoryState, 
     frame_index 0 (the caller knows the real index).
     """
     dets = tuple(detections)
-    n = len(dets)
-    accepted: dict[int, int] = {}
-    if n and memory.entries:
-        cost = _cost_matrix(dets, memory.entries, cfg.template_aggregator)
-        for i, k in hungarian(cost).pairs:
-            if cost[i, k] <= cfg.zeta:
-                accepted[i] = k
-    by_entry = {k: i for i, k in accepted.items()}
-    # Rebuild in original order: matched entries get the feature appended and
-    # their ttl refreshed, missed ones tick down (dropped once exhausted),
-    # fresh entries append at the end.
-    rebuilt: list[TemplateEntry] = []
-    for k, entry in enumerate(memory.entries):
-        if k in by_entry:
-            rebuilt.append(_matched_entry(entry, dets[by_entry[k]].feature, cfg))
-        elif entry.ttl > 0:
-            rebuilt.append(TemplateEntry(entry.entry_id, entry.templates, entry.ttl - 1))
-    new_entries: list[TemplateEntry] = []
-    associations: list[tuple[int, int]] = []
+    features = _features(dets, memory)
+    n, dim = features.shape
+    size, width = memory.templates.shape[:2]
+    det_idx = entry_idx = np.zeros(0, dtype=np.intp)
+    if n and size:
+        cost = _cost_matrix(features, memory, cfg.template_aggregator)
+        pairs = np.array(hungarian(cost).pairs, dtype=np.intp).reshape(-1, 2)
+        ok = cost[pairs[:, 0], pairs[:, 1]] <= cfg.zeta
+        det_idx, entry_idx = pairs[ok, 0], pairs[ok, 1]
+    matched = np.zeros(size, dtype=bool)
+    matched[entry_idx] = True
+    fresh = np.ones(n, dtype=bool)
+    fresh[det_idx] = False
+    fresh = np.flatnonzero(fresh)
+    # Old entries keep their order: matched ones get a template and a full
+    # ttl, missed ones tick down and are dropped once exhausted. Fresh
+    # entries append at the end.
+    keep = matched | (memory.ttl > 0)
+    kept = np.flatnonzero(keep)
+    templates = np.zeros((len(kept) + len(fresh), max(width, cfg.mem_max), dim))
+    if len(kept):
+        # Straight into place: indexing with kept would copy the store once more.
+        np.take(memory.templates, kept, axis=0, out=templates[: len(kept), :width], mode="clip")
+    templates[len(kept):, 0] = features[fresh]
+    fill = np.concatenate((memory.fill[kept], np.ones(len(fresh), dtype=np.intp)))
+    _append_templates(templates, fill, (np.cumsum(keep) - 1)[entry_idx], features[det_idx],
+                      cfg.mem_max)
+    ttl = np.concatenate((np.where(matched, cfg.ttl_max, memory.ttl - 1)[kept],
+                          np.full(len(fresh), cfg.ttl_max, dtype=np.intp)))
     next_id = memory.next_entry_id
-    new_ids: list[int] = []
-    for i in range(n):
-        if i in accepted:
-            associations.append((i, memory.entries[accepted[i]].entry_id))
-        else:
-            fresh = TemplateEntry(next_id, (dets[i].feature,), cfg.ttl_max)
-            new_entries.append(fresh)
-            new_ids.append(next_id)
-            next_id += 1
-    new_memory = MemoryState(tuple(rebuilt + new_entries), next_id)
-    record = StepRecord(0, len(new_ids), tuple(associations), tuple(new_ids))
+    new_ids = np.arange(next_id, next_id + len(fresh), dtype=np.intp)
+    entry_id = np.concatenate((memory.entry_id[kept], new_ids))
+    new_memory = MemoryState._of_arrays(templates, fill, ttl, entry_id, next_id + len(fresh))
+    associations = tuple(zip(det_idx.tolist(), memory.entry_id[entry_idx].tolist()))
+    record = StepRecord(0, len(fresh), associations, tuple(new_ids.tolist()))
     return new_memory, record
 
 

@@ -114,9 +114,13 @@ def sinkhorn(cost, reg: float, max_iters: int = 500, tol: float = 1e-6) -> Trans
 
     converged = False
     opening = min(5, max_iters)
+    accepted = None
     while True:
-        plan = current_plan()
-        err = _plan_violation(plan)
+        if accepted is not None:
+            plan, err = accepted
+        else:
+            plan = current_plan()
+            err = _plan_violation(plan)
         if err < tol:
             converged = True
             break
@@ -125,22 +129,24 @@ def sinkhorn(cost, reg: float, max_iters: int = 500, tol: float = 1e-6) -> Trans
         if iters < opening:
             sweep()
             continue
-        if not _dual_newton_step(mr, plan, err, f, g):
+        accepted = _dual_newton_step(mr, plan, err, f, g)
+        if accepted is None:
             for _ in range(min(20, max_iters - iters - 1)):
                 sweep()
         iters += 1
     return TransportPlan(plan, converged, iters)
 
 
-def _dual_newton_step(mr, plan, err, f, g) -> bool:
+def _dual_newton_step(mr, plan, err, f, g):
     """One damped Newton step on the dual potentials, in place.
 
     The dual is concave with gradient (1 - r, 1 - c) and Hessian
     [[diag(r), P], [P^T, diag(c)]] for the plan P with row sums r and column
     sums c. Eliminating the column block leaves the n-by-n Schur complement
     diag(r) - P diag(1/c) P^T for the row step. Backtracks until the
-    marginal violation strictly decreases; reports False when no step length
-    manages that.
+    marginal violation strictly decreases and returns the accepted trial
+    plan with its violation, which is the plan of the updated potentials;
+    returns None when no step length manages that.
     """
     r = plan.sum(axis=1)
     c = plan.sum(axis=0)
@@ -164,9 +170,9 @@ def _dual_newton_step(mr, plan, err, f, g) -> bool:
         if trial_err < err:
             f[:] = f_try
             g[:] = g_try
-            return True
+            return trial, trial_err
         step *= 0.5
-    return False
+    return None
 
 
 def round_to_permutation(omega) -> np.ndarray:

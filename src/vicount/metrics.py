@@ -8,7 +8,12 @@ from .errors import DataError
 
 @dataclass(frozen=True)
 class VideoResult:
-    """One video's outcome: duration weight, ground-truth count, predicted count."""
+    """One video's outcome: length weight, ground-truth count, predicted count.
+
+    length is the video's weight in wrae. The eval command passes the
+    report's frame count, so videos sampled at different intervals weigh by
+    their number of frames, not by their duration in seconds.
+    """
 
     video_id: str
     length: float
@@ -54,6 +59,8 @@ def wrae(results) -> float:
 
     Each video's relative error |gt - pred| / gt is weighted by its share of
     the total length, so long videos dominate the way they dominate the data.
+    Lengths are frame counts when they come from eval; any unit works, as
+    only their ratios enter.
     """
     rs = _require(results)
     total_len = sum(r.length for r in rs)

@@ -59,6 +59,20 @@ class TestPipeline:
         assert rc == 0
         assert "MAE 2" in capsys.readouterr().out.splitlines()
 
+    def test_eval_wrae_weights_by_frame_count(self, tmp_path, capsys):
+        # 10 frames at delta 9 (90 s) and 30 frames at delta 1 (30 s): frame
+        # weights 0.25/0.75 give 8.75%, duration weights 0.75/0.25 would give 16.25%
+        paths = []
+        for video, frames, delta, gt, total in (("a", 10, 9.0, 10, 12), ("b", 30, 1.0, 20, 19)):
+            path = tmp_path / f"{video}.json"
+            path.write_text(json.dumps({"video": video, "frames": frames, "delta": delta,
+                                        "total": total, "gt_total": gt, "per_step": []}))
+            paths.append(str(path))
+        assert main(["eval", *paths]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1:3] == ["a\t10\t10\t12", "b\t30\t20\t19"]
+        assert "WRAE 8.75%" in lines
+
     def test_loss_reports_pairs_and_total(self, tmp_path, capsys):
         stream_path = _simulate(tmp_path, frames=4)
         capsys.readouterr()

@@ -80,7 +80,7 @@ class TestCostMatrix:
                 [agg([1.0 - np.dot(d.feature, t) for t in e.templates]) for e in memory.entries]
                 for d in dets
             ])
-            got = _cost_matrix(dets, memory.entries, aggregator)
+            got = _cost_matrix(np.array([d.feature for d in dets]), memory, aggregator)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
             for i, d in enumerate(dets):
                 for k, e in enumerate(memory.entries):
@@ -172,6 +172,60 @@ class TestStep:
         memory, record = step(memory, (_angle_det(0.1), _angle_det(0.3)), cfg)
         assert record.inflow == 0
         assert dict(record.associations) == {0: 0, 1: 1}
+
+
+class TestMemoryState:
+    def test_entries_round_trip(self):
+        entries = (
+            TemplateEntry(4, (np.array([1.0, 0.0]),), 2),
+            TemplateEntry(7, (np.array([0.6, 0.8]), np.array([0.0, 1.0]), np.array([1.0, 0.0])), 0),
+        )
+        memory = MemoryState(entries, 9)
+        assert memory.templates.shape == (2, 3, 2)
+        assert memory.fill.tolist() == [1, 3]
+        assert len(memory.entries) == 2 and memory.next_entry_id == 9
+        for got, want in zip(memory.entries, entries):
+            assert (got.entry_id, got.ttl) == (want.entry_id, want.ttl)
+            assert np.array_equal(got.templates, want.templates)
+        assert memory.entries[-1].entry_id == 7
+        assert [e.entry_id for e in memory.entries[::-1]] == [7, 4]
+
+    def test_immutable(self):
+        memory, _ = step(MemoryState.empty(), (E0, E1), McpConfig())
+        with pytest.raises(AttributeError):
+            memory.next_entry_id = 5
+        with pytest.raises(ValueError):
+            memory.ttl[0] = 9
+        with pytest.raises(ValueError):
+            memory.templates[0, 0, 0] = 5.0
+
+    def test_step_leaves_input_memory_unchanged(self):
+        cfg = McpConfig(mem_max=2, ttl_max=1)
+        memory, _ = step(MemoryState.empty(), (E0, E1), cfg)
+        before = [(e.entry_id, e.ttl, e.templates.copy()) for e in memory.entries]
+        step(memory, (_angle_det(0.05),), cfg)
+        after = [(e.entry_id, e.ttl, e.templates) for e in memory.entries]
+        assert [a[:2] for a in after] == [b[:2] for b in before]
+        assert all(np.array_equal(a[2], b[2]) for a, b in zip(after, before))
+
+    def test_mixed_dimensions_rejected(self):
+        with pytest.raises(DataError, match="dimension mismatch"):
+            MemoryState((TemplateEntry(0, (np.array([1.0, 0.0]),), 1),
+                         TemplateEntry(1, (np.array([1.0, 0.0, 0.0]),), 1)))
+
+    def test_count_builds_no_entries_and_stacks_nothing(self, monkeypatch):
+        stream = generate_scene(
+            SimConfig(num_identities=12, num_frames=10, feature_noise_sigma=0.05,
+                      max_base_similarity=0.3, seed=4)
+        )
+        want = count_video(stream, McpConfig(mem_max=2))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the memory step must stay on arrays")
+
+        monkeypatch.setattr(TemplateEntry, "__post_init__", refuse)
+        monkeypatch.setattr(np, "vstack", refuse)
+        assert count_video(stream, McpConfig(mem_max=2)) == want
 
 
 class TestMcpConfig:
