@@ -183,8 +183,8 @@ def _fd_gradient(blocks: SimilarityBlocks, cfg: LossConfig, omega, h: float) -> 
             plus[p, q] += h
             minus = base.copy()
             minus[p, q] -= h
-            f_plus = frozen_plan_loss(SimilarityBlocks.from_full(plus, blocks.m), omega, cfg)
-            f_minus = frozen_plan_loss(SimilarityBlocks.from_full(minus, blocks.m), omega, cfg)
+            f_plus = frozen_plan_loss(SimilarityBlocks(plus, blocks.m), omega, cfg)
+            f_minus = frozen_plan_loss(SimilarityBlocks(minus, blocks.m), omega, cfg)
             out[p, q] = (f_plus - f_minus) / (2 * h)
     return out
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .assignment import hungarian
 from .errors import DataError
-from .stream import Detection, DetectionStream
+from .stream import Detection, DetectionStream, _BuiltOnAccess, _feature_rows
 
 _AGGREGATORS = ("max", "min", "mean")
 
@@ -126,28 +126,16 @@ class MemoryState:
         raise AttributeError(f"MemoryState is immutable; cannot set {name}")
 
     @property
-    def entries(self) -> "_Entries":
-        """The remembered individuals as TemplateEntry values, in memory order."""
-        return _Entries(self)
+    def entries(self) -> Sequence:
+        """The remembered individuals as TemplateEntry values, in memory order.
 
+        A read-only sequence that builds each entry when it is accessed.
+        """
+        return _BuiltOnAccess(len(self.ttl), self._entry)
 
-class _Entries(Sequence):
-    """Read-only sequence view of a MemoryState that builds each entry on access."""
-
-    __slots__ = ("_memory",)
-
-    def __init__(self, memory: MemoryState):
-        self._memory = memory
-
-    def __len__(self) -> int:
-        return len(self._memory.ttl)
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return tuple(self[i] for i in range(len(self))[k])
-        m = self._memory
-        k = range(len(self))[k]
-        return TemplateEntry(int(m.entry_id[k]), m.templates[k, : m.fill[k]], int(m.ttl[k]))
+    def _entry(self, k: int) -> TemplateEntry:
+        return TemplateEntry(int(self.entry_id[k]), self.templates[k, : self.fill[k]],
+                             int(self.ttl[k]))
 
 
 @dataclass(frozen=True)
@@ -168,18 +156,15 @@ class CountReport:
     total: int
 
 
-def _features(detections, memory: MemoryState) -> np.ndarray:
-    """Detection features stacked to (n, D), checked against the memory's dimension."""
-    det_dims = {d.dim for d in detections}
-    template_dims = {memory.templates.shape[2]} if len(memory.ttl) else set()
-    if len(det_dims | template_dims) > 1:
+def _features(features, memory: MemoryState) -> np.ndarray:
+    """Feature rows as an (n, D) array, checked against the memory's dimension."""
+    rows = _feature_rows(features)
+    dim = memory.templates.shape[2]
+    if len(rows) and len(memory.ttl) and rows.shape[1] != dim:
         raise DataError(
-            f"feature dimension mismatch: detection {sorted(det_dims)} "
-            f"vs template {sorted(template_dims)}"
+            f"feature dimension mismatch: detection [{rows.shape[1]}] vs template [{dim}]"
         )
-    if not detections:
-        return np.zeros((0, memory.templates.shape[2]))
-    return np.array([d.feature for d in detections])
+    return rows if len(rows) else np.zeros((0, dim))
 
 
 def _cost_matrix(features: np.ndarray, memory: MemoryState, aggregator: str) -> np.ndarray:
@@ -210,7 +195,8 @@ def template_cost(detection: Detection, entry: TemplateEntry, aggregator: str = 
     every remembered appearance.
     """
     memory = MemoryState((entry,))
-    return float(_cost_matrix(_features((detection,), memory), memory, aggregator)[0, 0])
+    features = _features(detection.feature[None], memory)
+    return float(_cost_matrix(features, memory, aggregator)[0, 0])
 
 
 def _append_templates(templates, fill, rows, features, mem_max: int) -> None:
@@ -225,18 +211,19 @@ def _append_templates(templates, fill, rows, features, mem_max: int) -> None:
     fill[rows] += 1
 
 
-def step(memory: MemoryState, detections, cfg: McpConfig) -> tuple[MemoryState, StepRecord]:
+def step(memory: MemoryState, features, cfg: McpConfig) -> tuple[MemoryState, StepRecord]:
     """Associate one frame's detections against the memory and update it.
 
-    Runs a minimum-cost assignment between detections and remembered
-    individuals, rejecting matches that cost more than zeta. Every rejected
-    or unmatched detection counts as inflow (a fresh entry). Remembered
-    individuals not matched this step lose one unit of time to live and are
-    dropped once it is exhausted. Returns the new memory and a record with
-    frame_index 0 (the caller knows the real index).
+    features holds the frame's unit feature rows, shape (n, D), as
+    FrameRecord.features does; row i is detection i. Runs a minimum-cost
+    assignment between detections and remembered individuals, rejecting
+    matches that cost more than zeta. Every rejected or unmatched detection
+    counts as inflow (a fresh entry). Remembered individuals not matched
+    this step lose one unit of time to live and are dropped once it is
+    exhausted. Returns the new memory and a record with frame_index 0 (the
+    caller knows the real index).
     """
-    dets = tuple(detections)
-    features = _features(dets, memory)
+    features = _features(features, memory)
     n, dim = features.shape
     size, width = memory.templates.shape[:2]
     det_idx = entry_idx = np.zeros(0, dtype=np.intp)
@@ -284,6 +271,6 @@ def count_video(stream: DetectionStream, cfg: McpConfig) -> CountReport:
     memory = MemoryState.empty()
     records = []
     for frame in stream.frames:
-        memory, record = step(memory, frame.detections, cfg)
+        memory, record = step(memory, frame.features, cfg)
         records.append(replace(record, frame_index=frame.frame_index))
     return CountReport(tuple(records), sum(r.inflow for r in records))

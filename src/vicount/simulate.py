@@ -9,12 +9,13 @@ construction and every generated quantity is a deterministic function of the
 seed.
 """
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError
-from .stream import Detection, DetectionStream, FrameRecord, normalize_feature
+from .stream import DetectionStream, FrameRecord, normalize_feature
 
 
 @dataclass(frozen=True)
@@ -138,47 +139,40 @@ def scene_from_lifespans(cfg: SimConfig, lifespans) -> DetectionStream:
             last_end = b
     rng = np.random.default_rng(cfg.seed)
     bases = _draw_bases(rng, cfg)
-    w, h = cfg.scene_size
-    # presence[k] = sorted identities in frame k.
-    presence: list[list[int]] = [[] for _ in range(t)]
-    positions: list[dict[int, tuple[float, float]]] = [dict() for _ in range(t)]
-    for g, intervals in enumerate(spans):
-        for a, b in intervals:
-            x = float(rng.uniform(0, w))
-            y = float(rng.uniform(0, h))
-            for k in range(a, b + 1):
-                if k > a:
-                    x = float(np.clip(x + rng.normal(0, cfg.walk_step_sigma), 0, w))
-                    y = float(np.clip(y + rng.normal(0, cfg.walk_step_sigma), 0, h))
-                presence[k].append(g)
-                positions[k][g] = (x, y)
+    return _assemble(cfg, spans, bases, rng)
+
+
+def _assemble(cfg: SimConfig, spans, bases: np.ndarray, rng) -> DetectionStream:
+    """Walks, observation noise and weak labels of a scene, drawn from rng.
+
+    rng must be in its state right after the base draw, so that a scene's
+    walks and noise follow its bases on the seed's one sequence.
+    """
+    t = cfg.num_frames
+    size = np.array(cfg.scene_size)
+    visits = [(g, a, b) for g, intervals in enumerate(spans) for a, b in intervals]
+    # at[g, k + 1] = the visit that puts identity g in frame k, or -1; columns
+    # 0 and t + 1 stand for the frames before and after the stream.
+    at = np.full((cfg.num_identities, t + 2), -1)
+    walk = np.empty((len(visits), 2))
+    steps = np.zeros((len(visits), t, 2))
+    for v, (g, a, b) in enumerate(visits):
+        walk[v] = rng.uniform(0, size)
+        steps[v, a + 1 : b + 1] = rng.normal(0, cfg.walk_step_sigma, size=(b - a, 2))
+        at[g, a + 1 : b + 2] = v
+    present = at >= 0
     frames = []
-    prev_ids: list[int] = []
     for k in range(t):
-        ids = sorted(presence[k])
-        dets = []
-        for g in ids:
-            base = bases[g]
-            if cfg.feature_noise_sigma > 0:
-                feat = normalize_feature(
-                    base + rng.normal(0, cfg.feature_noise_sigma, size=cfg.feature_dim)
-                )
-            else:
-                feat = base
-            dets.append(Detection(positions[k][g], feat, gt_id=g))
-        next_ids = sorted(presence[k + 1]) if k + 1 < t else []
-        inflow, _ = derive_weak_labels(prev_ids, ids)
-        _, outflow = derive_weak_labels(ids, next_ids)
-        frames.append(
-            FrameRecord(
-                frame_index=k + 1,
-                timestamp=k * cfg.delta,
-                detections=tuple(dets),
-                inflow=inflow,
-                outflow=outflow,
-            )
-        )
-        prev_ids = ids
+        # Every walk advances together: outside its visit's later frames a
+        # step is zero, which leaves a position inside the scene unchanged.
+        walk = np.minimum(np.maximum(walk + steps[:, k], 0.0), size)
+        ids = np.flatnonzero(present[:, k + 1])
+        features = bases[ids]
+        if cfg.feature_noise_sigma > 0:
+            features = features + rng.normal(0, cfg.feature_noise_sigma, size=features.shape)
+        inflow, outflow = ~present[ids, k], ~present[ids, k + 2]
+        frames.append(FrameRecord(k + 1, k * cfg.delta, walk[at[ids, k + 1]], features,
+                                  inflow, outflow, ids.tolist()))
     return DetectionStream(tuple(frames), cfg.delta)
 
 
@@ -190,22 +184,18 @@ def generate_scene(cfg: SimConfig) -> DetectionStream:
     byte-identical streams.
     """
     rng = np.random.default_rng(cfg.seed)
-    # scene_from_lifespans re-seeds and replays the base draw, so drawing the
-    # bases here first keeps the lifespan draws on the same deterministic
-    # sequence regardless of which entry point is used.
-    _draw_bases(rng, cfg)
-    spans = _draw_lifespans(rng, cfg)
-    return scene_from_lifespans(cfg, spans)
+    bases = _draw_bases(rng, cfg)
+    # Walks and noise come from the state right after the bases, as in
+    # scene_from_lifespans; the lifespans come from the same state too.
+    after_bases = copy.deepcopy(rng)
+    return _assemble(cfg, _draw_lifespans(rng, cfg), bases, after_bases)
 
 
 def gt_unique_count(stream: DetectionStream) -> int:
     """Number of distinct ground-truth identities appearing anywhere in a stream."""
     ids = set()
     for frame in stream.frames:
-        for det in frame.detections:
-            if det.gt_id is None:
-                raise DataError(
-                    f"frame {frame.frame_index}: detection without gt_id"
-                )
-            ids.add(det.gt_id)
+        if None in frame.gt_ids:
+            raise DataError(f"frame {frame.frame_index}: detection without gt_id")
+        ids.update(frame.gt_ids)
     return len(ids)

@@ -8,6 +8,7 @@ and reordering each side so that shared individuals come first partitions the
 similarity matrix into blocks that the loss functions consume.
 """
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,24 +18,33 @@ from .errors import DataError
 _UNIT_NORM_TOL = 1e-12
 
 
+def _unit_rows(rows: np.ndarray, row_label: str | None = None) -> np.ndarray:
+    """Scale every row of a float (n, D) array to unit norm in place; see normalize_feature.
+
+    Returns rows. Raises DataError for a zero or non-finite row, named
+    row_label[k] when given.
+    """
+    finite = np.isfinite(rows).all(axis=1)
+    # Batched matmul gives every row's squared norm bit-for-bit as np.dot does.
+    sq = (rows[:, None, :] @ rows[:, :, None]).reshape(-1)
+    bad = ~finite | (sq == 0.0)
+    if bad.any():
+        k = int(np.argmax(bad))
+        where = "" if row_label is None else f"{row_label}[{k}]: "
+        why = "zero vector" if finite[k] else "non-finite entries"
+        raise DataError(f"{where}degenerate feature: {why}")
+    scale = (np.abs(sq - 1.0) > _UNIT_NORM_TOL)[:, None]
+    return np.divide(rows, np.sqrt(sq)[:, None], out=rows, where=scale)
+
+
 def normalize_feature(v) -> np.ndarray:
     """Scale a feature vector to unit Euclidean norm.
 
     Vectors already unit-length within tolerance are returned unchanged, so
-    the operation is idempotent bit-for-bit. A zero vector has no direction
-    and raises DataError.
+    the operation is idempotent bit-for-bit. A zero or non-finite vector has
+    no direction and raises DataError.
     """
-    arr = np.asarray(v, dtype=np.float64)
-    if arr.ndim != 1:
-        arr = arr.reshape(-1)
-    if not np.all(np.isfinite(arr)):
-        raise DataError("degenerate feature: non-finite entries")
-    sq = float(np.dot(arr, arr))
-    if sq == 0.0:
-        raise DataError("degenerate feature: zero vector")
-    if abs(sq - 1.0) <= _UNIT_NORM_TOL:
-        return arr.copy()
-    return arr / np.sqrt(sq)
+    return _unit_rows(np.array(v, dtype=np.float64).reshape(1, -1))[0]
 
 
 def shared_count(outflow_i, inflow_j) -> int:
@@ -93,24 +103,74 @@ class Detection:
         )
 
 
+class _BuiltOnAccess(Sequence):
+    """Read-only sequence of n items, each built by item(k) when it is accessed."""
+
+    __slots__ = ("_n", "_item")
+
+    def __init__(self, n: int, item):
+        self._n = n
+        self._item = item
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(self._item(i) for i in range(self._n)[k])
+        return self._item(range(self._n)[k])
+
+
+def _feature_rows(values, copy: bool = False) -> np.ndarray:
+    """Feature rows as an (n, D) float array, a new one if copy; empty input gives (0, 0)."""
+    try:
+        rows = (np.array if copy else np.asarray)(values, dtype=np.float64)
+    except ValueError as exc:
+        raise DataError(f"feature dimension mismatch or non-numeric entry: {exc}") from None
+    if rows.ndim != 2:
+        if rows.size:
+            raise DataError(f"features must form an (n, D) array, got shape {rows.shape}")
+        rows = rows.reshape(0, 0)
+    return rows
+
+
 def _as_bits(values, n: int, name: str) -> tuple[int, ...]:
-    bits = tuple(int(b) for b in values)
-    if len(bits) != n:
-        raise DataError(f"{name} has {len(bits)} entries for {n} detections")
-    if any(b not in (0, 1) for b in bits):
+    bits = np.asarray(values)
+    if bits.shape != (n,):
+        raise DataError(f"{name} has {bits.size} entries for {n} detections")
+    if not ((bits == 0) | (bits == 1)).all():
         raise DataError(f"{name} entries must be 0 or 1")
-    return bits
+    return tuple(bits.astype(np.int64).tolist())
+
+
+def _as_ids(values, n: int) -> tuple[int | None, ...]:
+    ids = (None,) * n if values is None else tuple(None if g is None else int(g) for g in values)
+    if len(ids) != n:
+        raise DataError(f"gt_ids has {len(ids)} entries for {n} detections")
+    bad = next((k for k, g in enumerate(ids) if g is not None and g < 0), None)
+    if bad is not None:
+        raise DataError(f"det[{bad}]: gt_id must be non-negative, got {ids[bad]}")
+    return ids
 
 
 @dataclass(frozen=True, eq=False)
 class FrameRecord:
-    """A sampled frame: detections plus per-detection inflow/outflow bits."""
+    """A sampled frame held as arrays, one row per detection, with inflow/outflow bits.
+
+    coordinates is a read-only (n, 2) array of image positions and features
+    a read-only (n, D) array of unit rows, all normalized in one pass at
+    construction. gt_ids holds each detection's ground-truth identity, an
+    int or None; left out, no detection has one. detections views the rows
+    as Detection values, each built when it is accessed.
+    """
 
     frame_index: int
     timestamp: float
-    detections: tuple[Detection, ...]
+    coordinates: np.ndarray
+    features: np.ndarray
     inflow: tuple[int, ...]
     outflow: tuple[int, ...]
+    gt_ids: tuple[int | None, ...] | None = None
 
     def __post_init__(self):
         idx = int(self.frame_index)
@@ -118,29 +178,42 @@ class FrameRecord:
             raise DataError(f"frame_index must be >= 1, got {idx}")
         object.__setattr__(self, "frame_index", idx)
         object.__setattr__(self, "timestamp", float(self.timestamp))
-        dets = tuple(self.detections)
-        if not all(isinstance(d, Detection) for d in dets):
-            raise DataError("detections must be Detection instances")
-        object.__setattr__(self, "detections", dets)
-        n = len(dets)
+        features = _unit_rows(_feature_rows(self.features, copy=True), "det")
+        n = len(features)
+        coordinates = np.array(self.coordinates, dtype=np.float64).reshape(-1, 2)
+        if coordinates.shape != (n, 2):
+            raise DataError(f"coordinates have shape {coordinates.shape}, expected ({n}, 2)")
+        for name, arr in (("coordinates", coordinates), ("features", features)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
         object.__setattr__(self, "inflow", _as_bits(self.inflow, n, "inflow"))
         object.__setattr__(self, "outflow", _as_bits(self.outflow, n, "outflow"))
-        dims = {d.dim for d in dets}
-        if len(dims) > 1:
-            raise DataError(f"mixed feature dimensions in frame {idx}: {sorted(dims)}")
+        object.__setattr__(self, "gt_ids", _as_ids(self.gt_ids, n))
+
+    @property
+    def detections(self) -> Sequence:
+        """The rows as Detection values, in frame order, each built when accessed."""
+        return _BuiltOnAccess(len(self), self._detection)
+
+    def _detection(self, k: int) -> Detection:
+        x, y = self.coordinates[k].tolist()
+        return Detection((x, y), self.features[k], self.gt_ids[k])
 
     def __len__(self) -> int:
-        return len(self.detections)
+        return len(self.features)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FrameRecord):
             return NotImplemented
+        # Equal bits mean equal detection counts; an empty frame has no feature dimension.
         return (
             self.frame_index == other.frame_index
             and self.timestamp == other.timestamp
             and self.inflow == other.inflow
             and self.outflow == other.outflow
-            and self.detections == other.detections
+            and self.gt_ids == other.gt_ids
+            and np.array_equal(self.coordinates, other.coordinates)
+            and (not len(self) or np.array_equal(self.features, other.features))
         )
 
 
@@ -168,18 +241,15 @@ class DetectionStream:
                 raise DataError(
                     f"frames {prev.frame_index}->{curr.frame_index} spaced {gap}s, expected {self.delta}s"
                 )
-        dims = {d.dim for f in frames for d in f.detections}
+        dims = {f.features.shape[1] for f in frames if len(f)}
         if len(dims) > 1:
             raise DataError(f"mixed feature dimensions in stream: {sorted(dims)}")
-        if frames and len(frames[0]) > 0 and any(b == 0 for b in frames[0].inflow):
+        if frames and 0 in frames[0].inflow:
             raise DataError("first frame must have inflow bits all 1")
 
     @property
     def feature_dim(self) -> int | None:
-        for f in self.frames:
-            if len(f) > 0:
-                return f.detections[0].dim
-        return None
+        return next((f.features.shape[1] for f in self.frames if len(f)), None)
 
     def __len__(self) -> int:
         return len(self.frames)
@@ -196,80 +266,46 @@ class SimilarityBlocks:
 
     Detections of the earlier frame are reordered so the ones that stay come
     first; detections of the later frame so the ones already present come
-    first. The top-left block s0 then holds similarities among shared
-    individuals and the bottom-right block s3 compares outflow against
-    inflow, while s1/s2 mix the two groups. perm_i/perm_j map block
-    positions back to the original detection order of each frame.
+    first. full is that block-ordered (n_i, n_j) matrix, stored once and
+    read-only (a writable matrix passed in is copied; a read-only one is
+    kept as is), and m the shared count. The blocks are views of full: the
+    top-left s0 holds similarities among shared individuals and the
+    bottom-right s3 compares outflow against inflow, while s1/s2 mix the
+    two groups. perm_i/perm_j map block positions back to the original
+    detection order of each frame.
     """
 
-    s0: np.ndarray
-    s1: np.ndarray
-    s2: np.ndarray
-    s3: np.ndarray
+    full: np.ndarray
+    m: int
     perm_i: np.ndarray | None = None
     perm_j: np.ndarray | None = None
 
     def __post_init__(self):
-        for name in ("s0", "s1", "s2", "s3"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            if arr.ndim != 2:
-                raise DataError(f"{name} must be a 2-d array")
-            arr = arr.copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        m = self.s0.shape[0]
-        if self.s0.shape[1] != m:
-            raise DataError(f"s0 must be square, got {self.s0.shape}")
-        if self.s1.shape[0] != m or self.s2.shape[1] != m:
-            raise DataError("block shapes disagree on the shared count")
-        if self.s3.shape != (self.s2.shape[0], self.s1.shape[1]):
-            raise DataError(f"s3 shape {self.s3.shape} does not close the block layout")
+        s = np.asarray(self.full, dtype=np.float64)
+        if s.ndim != 2:
+            raise DataError("similarity matrix must be 2-d")
+        m = int(self.m)
+        if not (0 <= m <= min(s.shape)):
+            raise DataError(f"shared count {m} out of range for shape {s.shape}")
+        if s.flags.writeable:
+            s = s.copy()
+            s.setflags(write=False)
+        object.__setattr__(self, "full", s)
+        object.__setattr__(self, "m", m)
         for name, size in (("perm_i", self.n_i), ("perm_j", self.n_j)):
-            perm = getattr(self, name)
-            if perm is None:
-                perm = np.arange(size, dtype=np.intp)
-            else:
-                perm = np.asarray(perm, dtype=np.intp).copy()
-                if perm.shape != (size,) or sorted(perm.tolist()) != list(range(size)):
-                    raise DataError(f"{name} is not a permutation of range({size})")
+            given = getattr(self, name)
+            perm = np.arange(size) if given is None else np.array(given, dtype=np.intp)
+            if perm.shape != (size,) or not np.array_equal(np.sort(perm), np.arange(size)):
+                raise DataError(f"{name} is not a permutation of range({size})")
             perm.setflags(write=False)
             object.__setattr__(self, name, perm)
 
-    @property
-    def m(self) -> int:
-        return self.s0.shape[0]
-
-    @property
-    def n_i(self) -> int:
-        return self.s0.shape[0] + self.s2.shape[0]
-
-    @property
-    def n_j(self) -> int:
-        return self.s0.shape[1] + self.s1.shape[1]
-
-    @property
-    def full(self) -> np.ndarray:
-        """The whole similarity matrix in block order, shape (n_i, n_j)."""
-        m = self.m
-        out = np.empty((self.n_i, self.n_j), dtype=np.float64)
-        out[:m, :m] = self.s0
-        out[:m, m:] = self.s1
-        out[m:, :m] = self.s2
-        out[m:, m:] = self.s3
-        return out
-
-    @classmethod
-    def from_full(cls, s: np.ndarray, m: int, perm_i=None, perm_j=None) -> "SimilarityBlocks":
-        """Split a full block-ordered similarity matrix at shared count m."""
-        s = np.asarray(s, dtype=np.float64)
-        if s.ndim != 2:
-            raise DataError("similarity matrix must be 2-d")
-        if not (0 <= m <= min(s.shape)):
-            raise DataError(f"shared count {m} out of range for shape {s.shape}")
-        return cls(
-            s0=s[:m, :m], s1=s[:m, m:], s2=s[m:, :m], s3=s[m:, m:],
-            perm_i=perm_i, perm_j=perm_j,
-        )
+    n_i = property(lambda self: self.full.shape[0])
+    n_j = property(lambda self: self.full.shape[1])
+    s0 = property(lambda self: self.full[: self.m, : self.m])
+    s1 = property(lambda self: self.full[: self.m, self.m :])
+    s2 = property(lambda self: self.full[self.m :, : self.m])
+    s3 = property(lambda self: self.full[self.m :, self.m :])
 
 
 def partition_similarity(frame_i: FrameRecord, frame_j: FrameRecord) -> SimilarityBlocks:
@@ -282,14 +318,14 @@ def partition_similarity(frame_i: FrameRecord, frame_j: FrameRecord) -> Similari
     m = shared_count(frame_i.outflow, frame_j.inflow)
     order_i = np.argsort(np.asarray(frame_i.outflow, dtype=np.int64), kind="stable")
     order_j = np.argsort(np.asarray(frame_j.inflow, dtype=np.int64), kind="stable")
-    n_i, n_j = len(frame_i), len(frame_j)
-    if n_i == 0 or n_j == 0:
-        s = np.zeros((n_i, n_j), dtype=np.float64)
+    if len(frame_i) and len(frame_j):
+        s = frame_i.features[order_i] @ frame_j.features[order_j].T
+        np.clip(s, -1.0, 1.0, out=s)
     else:
-        feats_i = np.stack([frame_i.detections[k].feature for k in order_i])
-        feats_j = np.stack([frame_j.detections[k].feature for k in order_j])
-        s = np.clip(feats_i @ feats_j.T, -1.0, 1.0)
-    return SimilarityBlocks.from_full(s, m, perm_i=order_i, perm_j=order_j)
+        s = np.zeros((len(frame_i), len(frame_j)))
+    # Handed over read-only, so the blocks keep this matrix instead of a copy.
+    s.setflags(write=False)
+    return SimilarityBlocks(s, m, order_i, order_j)
 
 
 def pair_blocks(stream: DetectionStream) -> list[SimilarityBlocks]:
@@ -306,5 +342,4 @@ def random_similarity_blocks(
     """Random blocks with entries in [-1, 1], for diagnostics and gradient checks."""
     if not (0 <= m <= min(n_i, n_j)):
         raise DataError(f"shared count {m} out of range for ({n_i}, {n_j})")
-    s = rng.uniform(-1.0, 1.0, size=(n_i, n_j))
-    return SimilarityBlocks.from_full(s, m)
+    return SimilarityBlocks(rng.uniform(-1.0, 1.0, size=(n_i, n_j)), m)

@@ -10,8 +10,10 @@ float form), and write followed by parse reproduces the stream exactly.
 
 import json
 
+import numpy as np
+
 from .errors import StreamFormatError
-from .stream import Detection, DetectionStream, FrameRecord
+from .stream import DetectionStream, FrameRecord
 
 SCHEMA_VERSION = 1
 
@@ -27,28 +29,14 @@ def write_stream(stream: DetectionStream, path) -> None:
     with open(path, "w", encoding="ascii") as fh:
         fh.write(_dump(header) + "\n")
         for frame in stream.frames:
-            dets = []
-            for det in frame.detections:
-                obj = {
-                    "x": det.coordinate[0],
-                    "y": det.coordinate[1],
-                    "f": [float(v) for v in det.feature],
-                }
-                if det.gt_id is not None:
-                    obj["id"] = det.gt_id
-                dets.append(obj)
-            fh.write(
-                _dump(
-                    {
-                        "frame": frame.frame_index,
-                        "t": frame.timestamp,
-                        "det": dets,
-                        "in": list(frame.inflow),
-                        "out": list(frame.outflow),
-                    }
-                )
-                + "\n"
-            )
+            rows = zip(frame.coordinates.tolist(), frame.features.tolist(), frame.gt_ids)
+            dets = [
+                {"x": x, "y": y, "f": f} if g is None else {"x": x, "y": y, "f": f, "id": g}
+                for (x, y), f, g in rows
+            ]
+            line = {"frame": frame.frame_index, "t": frame.timestamp, "det": dets,
+                    "in": list(frame.inflow), "out": list(frame.outflow)}
+            fh.write(_dump(line) + "\n")
 
 
 def _fail(path, lineno: int, msg: str):
@@ -59,6 +47,22 @@ def _need(obj: dict, key: str, path, lineno: int):
     if key not in obj:
         _fail(path, lineno, f"missing key {key!r}")
     return obj[key]
+
+
+def _bad_detection(raw_dets: list, dim: int) -> str | None:
+    """Describe the first detection that is not an object with x, y and dim numbers f, if any."""
+    for k, raw in enumerate(raw_dets):
+        if not isinstance(raw, dict) or not {"x", "y", "f"} <= raw.keys():
+            return f"det[{k}] must be a JSON object with keys 'x', 'y' and 'f'"
+        try:
+            shape = np.array(raw["f"], dtype=np.float64).shape
+        except (TypeError, ValueError) as exc:
+            return f"det[{k}]: {exc}"
+        if len(shape) != 1:
+            return f"det[{k}]: feature must be a flat list of {dim} numbers"
+        if shape[0] != dim:
+            return f"det[{k}]: feature length {shape[0]} != header dim {dim}"
+    return None
 
 
 def parse_stream(path) -> DetectionStream:
@@ -95,40 +99,21 @@ def parse_stream(path) -> DetectionStream:
             _fail(path, lineno, f"malformed frame: {exc.msg}")
         if not isinstance(obj, dict):
             _fail(path, lineno, "frame must be a JSON object")
-        frame_index = _need(obj, "frame", path, lineno)
-        timestamp = _need(obj, "t", path, lineno)
-        raw_dets = _need(obj, "det", path, lineno)
-        inflow = _need(obj, "in", path, lineno)
-        outflow = _need(obj, "out", path, lineno)
+        frame_index, timestamp, raw_dets, inflow, outflow = (
+            _need(obj, key, path, lineno) for key in ("frame", "t", "det", "in", "out")
+        )
         if not isinstance(raw_dets, list):
             _fail(path, lineno, "det must be a list")
-        dets = []
-        for d_idx, raw in enumerate(raw_dets):
-            if not isinstance(raw, dict):
-                _fail(path, lineno, f"det[{d_idx}] must be a JSON object")
-            x = _need(raw, "x", path, lineno)
-            y = _need(raw, "y", path, lineno)
-            feat = _need(raw, "f", path, lineno)
-            if not isinstance(feat, list) or len(feat) != dim:
-                got = len(feat) if isinstance(feat, list) else type(feat).__name__
-                _fail(path, lineno, f"det[{d_idx}]: feature length {got} != header dim {dim}")
-            gt_id = raw.get("id")
-            try:
-                dets.append(Detection((x, y), feat, gt_id=gt_id))
-            except (ValueError, TypeError) as exc:
-                _fail(path, lineno, f"det[{d_idx}]: {exc}")
         try:
-            frames.append(
-                FrameRecord(
-                    frame_index=frame_index,
-                    timestamp=timestamp,
-                    detections=tuple(dets),
-                    inflow=inflow,
-                    outflow=outflow,
-                )
-            )
-        except (ValueError, TypeError) as exc:
-            _fail(path, lineno, f"{exc}")
+            coordinates = [(d["x"], d["y"]) for d in raw_dets]
+            features = [d["f"] for d in raw_dets]
+            ids = [d.get("id") for d in raw_dets]
+            frame = FrameRecord(frame_index, timestamp, coordinates, features, inflow, outflow, ids)
+        except (KeyError, TypeError, ValueError) as exc:
+            _fail(path, lineno, _bad_detection(raw_dets, dim) or f"{exc}")
+        if len(frame) and frame.features.shape[1] != dim:
+            _fail(path, lineno, _bad_detection(raw_dets, dim))
+        frames.append(frame)
     try:
         return DetectionStream(tuple(frames), delta)
     except (ValueError, TypeError) as exc:

@@ -163,8 +163,8 @@ def _fd_gradient(blocks, cfg, omega, h):
             plus[p, q] += h
             minus = base.copy()
             minus[p, q] -= h
-            f_plus = frozen_plan_loss(SimilarityBlocks.from_full(plus, blocks.m), omega, cfg)
-            f_minus = frozen_plan_loss(SimilarityBlocks.from_full(minus, blocks.m), omega, cfg)
+            f_plus = frozen_plan_loss(SimilarityBlocks(plus, blocks.m), omega, cfg)
+            f_minus = frozen_plan_loss(SimilarityBlocks(minus, blocks.m), omega, cfg)
             out[p, q] = (f_plus - f_minus) / (2.0 * h)
     return out
 
@@ -307,7 +307,7 @@ class TestSupervisedFloor:
         for m in range(1, 7):
             full = np.full((m + 1, m + 2), -0.1)
             full[np.arange(m), np.arange(m)] = 1.0
-            blocks = SimilarityBlocks.from_full(full, m)
+            blocks = SimilarityBlocks(full, m)
             sup = supervised_contrastive_loss(blocks, tuple(range(m)), cfg)
             soft = soft_contrastive_loss(blocks, cfg).loss
             assert sup <= soft + 1e-3, f"m={m}: {sup} vs {soft}"
@@ -319,13 +319,13 @@ class TestDegenerateHandling:
     """Nothing-shared pairs and empty inputs stay well defined."""
 
     def test_criterion_10(self):
-        nothing_shared = SimilarityBlocks.from_full(np.full((2, 3), 0.1), 0)
+        nothing_shared = SimilarityBlocks(np.full((2, 3), 0.1), 0)
         out = soft_contrastive_loss(nothing_shared, LossConfig())
         assert out.loss == 0.0 and out.raw == 0.0
         assert group_matching_loss([nothing_shared], LossConfig()) == 0.0
 
         det = Detection((1.0, 2.0), np.array([1.0, 0.0]))
-        memory, record = step(MemoryState.empty(), (det, det), McpConfig())
+        memory, record = step(MemoryState.empty(), (det.feature, det.feature), McpConfig())
         assert record.inflow == 2
         assert record.associations == ()
         assert len(memory.entries) == 2

@@ -27,6 +27,10 @@ def _det(feature):
     return Detection((0.0, 0.0), np.asarray(feature, dtype=np.float64))
 
 
+def _rows(*dets):
+    return np.array([d.feature for d in dets])
+
+
 def _angle_det(theta):
     return _det([np.cos(theta), np.sin(theta)])
 
@@ -91,15 +95,15 @@ class TestCostMatrix:
         cfg = McpConfig()
         memory = self._memory(rng, cfg, 8)
         with pytest.raises(DataError, match="dimension mismatch"):
-            step(memory, (E0, E1), cfg)
+            step(memory, _rows(E0, E1), cfg)
         mixed = (_det(rng.standard_normal(8)), _det(rng.standard_normal(3)))
         with pytest.raises(DataError, match="dimension mismatch"):
-            step(memory, mixed, cfg)
+            step(memory, [d.feature for d in mixed], cfg)
 
 
 class TestStep:
     def test_empty_memory_all_inflow(self):
-        memory, record = step(MemoryState.empty(), (E0, E1), McpConfig())
+        memory, record = step(MemoryState.empty(), _rows(E0, E1), McpConfig())
         assert record.inflow == 2
         assert record.associations == ()
         assert record.new_entry_ids == (0, 1)
@@ -108,17 +112,17 @@ class TestStep:
         assert all(e.ttl == 3 for e in memory.entries)
 
     def test_no_detections_ticks_ttl(self):
-        memory, _ = step(MemoryState.empty(), (E0,), McpConfig())
+        memory, _ = step(MemoryState.empty(), _rows(E0), McpConfig())
         memory, record = step(memory, (), McpConfig())
         assert record.inflow == 0
         assert memory.entries[0].ttl == 2
 
     def test_match_refreshes_ttl_and_appends_template(self):
         cfg = McpConfig(ttl_max=2)
-        memory, _ = step(MemoryState.empty(), (E0,), cfg)
+        memory, _ = step(MemoryState.empty(), _rows(E0), cfg)
         memory, _ = step(memory, (), cfg)
         assert memory.entries[0].ttl == 1
-        memory, record = step(memory, (E0,), cfg)
+        memory, record = step(memory, _rows(E0), cfg)
         assert record.inflow == 0
         assert record.associations == ((0, 0),)
         assert memory.entries[0].ttl == 2
@@ -126,8 +130,8 @@ class TestStep:
 
     def test_costly_match_rejected_as_inflow(self):
         cfg = McpConfig(zeta=0.5)
-        memory, _ = step(MemoryState.empty(), (E0,), cfg)
-        memory, record = step(memory, (E1,), cfg)
+        memory, _ = step(MemoryState.empty(), _rows(E0), cfg)
+        memory, record = step(memory, _rows(E1), cfg)
         assert record.inflow == 1
         assert record.new_entry_ids == (1,)
         # the rejected entry is treated as missed
@@ -136,29 +140,29 @@ class TestStep:
 
     def test_survives_gap_equal_to_ttl(self):
         cfg = McpConfig(zeta=0.5, ttl_max=1)
-        memory, _ = step(MemoryState.empty(), (E0, E1), cfg)
-        memory, _ = step(memory, (E0,), cfg)
+        memory, _ = step(MemoryState.empty(), _rows(E0, E1), cfg)
+        memory, _ = step(memory, _rows(E0), cfg)
         assert [e.entry_id for e in memory.entries] == [0, 1]
-        memory, record = step(memory, (E0, E1), cfg)
+        memory, record = step(memory, _rows(E0, E1), cfg)
         assert record.inflow == 0
         assert (1, 1) in record.associations
 
     def test_dropped_after_gap_exceeding_ttl(self):
         cfg = McpConfig(zeta=0.5, ttl_max=1)
-        memory, _ = step(MemoryState.empty(), (E0, E1), cfg)
-        memory, _ = step(memory, (E0,), cfg)
-        memory, _ = step(memory, (E0,), cfg)
+        memory, _ = step(MemoryState.empty(), _rows(E0, E1), cfg)
+        memory, _ = step(memory, _rows(E0), cfg)
+        memory, _ = step(memory, _rows(E0), cfg)
         assert [e.entry_id for e in memory.entries] == [0]
-        memory, record = step(memory, (E0, E1), cfg)
+        memory, record = step(memory, _rows(E0, E1), cfg)
         assert record.inflow == 1
         assert record.new_entry_ids == (2,)
 
     def test_template_fifo_eviction(self):
         cfg = McpConfig(mem_max=2)
         f1, f2, f3 = (_angle_det(t) for t in (0.0, 0.1, 0.2))
-        memory, _ = step(MemoryState.empty(), (f1,), cfg)
-        memory, _ = step(memory, (f2,), cfg)
-        memory, _ = step(memory, (f3,), cfg)
+        memory, _ = step(MemoryState.empty(), _rows(f1), cfg)
+        memory, _ = step(memory, _rows(f2), cfg)
+        memory, _ = step(memory, _rows(f3), cfg)
         entry = memory.entries[0]
         assert len(entry.templates) == 2
         assert np.array_equal(entry.templates[0], f2.feature)
@@ -168,8 +172,8 @@ class TestStep:
         # both detections are individually closest to entry 0; a per-detection
         # greedy pick would collide, the joint assignment keeps both matched
         cfg = McpConfig(zeta=0.7)
-        memory, _ = step(MemoryState.empty(), (_angle_det(0.0), _angle_det(1.0)), cfg)
-        memory, record = step(memory, (_angle_det(0.1), _angle_det(0.3)), cfg)
+        memory, _ = step(MemoryState.empty(), _rows(_angle_det(0.0), _angle_det(1.0)), cfg)
+        memory, record = step(memory, _rows(_angle_det(0.1), _angle_det(0.3)), cfg)
         assert record.inflow == 0
         assert dict(record.associations) == {0: 0, 1: 1}
 
@@ -191,7 +195,7 @@ class TestMemoryState:
         assert [e.entry_id for e in memory.entries[::-1]] == [7, 4]
 
     def test_immutable(self):
-        memory, _ = step(MemoryState.empty(), (E0, E1), McpConfig())
+        memory, _ = step(MemoryState.empty(), _rows(E0, E1), McpConfig())
         with pytest.raises(AttributeError):
             memory.next_entry_id = 5
         with pytest.raises(ValueError):
@@ -201,9 +205,9 @@ class TestMemoryState:
 
     def test_step_leaves_input_memory_unchanged(self):
         cfg = McpConfig(mem_max=2, ttl_max=1)
-        memory, _ = step(MemoryState.empty(), (E0, E1), cfg)
+        memory, _ = step(MemoryState.empty(), _rows(E0, E1), cfg)
         before = [(e.entry_id, e.ttl, e.templates.copy()) for e in memory.entries]
-        step(memory, (_angle_det(0.05),), cfg)
+        step(memory, _rows(_angle_det(0.05)), cfg)
         after = [(e.entry_id, e.ttl, e.templates) for e in memory.entries]
         assert [a[:2] for a in after] == [b[:2] for b in before]
         assert all(np.array_equal(a[2], b[2]) for a, b in zip(after, before))
@@ -257,13 +261,13 @@ class TestCountVideo:
 
     def test_stream_of_empty_frames(self):
         frames = tuple(
-            FrameRecord(k + 1, k * 2.0, (), (), ()) for k in range(3)
+            FrameRecord(k + 1, k * 2.0, (), (), (), ()) for k in range(3)
         )
         report = count_video(DetectionStream(frames, 2.0), McpConfig())
         assert report.total == 0
 
     def test_first_frame_seeds_memory(self):
-        frame = FrameRecord(1, 0.0, (E0, E1), (1, 1), (1, 1))
+        frame = FrameRecord(1, 0.0, np.zeros((2, 2)), _rows(E0, E1), (1, 1), (1, 1))
         report = count_video(DetectionStream((frame,), 1.0), McpConfig())
         assert report.total == 2
         assert report.per_step[0].new_entry_ids == (0, 1)

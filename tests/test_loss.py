@@ -45,7 +45,7 @@ def _contrastive_oracle(s, m, scale):
 
 class TestContrastiveSimilarity:
     def test_sharp_scale_identifies_diagonal(self):
-        blocks = SimilarityBlocks.from_full(np.eye(2), 2)
+        blocks = SimilarityBlocks(np.eye(2), 2)
         c = contrastive_similarity(blocks, temperature=100.0)
         assert c[0, 0] > 0.999 and c[1, 1] > 0.999
         assert c[0, 1] < 1e-3 and c[1, 0] < 1e-3
@@ -58,7 +58,7 @@ class TestContrastiveSimilarity:
             m = int(rng.integers(1, min(n_i, n_j) + 1))
             s = rng.uniform(-1, 1, (n_i, n_j))
             for scale in (1.0, 10.0):
-                got = contrastive_similarity(SimilarityBlocks.from_full(s, m), scale)
+                got = contrastive_similarity(SimilarityBlocks(s, m), scale)
                 want = _contrastive_oracle(s, m, scale)
                 np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-14)
 
@@ -69,17 +69,17 @@ class TestContrastiveSimilarity:
         assert np.all(c > 0) and np.all(c <= 1.0)
 
     def test_single_isolated_pair_is_one(self):
-        blocks = SimilarityBlocks.from_full(np.array([[0.37]]), 1)
+        blocks = SimilarityBlocks(np.array([[0.37]]), 1)
         c = contrastive_similarity(blocks, 10.0)
         assert c[0, 0] == pytest.approx(1.0)
 
     def test_no_shared_raises(self):
-        blocks = SimilarityBlocks.from_full(np.ones((2, 3)), 0)
+        blocks = SimilarityBlocks(np.ones((2, 3)), 0)
         with pytest.raises(DataError, match="no shared individuals"):
             contrastive_similarity(blocks, 10.0)
 
     def test_extreme_scale_does_not_overflow(self):
-        blocks = SimilarityBlocks.from_full(np.array([[1.0, -1.0], [-1.0, 1.0]]), 2)
+        blocks = SimilarityBlocks(np.array([[1.0, -1.0], [-1.0, 1.0]]), 2)
         c = contrastive_similarity(blocks, 400.0)
         assert np.all(np.isfinite(c))
 
@@ -167,7 +167,7 @@ class TestSoftContrastiveLoss:
             assert out.plan.omega.shape == (m, m)
 
     def test_empty_shared_contributes_zero(self):
-        blocks = SimilarityBlocks.from_full(np.ones((2, 3)), 0)
+        blocks = SimilarityBlocks(np.ones((2, 3)), 0)
         out = soft_contrastive_loss(blocks, LossConfig())
         assert out.loss == 0.0 and out.raw == 0.0
         assert out.plan.omega.shape == (0, 0)
@@ -177,8 +177,8 @@ class TestSoftContrastiveLoss:
         ideal = np.eye(3)
         degraded = ideal.copy()
         degraded[0, 0] = 0.5
-        li = soft_contrastive_loss(SimilarityBlocks.from_full(ideal, 3), cfg).loss
-        ld = soft_contrastive_loss(SimilarityBlocks.from_full(degraded, 3), cfg).loss
+        li = soft_contrastive_loss(SimilarityBlocks(ideal, 3), cfg).loss
+        ld = soft_contrastive_loss(SimilarityBlocks(degraded, 3), cfg).loss
         assert li < ld
 
     def test_frozen_plan_consistency(self):
@@ -194,7 +194,7 @@ class TestSoftContrastiveLoss:
 class TestSupervisedContrastiveLoss:
     def test_identity_on_clean_diagonal(self):
         cfg = LossConfig(sinkhorn_reg=1e-3, sinkhorn_max_iters=5000)
-        blocks = SimilarityBlocks.from_full(np.eye(4), 4)
+        blocks = SimilarityBlocks(np.eye(4), 4)
         sup = supervised_contrastive_loss(blocks, (0, 1, 2, 3), cfg)
         soft = soft_contrastive_loss(blocks, cfg).loss
         assert sup == pytest.approx(soft, abs=1e-3)
@@ -215,12 +215,12 @@ class TestSupervisedContrastiveLoss:
             assert best <= soft + 1e-5
 
     def test_rejects_non_permutation(self):
-        blocks = SimilarityBlocks.from_full(np.eye(3), 3)
+        blocks = SimilarityBlocks(np.eye(3), 3)
         with pytest.raises(DataError, match="permutation"):
             supervised_contrastive_loss(blocks, (0, 0, 1), LossConfig())
 
     def test_empty_shared(self):
-        blocks = SimilarityBlocks.from_full(np.ones((1, 2)), 0)
+        blocks = SimilarityBlocks(np.ones((1, 2)), 0)
         assert supervised_contrastive_loss(blocks, (), LossConfig()) == 0.0
 
 
@@ -262,7 +262,7 @@ class TestGroupMatchingLoss:
 
     def test_m_zero_pairs_add_hinge_only(self):
         s = np.full((2, 2), 0.5)
-        blocks = SimilarityBlocks.from_full(s, 0)
+        blocks = SimilarityBlocks(s, 0)
         cfg = LossConfig(hinge_threshold=0.2)
         assert group_matching_loss([blocks], cfg) == pytest.approx(0.3, abs=1e-12)
 
@@ -288,11 +288,11 @@ def _fd_gradient(blocks, cfg, omega, h):
         bumped = s.copy()
         bumped[idx] += h
         plus = frozen_plan_loss(
-            SimilarityBlocks.from_full(bumped, blocks.m), omega, cfg
+            SimilarityBlocks(bumped, blocks.m), omega, cfg
         )
         bumped[idx] = s[idx] - h
         minus = frozen_plan_loss(
-            SimilarityBlocks.from_full(bumped, blocks.m), omega, cfg
+            SimilarityBlocks(bumped, blocks.m), omega, cfg
         )
         grad[idx] = (plus - minus) / (2.0 * h)
     return grad
@@ -327,7 +327,7 @@ class TestLossGradient:
         full = np.zeros((3, 3))
         full[0, 0] = 1.0
         full[1:, 1:] = np.array([[0.5, 0.1], [0.1, 0.5]])
-        blocks = SimilarityBlocks.from_full(full, 1)
+        blocks = SimilarityBlocks(full, 1)
         grad = loss_gradient(blocks, np.ones((1, 1)), LossConfig(hinge_threshold=0.2))
         np.testing.assert_allclose(
             grad[1:, 1:], np.array([[0.25, 0.0], [0.0, 0.25]]), atol=1e-12
@@ -340,7 +340,7 @@ class TestLossGradient:
             loss_gradient(blocks, np.ones((1, 1)), LossConfig())
 
     def test_m_zero_rejected(self):
-        blocks = SimilarityBlocks.from_full(np.ones((2, 2)), 0)
+        blocks = SimilarityBlocks(np.ones((2, 2)), 0)
         with pytest.raises(DataError, match="no shared individuals"):
             loss_gradient(blocks, np.zeros((0, 0)), LossConfig())
 

@@ -1,7 +1,11 @@
 """Property-based tests: the assignment solver against the enumeration oracle,
-and the counting step against a nested-loop reference of the template memory."""
+the counting step against a nested-loop reference of the template memory,
+counts under renumbered ground-truth ids, transport marginals at convergence,
+and stream files through write and parse."""
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,10 +19,16 @@ from vicount import (
     FrameRecord,
     McpConfig,
     MemoryState,
+    SimConfig,
     brute_force_assignment,
     count_video,
+    generate_scene,
+    gt_unique_count,
     hungarian,
+    parse_stream,
+    sinkhorn,
     step,
+    write_stream,
 )
 
 # Derandomized and without an example database, so every run checks the same
@@ -136,7 +146,8 @@ def _scenes(draw):
 def _stream(frames) -> DetectionStream:
     return DetectionStream(
         tuple(
-            FrameRecord(k + 1, float(k), dets, (1,) * len(dets), (0,) * len(dets))
+            FrameRecord(k + 1, float(k), [d.coordinate for d in dets], [d.feature for d in dets],
+                        (1,) * len(dets), (0,) * len(dets))
             for k, dets in enumerate(frames)
         ),
         1.0,
@@ -151,7 +162,7 @@ class TestCountingProperties:
         memory = MemoryState.empty()
         entries, next_id = [], 0
         for dets in frames:
-            memory, record = step(memory, dets, cfg)
+            memory, record = step(memory, [d.feature for d in dets], cfg)
             entries, next_id, associations, new_ids = _reference_step(
                 entries, next_id, [d.feature for d in dets], cfg
             )
@@ -171,3 +182,105 @@ class TestCountingProperties:
         report = count_video(_stream(frames), cfg)
         assert report.total == sum(r.inflow for r in report.per_step)
         assert report.total >= max(len(dets) for dets in frames)
+
+
+@st.composite
+def _counted_scenes(draw):
+    """A small generated scene plus an association config."""
+    scene = generate_scene(SimConfig(
+        num_identities=draw(st.integers(0, 12)),
+        num_frames=draw(st.integers(1, 6)),
+        feature_dim=draw(st.integers(2, 6)),
+        feature_noise_sigma=draw(st.sampled_from([0.0, 0.05, 0.3])),
+        reentry_probability=draw(st.sampled_from([0.0, 0.5])),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    ))
+    cfg = McpConfig(
+        zeta=draw(st.sampled_from([0.05, 0.3, 0.7])),
+        ttl_max=draw(st.integers(1, 3)),
+        mem_max=draw(st.integers(1, 3)),
+        template_aggregator=draw(st.sampled_from(["max", "min", "mean"])),
+    )
+    return scene, cfg, draw(st.integers(0, 2**32 - 1))
+
+
+class TestRelabelling:
+    @_SETTINGS
+    @given(_counted_scenes())
+    def test_renumbered_ids_leave_the_count_unchanged(self, drawn):
+        stream, cfg, seed = drawn
+        # An injective renumbering that moves every id.
+        rng = np.random.default_rng(seed)
+        new_id = {g: 100 + 7 * int(p) for g, p in enumerate(rng.permutation(12))}
+        relabelled = DetectionStream(
+            tuple(
+                FrameRecord(f.frame_index, f.timestamp, f.coordinates, f.features,
+                            f.inflow, f.outflow, [new_id[g] for g in f.gt_ids])
+                for f in stream.frames
+            ),
+            stream.delta,
+        )
+        assert relabelled != stream or not any(len(f) for f in stream.frames)
+        assert count_video(relabelled, cfg) == count_video(stream, cfg)
+        assert gt_unique_count(relabelled) == gt_unique_count(stream)
+
+
+# ---- transport ---------------------------------------------------------------
+
+
+class TestSinkhornProperties:
+    @_SETTINGS
+    @given(
+        st.integers(1, 12).flatmap(
+            lambda n: arrays(np.float64, (n, n), elements=st.floats(-1, 2, allow_nan=False))
+        ),
+        st.sampled_from([0.5, 0.1, 0.05, 0.01]),
+        st.sampled_from([1, 3, 500]),
+        st.sampled_from([1e-3, 1e-6, 1e-9]),
+    )
+    def test_converged_plans_meet_the_marginals(self, cost, reg, max_iters, tol):
+        plan = sinkhorn(cost, reg, max_iters, tol)
+        if plan.converged:
+            assert np.all(np.abs(plan.omega.sum(axis=1) - 1.0) <= tol)
+            assert np.all(np.abs(plan.omega.sum(axis=0) - 1.0) <= tol)
+        assert plan.iterations_used <= max_iters
+
+
+# ---- stream files ------------------------------------------------------------
+
+_COORDINATES = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _streams(draw):
+    """Streams of random dimension with empty frames, partial ids and awkward floats."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.integers(1, 5))
+    delta = draw(st.floats(0.01, 100.0))
+    start = draw(st.floats(-1e3, 1e3))
+    index = draw(st.integers(1, 5))
+    frames = []
+    for k in range(draw(st.integers(0, 5))):
+        n = draw(st.integers(0, 4))
+        coordinates = draw(st.lists(st.tuples(_COORDINATES, _COORDINATES), min_size=n, max_size=n))
+        ids = draw(st.lists(st.none() | st.integers(0, 10**12), min_size=n, max_size=n))
+        inflow = [1] * n if k == 0 else rng.integers(0, 2, size=n).tolist()
+        outflow = rng.integers(0, 2, size=n).tolist()
+        features = rng.standard_normal((n, dim)) * draw(st.sampled_from([1e-3, 1.0, 1e3]))
+        frames.append(FrameRecord(index, start + k * delta, coordinates, features,
+                                  inflow, outflow, ids))
+        index += draw(st.integers(1, 3))
+    return DetectionStream(tuple(frames), delta)
+
+
+class TestStreamFileProperties:
+    @_SETTINGS
+    @given(_streams())
+    def test_write_parse_write_round_trip(self, stream):
+        with tempfile.TemporaryDirectory() as directory:
+            first, second = Path(directory, "first.jsonl"), Path(directory, "second.jsonl")
+            write_stream(stream, first)
+            back = parse_stream(first)
+            assert back == stream
+            write_stream(back, second)
+            assert second.read_bytes() == first.read_bytes()

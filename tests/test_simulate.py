@@ -164,7 +164,7 @@ class TestGtUniqueCount:
 
     def test_requires_ids(self):
         det = Detection((0.0, 0.0), np.array([1.0, 0.0]))
-        frame = FrameRecord(1, 0.0, (det,), (1,), (1,))
+        frame = FrameRecord(1, 0.0, [det.coordinate], [det.feature], (1,), (1,))
         with pytest.raises(DataError, match="without gt_id"):
             gt_unique_count(DetectionStream((frame,), 1.0))
 

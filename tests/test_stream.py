@@ -21,8 +21,8 @@ def _det(feature, gt_id=None, xy=(0.0, 0.0)):
 
 
 def _frame(idx, feats, inflow, outflow, t=None):
-    dets = tuple(_det(f) for f in feats)
-    return FrameRecord(idx, (idx - 1) * 3.0 if t is None else t, dets, inflow, outflow)
+    coords = np.zeros((len(feats), 2))
+    return FrameRecord(idx, (idx - 1) * 3.0 if t is None else t, coords, feats, inflow, outflow)
 
 
 class TestNormalizeFeature:
@@ -110,13 +110,13 @@ class TestFrameRecord:
     def test_mixed_dims(self):
         dets = (_det([1.0, 0.0]), _det([1.0, 0.0, 0.0]))
         with pytest.raises(DataError, match="dimension"):
-            FrameRecord(1, 0.0, dets, (1, 1), (0, 0))
+            FrameRecord(1, 0.0, np.zeros((2, 2)), [d.feature for d in dets], (1, 1), (0, 0))
 
 
 class TestDetectionStream:
     def test_timestamp_spacing_enforced(self):
         f1 = _frame(1, [[1.0, 0.0]], (1,), (0,))
-        f2 = FrameRecord(2, 4.0, (_det([1.0, 0.0]),), (0,), (1,))
+        f2 = FrameRecord(2, 4.0, [(0.0, 0.0)], [_det([1.0, 0.0]).feature], (0,), (1,))
         with pytest.raises(DataError, match="spaced"):
             DetectionStream((f1, f2), 3.0)
 
@@ -206,23 +206,14 @@ class TestSimilarityBlocks:
     def test_from_full_round_trip(self):
         rng = np.random.default_rng(7)
         s = rng.uniform(-1, 1, (4, 6))
-        blocks = SimilarityBlocks.from_full(s, 3)
+        blocks = SimilarityBlocks(s, 3)
         np.testing.assert_array_equal(blocks.full, s)
         assert blocks.m == 3 and blocks.n_i == 4 and blocks.n_j == 6
 
     def test_bad_permutation(self):
         s = np.zeros((2, 2))
         with pytest.raises(DataError, match="permutation"):
-            SimilarityBlocks.from_full(s, 1, perm_i=[0, 0])
-
-    def test_mismatched_blocks(self):
-        with pytest.raises(DataError):
-            SimilarityBlocks(
-                s0=np.zeros((2, 2)),
-                s1=np.zeros((1, 3)),
-                s2=np.zeros((1, 2)),
-                s3=np.zeros((1, 3)),
-            )
+            SimilarityBlocks(s, 1, perm_i=[0, 0])
 
 
 def test_pair_blocks_covers_adjacent_pairs():

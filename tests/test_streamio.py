@@ -34,7 +34,7 @@ class TestRoundTrip:
 
     def test_without_ids(self, tmp_path):
         det = Detection((12.5, 7.25), np.array([3.0, 4.0]) / 5.0)
-        frame = FrameRecord(1, 0.0, (det,), (1,), (1,))
+        frame = FrameRecord(1, 0.0, [det.coordinate], [det.feature], (1,), (1,))
         stream = DetectionStream((frame,), 2.5)
         back = _roundtrip(stream, tmp_path)
         assert back == stream
@@ -47,15 +47,15 @@ class TestRoundTrip:
         assert back.feature_dim is None
 
     def test_empty_frames(self, tmp_path):
-        frames = tuple(FrameRecord(k + 1, k * 0.5, (), (), ()) for k in range(3))
+        frames = tuple(FrameRecord(k + 1, k * 0.5, (), (), (), ()) for k in range(3))
         stream = DetectionStream(frames, 0.5)
         assert _roundtrip(stream, tmp_path) == stream
 
     def test_awkward_floats_survive(self, tmp_path):
         # coordinates and timestamps that do not print exactly in decimal
         det = Detection((0.1 + 0.2, 1.0 / 3.0), np.array([1.0, 0.0]))
-        frame = FrameRecord(1, 0.0, (det,), (1,), (0,))
-        frame2 = FrameRecord(2, 0.1, (), (), ())
+        frame = FrameRecord(1, 0.0, [det.coordinate], [det.feature], (1,), (0,))
+        frame2 = FrameRecord(2, 0.1, (), (), (), ())
         stream = DetectionStream((frame, frame2), 0.1)
         back = _roundtrip(stream, tmp_path)
         assert back.frames[0].detections[0].coordinate == (0.1 + 0.2, 1.0 / 3.0)
@@ -142,6 +142,19 @@ class TestParseErrors:
             ],
         )
         with pytest.raises(StreamFormatError, match="feature length 3 != header dim 2"):
+            parse_stream(path)
+
+    def test_nested_feature_rejected(self, tmp_path):
+        # one entry, as the header's dim says, but that entry is a 2-vector
+        path = _write_lines(
+            tmp_path,
+            [
+                '{"schema":1,"dim":1,"delta":1.0}',
+                '{"frame":1,"t":0.0,"det":[{"x":0,"y":0,"f":[[0.6,0.8]]}],'
+                '"in":[1],"out":[1]}',
+            ],
+        )
+        with pytest.raises(StreamFormatError, match=r":2: det\[0\]: feature must be a flat list"):
             parse_stream(path)
 
     def test_bad_inflow_bits(self, tmp_path):
