@@ -46,7 +46,7 @@ class LossConfig:
             raise DataError(f"sinkhorn_reg must be positive, got {self.sinkhorn_reg}")
         if self.sinkhorn_max_iters < 1:
             raise DataError("sinkhorn_max_iters must be at least 1")
-        if not (self.sinkhorn_tol > 0):
+        if not (self.sinkhorn_tol > 0 and np.isfinite(self.sinkhorn_tol)):
             raise DataError("sinkhorn_tol must be positive")
 
 
@@ -86,6 +86,8 @@ def sinkhorn(cost, reg: float, max_iters: int = 500, tol: float = 1e-6) -> Trans
     crawl when the plan nears a hard permutation (sharp reg relative to the
     cost gaps), so at every size each later iteration is a damped Newton
     step, or a burst of sweeps when the step does not reduce the violation.
+    Each Newton step solves an n-by-n Schur system by preconditioned
+    conjugate gradient without forming it, at O(n^2) per CG iteration.
     Every sweep and every Newton step counts toward max_iters.
     """
     arr = np.asarray(cost, dtype=np.float64)
@@ -97,44 +99,33 @@ def sinkhorn(cost, reg: float, max_iters: int = 500, tol: float = 1e-6) -> Trans
         raise NumericalError("invalid cost matrix: non-finite entries")
     if not (reg > 0 and np.isfinite(reg)):
         raise NumericalError(f"regularization must be positive, got {reg}")
+    if max_iters < 0:
+        raise NumericalError(f"iteration budget must be non-negative, got {max_iters}")
+    if not (tol > 0 and np.isfinite(tol)):
+        raise NumericalError(f"tolerance must be positive, got {tol}")
     n = arr.shape[0]
     mr = -arr / reg
     f = np.zeros(n)
     g = np.zeros(n)
     iters = 0
-
-    def sweep():
-        nonlocal f, g, iters
-        f = -_logsumexp(mr + g[None, :], axis=1)
-        g = -_logsumexp(mr + f[:, None], axis=0)
-        iters += 1
-
-    def current_plan() -> np.ndarray:
-        return np.exp(mr + f[:, None] + g[None, :])
-
-    converged = False
-    opening = min(5, max_iters)
-    accepted = None
-    while True:
-        if accepted is not None:
-            plan, err = accepted
-        else:
-            plan = current_plan()
-            err = _plan_violation(plan)
-        if err < tol:
-            converged = True
-            break
-        if iters >= max_iters:
-            break
-        if iters < opening:
-            sweep()
-            continue
-        accepted = _dual_newton_step(mr, plan, err, f, g)
-        if accepted is None:
-            for _ in range(min(20, max_iters - iters - 1)):
-                sweep()
-        iters += 1
-    return TransportPlan(plan, converged, iters)
+    plan = np.exp(mr)
+    err = _plan_violation(plan)
+    while not err < tol and iters < max_iters:
+        sweeps = 1
+        if iters >= 5:
+            accepted = _dual_newton_step(mr, plan, err, f, g)
+            iters += 1
+            if accepted is not None:
+                plan, err = accepted
+                continue
+            sweeps = min(20, max_iters - iters)
+        for _ in range(sweeps):
+            f = -_logsumexp(mr + g[None, :], axis=1)
+            g = -_logsumexp(mr + f[:, None], axis=0)
+        iters += sweeps
+        plan = np.exp(mr + f[:, None] + g[None, :])
+        err = _plan_violation(plan)
+    return TransportPlan(plan, err < tol, iters)
 
 
 def _dual_newton_step(mr, plan, err, f, g):
@@ -142,8 +133,11 @@ def _dual_newton_step(mr, plan, err, f, g):
 
     The dual is concave with gradient (1 - r, 1 - c) and Hessian
     [[diag(r), P], [P^T, diag(c)]] for the plan P with row sums r and column
-    sums c. Eliminating the column block leaves the n-by-n Schur complement
-    diag(r) - P diag(1/c) P^T for the row step. Backtracks until the
+    sums c. Eliminating the column block leaves the n-by-n Schur system
+    (diag(r) - P diag(1/c) P^T) dx = (1 - r) - P((1 - c)/c) for the row
+    step, solved by Jacobi-preconditioned conjugate gradient without forming
+    the matrix, at O(n^2) per CG iteration. The system is singular along the
+    constant vector but consistent, which CG tolerates. Backtracks until the
     marginal violation strictly decreases and returns the accepted trial
     plan with its violation, which is the plan of the updated potentials;
     returns None when no step length manages that.
@@ -151,14 +145,26 @@ def _dual_newton_step(mr, plan, err, f, g):
     r = plan.sum(axis=1)
     c = plan.sum(axis=0)
     col = c + 1e-12
-    schur = (plan / -col) @ plan.T
-    schur.flat[:: plan.shape[0] + 1] += r + 1e-12
-    rhs = (1.0 - r) - plan @ ((1.0 - c) / col)
-    try:
-        dx = np.linalg.solve(schur, rhs)
-    except np.linalg.LinAlgError:
-        dx = np.linalg.lstsq(schur, rhs, rcond=None)[0]
-    del schur
+    row = r + 1e-12
+    res = (1.0 - r) - plan @ ((1.0 - c) / col)
+    # the diagonal is >= 0 in exact arithmetic; rounding can take it to 0 or below
+    jacobi = np.maximum(row - (plan * plan) @ (1.0 / col), 1e-12)
+    dx = np.zeros_like(r)
+    p = z = res / jacobi
+    rz = res @ z
+    stop = 1e-3 * np.linalg.norm(res)
+    for _ in range(50):
+        ap = row * p - plan @ ((p @ plan) / col)
+        pap = p @ ap
+        if pap <= 0:
+            break
+        dx += (rz / pap) * p
+        res = res - (rz / pap) * ap
+        if np.linalg.norm(res) <= stop:
+            break
+        z = res / jacobi
+        rz, rz_prev = res @ z, rz
+        p = z + (rz / rz_prev) * p
     dy = ((1.0 - c) - plan.T @ dx) / col
     step = 1.0
     for _ in range(30):
@@ -250,9 +256,7 @@ def soft_contrastive_loss(blocks: SimilarityBlocks, cfg: LossConfig) -> SoftCont
         empty = TransportPlan(np.zeros((0, 0)), True, 0)
         return SoftContrastiveLoss(0.0, 0.0, empty)
     c = contrastive_similarity(blocks, cfg.temperature)
-    plan = sinkhorn(
-        1.0 - c, cfg.sinkhorn_reg, cfg.sinkhorn_max_iters, cfg.sinkhorn_tol
-    )
+    plan = sinkhorn(1.0 - c, cfg.sinkhorn_reg, cfg.sinkhorn_max_iters, cfg.sinkhorn_tol)
     if not plan.converged:
         raise NumericalError(
             f"transport solve for m={m} did not converge "
@@ -392,16 +396,11 @@ def pseudo_trajectories(stream: DetectionStream, cfg: LossConfig) -> PseudoTraje
     supervision for association.
     """
     pair_results = []
-    trajectories: list[list[tuple[int, int]]] = []
+    frames = stream.frames
+    trajectories = [[(frames[0].frame_index, d)] for d in range(len(frames[0]))] if frames else []
     # owner[d] = index of the trajectory currently ending at detection d of
     # the latest processed frame.
-    owner: dict[int, int] = {}
-    frames = stream.frames
-    if frames:
-        first = frames[0]
-        for d in range(len(first)):
-            owner[d] = len(trajectories)
-            trajectories.append([(first.frame_index, d)])
+    owner = {d: d for d in range(len(trajectories))}
     for prev, curr in zip(frames, frames[1:]):
         blocks = partition_similarity(prev, curr)
         m = blocks.m

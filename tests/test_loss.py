@@ -1,6 +1,7 @@
 """Loss-side tests: contrastive similarity, transport solver, pair losses."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from vicount import (
     soft_contrastive_loss,
     supervised_contrastive_loss,
 )
+from vicount.loss import _dual_newton_step
 
 
 def _contrastive_oracle(s, m, scale):
@@ -133,6 +135,32 @@ class TestSinkhorn:
             sinkhorn(np.zeros((0, 0)), reg=0.1)
         with pytest.raises(NumericalError):
             sinkhorn(np.zeros((2, 2)), reg=0.0)
+        with pytest.raises(NumericalError, match="iteration budget"):
+            sinkhorn(np.zeros((2, 2)), reg=0.1, max_iters=-1)
+        for tol in (np.nan, 0.0, -1e-6, np.inf):
+            with pytest.raises(NumericalError, match="tolerance"):
+                sinkhorn(np.zeros((2, 2)), reg=0.1, tol=tol)
+        plan = sinkhorn(np.random.default_rng(0).uniform(0, 1, (3, 3)), reg=0.1, max_iters=0)
+        assert not plan.converged
+        assert plan.iterations_used == 0
+
+    def test_newton_steps_are_matrix_free(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense linear algebra in the transport solve")
+
+        for name in ("solve", "lstsq", "inv"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        stream = generate_scene(
+            SimConfig(num_identities=900, num_frames=2, feature_dim=64,
+                      feature_noise_sigma=0.1, seed=0)
+        )
+        (blocks,) = pair_blocks(stream)
+        assert blocks.m == 435
+        uniform = np.random.default_rng(36).uniform(0, 1, (600, 600))
+        for cost in (1.0 - contrastive_similarity(blocks, 10.0), uniform):
+            plan = sinkhorn(cost, 0.01)
+            assert plan.converged
+            assert plan.iterations_used < 50
 
     def test_deterministic(self):
         cost = np.random.default_rng(34).uniform(0, 1, (7, 7))
@@ -140,6 +168,57 @@ class TestSinkhorn:
         p2 = sinkhorn(cost.copy(), reg=0.02)
         np.testing.assert_array_equal(p1.omega, p2.omega)
         assert p1.iterations_used == p2.iterations_used
+
+
+def _schur_system(plan):
+    """Dense row system of the dual Newton step, with the solver's 1e-12 ridges."""
+    r, c = plan.sum(axis=1), plan.sum(axis=0)
+    col = c + 1e-12
+    schur = np.diag(r + 1e-12) - (plan / col) @ plan.T
+    return schur, (1.0 - r) - plan @ ((1.0 - c) / col), col
+
+
+class TestNewtonDirection:
+    # With err = inf the full step is accepted, so the potentials, started
+    # at zero, come back holding the direction itself.
+    def test_matches_dense_oracle(self):
+        rng = np.random.default_rng(35)
+        for n in range(2, 61):
+            plan = rng.uniform(0.05, 1.0, (n, n)) / n * rng.uniform(0.5, 2.0)
+            f, g = np.zeros(n), np.zeros(n)
+            assert _dual_newton_step(np.log(plan), plan, np.inf, f, g) is not None
+            schur, rhs, col = _schur_system(plan)
+            assert np.linalg.norm(schur @ f - rhs) <= 1e-3 * np.linalg.norm(rhs)
+            oracle = np.linalg.lstsq(schur, rhs, rcond=None)[0]
+            # the system is singular along the constant vector
+            want = oracle - oracle.mean()
+            assert np.linalg.norm(f - f.mean() - want) <= 1e-2 * np.linalg.norm(want)
+            np.testing.assert_allclose(g, ((1.0 - plan.sum(axis=0)) - plan.T @ f) / col)
+
+    def test_doubly_stochastic_plan_gives_zero_step(self):
+        plan = np.full((4, 4), 0.25)
+        _, rhs, _ = _schur_system(plan)
+        assert not np.any(rhs)
+        f, g = np.zeros(4), np.zeros(4)
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            trial, err = _dual_newton_step(np.log(plan), plan, np.inf, f, g)
+        assert err == 0.0
+        np.testing.assert_array_equal(trial, plan)
+        assert not np.any(f) and not np.any(g)
+
+    def test_vanishing_preconditioner_diagonal_is_floored(self):
+        # at this mass the 1e-12 ridges round away, and the diagonal of the
+        # Schur system and its right-hand side both come out exactly 0
+        mass = 2.0**20
+        plan = np.array([[mass]])
+        f, g = np.zeros(1), np.zeros(1)
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            _, err = _dual_newton_step(np.log(plan), plan, np.inf, f, g)
+        assert f[0] == 0.0
+        assert g[0] == pytest.approx((1.0 - mass) / mass)
+        assert err < mass - 1.0
 
 
 class TestRoundToPermutation:
@@ -279,6 +358,8 @@ class TestLossConfigValidation:
             LossConfig(sinkhorn_max_iters=0)
         with pytest.raises(DataError):
             LossConfig(sinkhorn_tol=0.0)
+        with pytest.raises(DataError):
+            LossConfig(sinkhorn_tol=np.inf)
 
 
 def _fd_gradient(blocks, cfg, omega, h):
