@@ -108,7 +108,10 @@ def sinkhorn(cost, reg: float, max_iters: int = 500, tol: float = 1e-6) -> Trans
     f = np.zeros(n)
     g = np.zeros(n)
     iters = 0
-    plan = np.exp(mr)
+    # Negative costs under a small reg overflow here; an infinite entry makes
+    # the violation inf, so the opening log-domain sweeps take over.
+    with np.errstate(over="ignore"):
+        plan = np.exp(mr)
     err = _plan_violation(plan)
     while not err < tol and iters < max_iters:
         sweeps = 1

@@ -15,7 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .stream import DetectionStream, FrameRecord, normalize_feature
+from .stream import DetectionStream, FrameRecord, _unit_rows
+
+# Candidates drawn and normalized at once when base features are
+# rejection-sampled under a similarity cap.
+_BASE_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -28,7 +32,9 @@ class SimConfig:
     observation (zero means observations repeat the base exactly).
     max_base_similarity, when set, rejection-samples base features until all
     pairwise cosine similarities stay below it, which keeps identities
-    separable by appearance.
+    separable by appearance. Candidates are drawn in blocks, but the stream
+    for a given seed is the one that drawing them one at a time gives, and
+    is unchanged from earlier versions. Real-valued fields must be finite.
     """
 
     num_identities: int = 20
@@ -47,19 +53,19 @@ class SimConfig:
             raise DataError("num_identities must be non-negative")
         if self.num_frames < 1:
             raise DataError("num_frames must be at least 1")
-        if not (self.delta > 0):
-            raise DataError("delta must be positive")
+        if not (0 < self.delta < np.inf):
+            raise DataError("delta must be positive and finite")
         if self.feature_dim < 2:
             raise DataError("feature_dim must be at least 2")
-        if self.feature_noise_sigma < 0:
-            raise DataError("feature_noise_sigma must be non-negative")
+        if not (0 <= self.feature_noise_sigma < np.inf):
+            raise DataError("feature_noise_sigma must be non-negative and finite")
         if not (0.0 <= self.reentry_probability <= 1.0):
             raise DataError("reentry_probability must be in [0, 1]")
         w, h = self.scene_size
-        if not (w > 0 and h > 0):
-            raise DataError("scene_size must be positive")
-        if not (self.walk_step_sigma >= 0):
-            raise DataError("walk_step_sigma must be non-negative")
+        if not (0 < w < np.inf and 0 < h < np.inf):
+            raise DataError("scene_size must be positive and finite")
+        if not (0 <= self.walk_step_sigma < np.inf):
+            raise DataError("walk_step_sigma must be non-negative and finite")
         if self.max_base_similarity is not None and not (0 < self.max_base_similarity <= 1):
             raise DataError("max_base_similarity must be in (0, 1]")
 
@@ -82,21 +88,45 @@ def derive_weak_labels(prev_ids, curr_ids) -> tuple[tuple[int, ...], tuple[int, 
 
 
 def _draw_bases(rng: np.random.Generator, cfg: SimConfig) -> np.ndarray:
-    bases = np.empty((cfg.num_identities, cfg.feature_dim))
+    """Unit base features, one row per identity, drawn from rng.
+
+    Candidates are standard normal draws of feature_dim values, normalized.
+    Without a similarity cap every candidate is a base, so all are drawn at
+    once. With a cap, candidates are drawn and normalized in blocks of
+    _BASE_BLOCK and tested in order against the bases accepted so far, each
+    with its own matrix-vector product; when the last base is placed part
+    way through a block, the generator is rewound to the block's start and
+    redraws only the candidates used. A (k, D) draw yields the same numbers
+    as k draws of D, so the bases and the generator's final state are those
+    of drawing one candidate at a time.
+    """
+    n, dim = cfg.num_identities, cfg.feature_dim
     cap = cfg.max_base_similarity
-    for g in range(cfg.num_identities):
-        attempts = 0
-        while True:
-            cand = normalize_feature(rng.standard_normal(cfg.feature_dim))
-            if cap is None or np.all(np.abs(bases[:g] @ cand) < cap):
+    if cap is None:
+        return _unit_rows(rng.standard_normal((n, dim)))
+    bases = np.empty((n, dim))
+    g = attempts = 0
+    while g < n:
+        start = rng.bit_generator.state
+        block = _unit_rows(rng.standard_normal((_BASE_BLOCK, dim)))
+        for used, cand in enumerate(block, 1):
+            # the largest |similarity| is below cap exactly when all of them are
+            if g == 0 or np.abs(bases[:g] @ cand).max() < cap:
                 bases[g] = cand
-                break
-            attempts += 1
-            if attempts > 10000:
-                raise DataError(
-                    f"cannot place {cfg.num_identities} features below "
-                    f"pairwise similarity {cap} in dimension {cfg.feature_dim}"
-                )
+                g += 1
+                attempts = 0
+                if g == n:
+                    break
+            else:
+                attempts += 1
+                if attempts > 10000:
+                    raise DataError(
+                        f"cannot place {n} features below "
+                        f"pairwise similarity {cap} in dimension {dim}"
+                    )
+        if used < _BASE_BLOCK:
+            rng.bit_generator.state = start
+            rng.standard_normal((used, dim))
     return bases
 
 

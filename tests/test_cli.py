@@ -164,6 +164,21 @@ class TestExitCodes:
         assert "numerical error" in err
         assert "did not converge in 1 iterations" in err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--delta", "inf"),
+        ("--noise-sigma", "nan"),
+        ("--walk-sigma", "inf"),
+        ("--scene-width", "inf"),
+        ("--scene-height", "nan"),
+    ])
+    def test_non_finite_simulate_value_is_two(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "scene.jsonl"
+        rc = main(["simulate", "--identities", "3", "--frames", "3", flag, value,
+                   "--out", str(out)])
+        assert rc == 2
+        assert "data error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_invalid_config_is_two(self, tmp_path, capsys):
         stream_path = _simulate(tmp_path)
         rc = main(["count", "--in", str(stream_path), "--zeta", "-1"])

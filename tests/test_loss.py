@@ -120,6 +120,14 @@ class TestSinkhorn:
         assert plan.converged
         np.testing.assert_allclose(plan.omega, [[1.0]], atol=1e-12)
 
+    def test_negative_costs_do_not_overflow(self):
+        # exp(-cost / reg) overflows here; the solve starts in the log domain
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            plan = sinkhorn(np.full((3, 3), -10.0), 0.01)
+        assert plan.converged
+        np.testing.assert_allclose(plan.omega, np.full((3, 3), 1 / 3), atol=1e-6)
+
     def test_budget_exhaustion_flagged(self):
         cost = np.random.default_rng(0).uniform(0, 1, (6, 6))
         plan = sinkhorn(cost, reg=1e-4, max_iters=3, tol=1e-12)

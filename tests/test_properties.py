@@ -25,11 +25,14 @@ from vicount import (
     generate_scene,
     gt_unique_count,
     hungarian,
+    normalize_feature,
     parse_stream,
+    round_to_permutation,
     sinkhorn,
     step,
     write_stream,
 )
+from vicount.stream import _unit_rows
 
 # Derandomized and without an example database, so every run checks the same
 # examples.
@@ -244,6 +247,61 @@ class TestSinkhornProperties:
             assert np.all(np.abs(plan.omega.sum(axis=1) - 1.0) <= tol)
             assert np.all(np.abs(plan.omega.sum(axis=0) - 1.0) <= tol)
         assert plan.iterations_used <= max_iters
+
+    @_SETTINGS
+    @given(
+        st.integers(1, 12).flatmap(
+            lambda n: st.tuples(
+                st.permutations(range(n)),
+                arrays(np.float64, (n, n), elements=st.floats(0.5, 1.5, allow_nan=False)),
+            )
+        ),
+        st.sampled_from([-1e3, -1e5]),
+    )
+    def test_negative_shift_keeps_the_permutation(self, perm_and_cost, shift):
+        # a constant shift leaves the optimal plan unchanged; a large negative
+        # one overflows exp(-cost / reg), which must not reach the caller
+        perm, cost = perm_and_cost
+        cost[np.arange(len(perm)), perm] = 0.0
+        plan = sinkhorn(cost, 0.05)
+        shifted = sinkhorn(cost + shift, 0.05)
+        assert plan.converged and shifted.converged
+        assert list(round_to_permutation(shifted.omega)) == list(perm)
+        assert list(round_to_permutation(plan.omega)) == list(perm)
+
+
+# ---- simulator draws ---------------------------------------------------------
+# The simulator draws base-feature candidates as (k, D) blocks and normalizes
+# each block at once; its streams stay those of drawing and normalizing one
+# candidate at a time only while both facts below hold.
+
+
+class TestBlockDrawProperties:
+    @_SETTINGS
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(0, 40),
+        st.integers(1, 130),
+        st.sampled_from([1e-3, 1.0, 1e3]),
+    )
+    def test_block_normalization_matches_one_row_at_a_time(self, seed, k, d, scale):
+        rows = np.random.default_rng(seed).standard_normal((k, d)) * scale
+        if k:
+            rows[0] = normalize_feature(rows[0])  # an already-unit row is kept as is
+        block = _unit_rows(rows.copy())
+        for row, got in zip(rows, block):
+            assert normalize_feature(row).tobytes() == got.tobytes()
+
+    @_SETTINGS
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 40), st.integers(1, 130))
+    def test_block_draw_matches_row_by_row_draws(self, seed, k, d):
+        block_rng = np.random.default_rng(seed)
+        row_rng = np.random.default_rng(seed)
+        block = block_rng.standard_normal((k, d))
+        rows = [row_rng.standard_normal(d) for _ in range(k)]
+        assert block.tobytes() == np.array(rows).reshape(k, d).tobytes()
+        assert block_rng.bit_generator.state == row_rng.bit_generator.state
+        assert block_rng.standard_normal() == row_rng.standard_normal()
 
 
 # ---- stream files ------------------------------------------------------------

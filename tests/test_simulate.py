@@ -1,5 +1,7 @@
 """Simulator tests: determinism, label consistency, scripted lifespans."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from vicount import (
     generate_scene,
     gt_unique_count,
     scene_from_lifespans,
+    write_stream,
 )
 
 
@@ -193,7 +196,102 @@ class TestSimConfigValidation:
         with pytest.raises(DataError):
             SimConfig(max_base_similarity=0.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("delta", np.inf),
+        ("delta", np.nan),
+        ("feature_noise_sigma", np.inf),
+        ("feature_noise_sigma", np.nan),
+        ("walk_step_sigma", np.inf),
+        ("walk_step_sigma", np.nan),
+        ("scene_size", (np.inf, 10.0)),
+        ("scene_size", (10.0, np.inf)),
+        ("scene_size", (np.nan, 10.0)),
+    ])
+    def test_rejects_non_finite_values(self, field, value):
+        with pytest.raises(DataError, match=field):
+            SimConfig(**{field: value})
+
     def test_infeasible_similarity_cap(self):
         cfg = SimConfig(num_identities=50, feature_dim=2, max_base_similarity=0.05, seed=0)
         with pytest.raises(DataError, match="cannot place"):
             generate_scene(cfg)
+
+
+class TestGoldenStreams:
+    """Stream files pinned by sha256, so any change to the generator's sequence shows."""
+
+    CROWD = dict(num_identities=300, num_frames=12, feature_dim=64,
+                 feature_noise_sigma=0.05, max_base_similarity=0.3)
+    TRANSPORT = dict(num_identities=900, num_frames=5, feature_dim=64, feature_noise_sigma=0.1)
+    CRITERION_6_SIZES = (30, 40, 55, 70, 85, 100, 120, 145, 170, 200)
+    CRITERION_6 = (
+        "a5ad718a3d325699c91f8ecd3d861c32017f73efcca2bc80d892bcb185cd1b57",
+        "11e59dbd8668e03c63616263c5580eadbc730800e1f51b89051fed6c3d91132f",
+        "94552a327dc1776e1d53396bbcd85bc50301a099604fdab38094edffff4c1c35",
+        "e418a4be0d20a9520bce43bb86b31268eaf02887872dc483a7346d5e5f5762c8",
+        "075a3c79e64b400b079a83b06bab788de60c727866b8624754a90980c318c938",
+        "3c55d792168c0515a538d0f03d337149bc50f53d0b8a1a8540bf1328fc6cc1c6",
+        "395ea164847068720b72cb43bdf80e492b7d1e7a03b5e787c51a99f32232c5a6",
+        "9811cec436318777be9c7f6188ccd086113eefd19b071105fd4d22e77ab58321",
+        "3ba9d77468fcf92f75e160f3c64ddcf771ccc2551acbf375236e17b85a660d1a",
+        "40293505f93b5b36e707d131fd0f87ec935a14025708ba9e2a84aac114d95ae7",
+    )
+
+    @staticmethod
+    def _digest(stream, tmp_path):
+        path = tmp_path / "scene.jsonl"
+        write_stream(stream, path)
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    @pytest.mark.parametrize("seed, digest", [
+        (0, "3c580034e1fb4354992440eb7582c13c057f6fad5ad49215e42c7d7bb6757744"),
+        (1, "88d3c5ffb1e195f80fa86e5ba31bde7618834fa071086b4bf8fd73457eaf6d25"),
+    ])
+    def test_crowd(self, seed, digest, tmp_path):
+        stream = generate_scene(SimConfig(seed=seed, **self.CROWD))
+        assert self._digest(stream, tmp_path) == digest
+
+    @pytest.mark.parametrize("seed, digest", [
+        (0, "fb69383e8fe709ca4e0f5395619734ae3ab49959660d628067c2ca1d4c789cb4"),
+        (1, "64e7e06cc25d2599b963effec331fd572c4dc7c796228b0ac7dd2a8185663581"),
+    ])
+    def test_transport(self, seed, digest, tmp_path):
+        stream = generate_scene(SimConfig(seed=seed, **self.TRANSPORT))
+        assert self._digest(stream, tmp_path) == digest
+
+    def test_criterion_6_scenes(self, tmp_path):
+        for seed, digest in enumerate(self.CRITERION_6):
+            cfg = SimConfig(num_identities=self.CRITERION_6_SIZES[seed], num_frames=30,
+                            feature_dim=64, max_base_similarity=0.3, seed=seed)
+            assert self._digest(generate_scene(cfg), tmp_path) == digest, f"seed {seed}"
+
+    def test_heavy_rejection(self, tmp_path):
+        # about 300 candidates drawn per accepted base
+        cfg = SimConfig(num_identities=25, num_frames=6, feature_dim=8, feature_noise_sigma=0.05,
+                        reentry_probability=0.3, max_base_similarity=0.5, seed=0)
+        assert self._digest(generate_scene(cfg), tmp_path) == (
+            "c6b95a0acd04509f8ba1d05bf52f25a0dae3e1f1b04ec7f8937d58f77fb9ee43"
+        )
+
+    def test_unplaceable_message(self):
+        cfg = SimConfig(num_identities=40, num_frames=6, feature_dim=8,
+                        max_base_similarity=0.5, seed=0)
+        with pytest.raises(DataError) as err:
+            generate_scene(cfg)
+        assert str(err.value) == (
+            "cannot place 40 features below pairwise similarity 0.5 in dimension 8"
+        )
+
+    def test_scene_from_lifespans(self, tmp_path):
+        cfg = SimConfig(num_identities=3, num_frames=8, feature_dim=64, feature_noise_sigma=0.05,
+                        max_base_similarity=0.3, seed=7)
+        stream = scene_from_lifespans(cfg, [[(0, 7)], [(1, 5)], [(0, 1), (4, 7)]])
+        assert self._digest(stream, tmp_path) == (
+            "cfbcccc73e0badf3fd17c7007cb12405db266334a4f8cfd836701e78763c2c58"
+        )
+
+    def test_no_identities(self, tmp_path):
+        stream = generate_scene(SimConfig(num_identities=0, num_frames=3, seed=0))
+        assert self._digest(stream, tmp_path) == (
+            "30b72203cc96a949b2dc475681df8af4d9170bff10bb6d21a6287ccdbabfe64c"
+        )
