@@ -41,7 +41,6 @@ from .loss import (
 from .metrics import VideoResult, mae, mse, wrae
 from .simulate import (
     SimConfig,
-    derive_weak_labels,
     generate_scene,
     gt_unique_count,
     scene_from_lifespans,
@@ -51,7 +50,6 @@ from .stream import (
     DetectionStream,
     FrameRecord,
     SimilarityBlocks,
-    normalize_feature,
     pair_blocks,
     partition_similarity,
     random_similarity_blocks,
@@ -85,7 +83,6 @@ __all__ = [
     "brute_force_assignment",
     "contrastive_similarity",
     "count_video",
-    "derive_weak_labels",
     "frozen_plan_loss",
     "generate_scene",
     "group_matching_loss",
@@ -95,7 +92,6 @@ __all__ = [
     "loss_gradient",
     "mae",
     "mse",
-    "normalize_feature",
     "pair_blocks",
     "parse_stream",
     "partition_similarity",

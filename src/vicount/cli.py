@@ -329,10 +329,8 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"vicount: numerical error: {exc}", file=sys.stderr)
         return 3
-    except (DataError, OSError, json.JSONDecodeError) as exc:
-        print(f"vicount: data error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
+        # ValueError covers DataError and json.JSONDecodeError.
         print(f"vicount: data error: {exc}", file=sys.stderr)
         return 2
 

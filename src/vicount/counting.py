@@ -16,7 +16,7 @@ import numpy as np
 
 from .assignment import hungarian
 from .errors import DataError
-from .stream import Detection, DetectionStream, _BuiltOnAccess, _feature_rows
+from .stream import Detection, DetectionStream, _as_int, _BuiltOnAccess, _feature_rows, _read_only
 
 _AGGREGATORS = ("max", "min", "mean")
 
@@ -41,10 +41,8 @@ class McpConfig:
     def __post_init__(self):
         if not (self.zeta >= 0 and np.isfinite(self.zeta)):
             raise DataError(f"zeta must be a finite non-negative number, got {self.zeta}")
-        if self.ttl_max < 1:
-            raise DataError(f"ttl_max must be at least 1, got {self.ttl_max}")
-        if self.mem_max < 1:
-            raise DataError(f"mem_max must be at least 1, got {self.mem_max}")
+        object.__setattr__(self, "ttl_max", _as_int(self.ttl_max, "ttl_max", 1))
+        object.__setattr__(self, "mem_max", _as_int(self.mem_max, "mem_max", 1))
         if self.template_aggregator not in _AGGREGATORS:
             raise DataError(
                 f"template_aggregator must be one of {_AGGREGATORS}, "
@@ -52,84 +50,66 @@ class McpConfig:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TemplateEntry:
-    """One remembered individual: its recent appearance templates and time to live.
+    """One remembered individual, as a plain record of rows a memory has validated.
 
-    templates is stored as a read-only (k, D) array, oldest template first.
+    MemoryState.entries builds these: templates is a read-only (k, D) view
+    of the memory's store, oldest template first, not a copy.
     """
 
     entry_id: int
     templates: np.ndarray
     ttl: int
 
-    def __post_init__(self):
-        if not len(self.templates):
-            raise DataError("a template entry needs at least one template")
-        if self.ttl < 0:
-            raise DataError(f"ttl must be non-negative, got {self.ttl}")
-        try:
-            arr = np.array(self.templates, dtype=np.float64)
-        except ValueError as exc:
-            raise DataError(f"templates must stack to a (k, D) array: {exc}") from None
-        if arr.ndim != 2:
-            raise DataError(f"templates must stack to a (k, D) array, got shape {arr.shape}")
-        arr.setflags(write=False)
-        object.__setattr__(self, "templates", arr)
 
-
+@dataclass(frozen=True, eq=False)
 class MemoryState:
     """The template memory between steps, held as arrays. Updates come as new instances.
 
     Row k of the (N, W, D) templates store holds remembered individual k's
-    templates, oldest first, in its first fill[k] slots; ttl and entry_id
-    are (N,) arrays in the same order. Every array is read-only. Built from
-    a sequence of TemplateEntry; entries gives them back.
+    templates, oldest first, in its first fill[k] slots; fill, ttl and
+    entry_id are (N,) integer arrays in the same order. Every array is
+    read-only: a writable array passed in is copied, a read-only one is
+    kept as is. entries views the rows as TemplateEntry records.
     """
 
-    __slots__ = ("templates", "fill", "ttl", "entry_id", "next_entry_id")
+    templates: np.ndarray
+    fill: np.ndarray
+    ttl: np.ndarray
+    entry_id: np.ndarray
+    next_entry_id: int
 
-    def __init__(self, entries=(), next_entry_id: int = 0):
-        entries = tuple(entries)
-        dims = {e.templates.shape[1] for e in entries}
-        if len(dims) > 1:
-            raise DataError(f"feature dimension mismatch: templates {sorted(dims)}")
-        fill = np.array([len(e.templates) for e in entries], dtype=np.intp)
-        templates = np.zeros((len(entries), max(fill, default=0), max(dims, default=0)))
-        for k, e in enumerate(entries):
-            templates[k, : fill[k]] = e.templates
-        self._set(
-            templates,
-            fill,
-            np.array([e.ttl for e in entries], dtype=np.intp),
-            np.array([e.entry_id for e in entries], dtype=np.intp),
-            next_entry_id,
-        )
+    def __post_init__(self):
+        try:
+            templates = _read_only(self.templates, np.float64)
+        except ValueError as exc:
+            raise DataError(f"templates must form an (N, W, D) array: {exc}") from None
+        if templates.ndim != 3:
+            raise DataError(f"templates must form an (N, W, D) array, got shape {templates.shape}")
+        size, width = templates.shape[:2]
+        object.__setattr__(self, "templates", templates)
+        for name in ("fill", "ttl", "entry_id"):
+            arr = _read_only(getattr(self, name), np.intp)
+            if arr.shape != (size,):
+                raise DataError(f"{name} has shape {arr.shape}, expected ({size},)")
+            object.__setattr__(self, name, arr)
+        if ((self.fill < 1) | (self.fill > width)).any():
+            raise DataError(f"every fill must lie in [1, {width}]")
+        if (self.ttl < 0).any():
+            raise DataError("every ttl must be non-negative")
+        object.__setattr__(self, "next_entry_id", int(self.next_entry_id))
 
     @classmethod
     def empty(cls) -> "MemoryState":
-        return cls((), 0)
-
-    @classmethod
-    def _of_arrays(cls, templates, fill, ttl, entry_id, next_entry_id) -> "MemoryState":
-        memory = cls.__new__(cls)
-        memory._set(templates, fill, ttl, entry_id, next_entry_id)
-        return memory
-
-    def _set(self, templates, fill, ttl, entry_id, next_entry_id) -> None:
-        for name, arr in zip(self.__slots__, (templates, fill, ttl, entry_id)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        object.__setattr__(self, "next_entry_id", int(next_entry_id))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"MemoryState is immutable; cannot set {name}")
+        none = np.zeros(0, dtype=np.intp)
+        return cls(np.zeros((0, 0, 0)), none, none, none, 0)
 
     @property
     def entries(self) -> Sequence:
-        """The remembered individuals as TemplateEntry values, in memory order.
+        """The remembered individuals as TemplateEntry records, in memory order.
 
-        A read-only sequence that builds each entry when it is accessed.
+        A read-only sequence that builds each record when it is accessed.
         """
         return _BuiltOnAccess(len(self.ttl), self._entry)
 
@@ -194,8 +174,9 @@ def template_cost(detection: Detection, entry: TemplateEntry, aggregator: str = 
     Taking the max is the conservative default: the detection must resemble
     every remembered appearance.
     """
-    memory = MemoryState((entry,))
-    features = _features(detection.feature[None], memory)
+    templates = np.asarray(entry.templates, dtype=np.float64)
+    memory = MemoryState(templates[None], [len(templates)], [entry.ttl], [entry.entry_id], 0)
+    features = _features([detection.feature], memory)
     return float(_cost_matrix(features, memory, aggregator)[0, 0])
 
 
@@ -255,7 +236,10 @@ def step(memory: MemoryState, features, cfg: McpConfig) -> tuple[MemoryState, St
     next_id = memory.next_entry_id
     new_ids = np.arange(next_id, next_id + len(fresh), dtype=np.intp)
     entry_id = np.concatenate((memory.entry_id[kept], new_ids))
-    new_memory = MemoryState._of_arrays(templates, fill, ttl, entry_id, next_id + len(fresh))
+    # Handed over read-only, so the new memory keeps these arrays instead of copies.
+    for arr in (templates, fill, ttl, entry_id):
+        arr.setflags(write=False)
+    new_memory = MemoryState(templates, fill, ttl, entry_id, next_id + len(fresh))
     associations = tuple(zip(det_idx.tolist(), memory.entry_id[entry_idx].tolist()))
     record = StepRecord(0, len(fresh), associations, tuple(new_ids.tolist()))
     return new_memory, record

@@ -15,7 +15,7 @@ import numpy as np
 
 from .assignment import hungarian
 from .errors import DataError, NumericalError
-from .stream import DetectionStream, SimilarityBlocks, partition_similarity
+from .stream import DetectionStream, SimilarityBlocks, _as_int, _read_only, partition_similarity
 
 
 @dataclass(frozen=True)
@@ -44,8 +44,8 @@ class LossConfig:
             )
         if not (self.sinkhorn_reg > 0 and np.isfinite(self.sinkhorn_reg)):
             raise DataError(f"sinkhorn_reg must be positive, got {self.sinkhorn_reg}")
-        if self.sinkhorn_max_iters < 1:
-            raise DataError("sinkhorn_max_iters must be at least 1")
+        iters = _as_int(self.sinkhorn_max_iters, "sinkhorn_max_iters", 1)
+        object.__setattr__(self, "sinkhorn_max_iters", iters)
         if not (self.sinkhorn_tol > 0 and np.isfinite(self.sinkhorn_tol)):
             raise DataError("sinkhorn_tol must be positive")
 
@@ -59,9 +59,7 @@ class TransportPlan:
     iterations_used: int
 
     def __post_init__(self):
-        arr = np.asarray(self.omega, dtype=np.float64).copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "omega", arr)
+        object.__setattr__(self, "omega", _read_only(self.omega, np.float64))
 
 
 def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
@@ -187,15 +185,14 @@ def _dual_newton_step(mr, plan, err, f, g):
 def round_to_permutation(omega) -> np.ndarray:
     """Snap a transport plan to a permutation (row index -> column index).
 
-    Takes each row's argmax when that already forms a permutation; otherwise
-    resolves conflicts by a full assignment on the negated plan.
+    The permutation of largest total plan mass, by a full assignment on the
+    negated plan. Its row-reduction warm start gives every row its first
+    argmax whenever those already form a permutation, so that case needs no
+    search. A non-finite plan raises NumericalError.
     """
     arr = np.asarray(omega, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise NumericalError(f"invalid cost matrix: expected square, got {arr.shape}")
-    greedy = arr.argmax(axis=1)
-    if len(set(greedy.tolist())) == arr.shape[0]:
-        return greedy.astype(np.intp)
     perm = np.empty(arr.shape[0], dtype=np.intp)
     for i, j in hungarian(-arr).pairs:
         perm[i] = j

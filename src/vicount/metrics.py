@@ -4,6 +4,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DataError
+from .stream import _as_int
 
 
 @dataclass(frozen=True)
@@ -26,10 +27,7 @@ class VideoResult:
         object.__setattr__(self, "pred_count", float(self.pred_count))
         if not (self.length > 0):
             raise DataError(f"length must be positive, got {self.length}")
-        gt = int(self.gt_count)
-        if gt < 1:
-            raise DataError(f"gt_count must be at least 1, got {gt}")
-        object.__setattr__(self, "gt_count", gt)
+        object.__setattr__(self, "gt_count", _as_int(self.gt_count, "gt_count", 1))
         if not (self.pred_count >= 0):
             raise DataError(f"pred_count must be non-negative, got {self.pred_count}")
 

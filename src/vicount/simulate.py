@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .stream import DetectionStream, FrameRecord, _unit_rows
+from .stream import DetectionStream, FrameRecord, _as_int, _unit_rows
 
 # Candidates drawn and normalized at once when base features are
 # rejection-sampled under a similarity cap.
@@ -49,14 +49,10 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.num_identities < 0:
-            raise DataError("num_identities must be non-negative")
-        if self.num_frames < 1:
-            raise DataError("num_frames must be at least 1")
+        for name, least in (("num_identities", 0), ("num_frames", 1), ("feature_dim", 2)):
+            object.__setattr__(self, name, _as_int(getattr(self, name), name, least))
         if not (0 < self.delta < np.inf):
             raise DataError("delta must be positive and finite")
-        if self.feature_dim < 2:
-            raise DataError("feature_dim must be at least 2")
         if not (0 <= self.feature_noise_sigma < np.inf):
             raise DataError("feature_noise_sigma must be non-negative and finite")
         if not (0.0 <= self.reentry_probability <= 1.0):
@@ -68,23 +64,6 @@ class SimConfig:
             raise DataError("walk_step_sigma must be non-negative and finite")
         if self.max_base_similarity is not None and not (0 < self.max_base_similarity <= 1):
             raise DataError("max_base_similarity must be in (0, 1]")
-
-
-def derive_weak_labels(prev_ids, curr_ids) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Inflow bits for the current frame and outflow bits for the previous one.
-
-    A current detection flows in when its identity was absent from the
-    previous frame; a previous detection flows out when its identity is
-    absent from the current frame. Pass empty sequences to model the stream
-    boundary: everyone flows in at the start and out at the end.
-    """
-    prev_list = [int(g) for g in prev_ids]
-    curr_list = [int(g) for g in curr_ids]
-    prev_set = set(prev_list)
-    curr_set = set(curr_list)
-    inflow = tuple(0 if g in prev_set else 1 for g in curr_list)
-    outflow = tuple(0 if g in curr_set else 1 for g in prev_list)
-    return inflow, outflow
 
 
 def _draw_bases(rng: np.random.Generator, cfg: SimConfig) -> np.ndarray:

@@ -19,10 +19,11 @@ _UNIT_NORM_TOL = 1e-12
 
 
 def _unit_rows(rows: np.ndarray, row_label: str | None = None) -> np.ndarray:
-    """Scale every row of a float (n, D) array to unit norm in place; see normalize_feature.
+    """Scale every row of a float (n, D) array to unit Euclidean norm in place.
 
-    Returns rows. Raises DataError for a zero or non-finite row, named
-    row_label[k] when given.
+    Rows already unit-length within tolerance are left unchanged, so the
+    operation is idempotent bit-for-bit. Returns rows. A zero or non-finite
+    row has no direction and raises DataError, naming row_label[k] when given.
     """
     finite = np.isfinite(rows).all(axis=1)
     # Batched matmul gives every row's squared norm bit-for-bit as np.dot does.
@@ -35,16 +36,6 @@ def _unit_rows(rows: np.ndarray, row_label: str | None = None) -> np.ndarray:
         raise DataError(f"{where}degenerate feature: {why}")
     scale = (np.abs(sq - 1.0) > _UNIT_NORM_TOL)[:, None]
     return np.divide(rows, np.sqrt(sq)[:, None], out=rows, where=scale)
-
-
-def normalize_feature(v) -> np.ndarray:
-    """Scale a feature vector to unit Euclidean norm.
-
-    Vectors already unit-length within tolerance are returned unchanged, so
-    the operation is idempotent bit-for-bit. A zero or non-finite vector has
-    no direction and raises DataError.
-    """
-    return _unit_rows(np.array(v, dtype=np.float64).reshape(1, -1))[0]
 
 
 def shared_count(outflow_i, inflow_j) -> int:
@@ -65,42 +56,17 @@ def shared_count(outflow_i, inflow_j) -> int:
     return m_out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Detection:
-    """One localized individual: image coordinate, unit feature, optional identity.
+    """One detection of a frame, as a plain record of rows the frame has validated.
 
-    The feature is normalized at construction; downstream code relies on
-    inner products being cosine similarities.
+    FrameRecord.detections builds these: feature is a read-only view of the
+    frame's unit feature row, not a copy, and gt_id its identity or None.
     """
 
     coordinate: tuple[float, float]
     feature: np.ndarray
     gt_id: int | None = None
-
-    def __post_init__(self):
-        x, y = self.coordinate
-        object.__setattr__(self, "coordinate", (float(x), float(y)))
-        feat = normalize_feature(self.feature)
-        feat.setflags(write=False)
-        object.__setattr__(self, "feature", feat)
-        if self.gt_id is not None:
-            gid = int(self.gt_id)
-            if gid < 0:
-                raise DataError(f"gt_id must be non-negative, got {gid}")
-            object.__setattr__(self, "gt_id", gid)
-
-    @property
-    def dim(self) -> int:
-        return int(self.feature.size)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Detection):
-            return NotImplemented
-        return (
-            self.coordinate == other.coordinate
-            and self.gt_id == other.gt_id
-            and np.array_equal(self.feature, other.feature)
-        )
 
 
 class _BuiltOnAccess(Sequence):
@@ -115,10 +81,17 @@ class _BuiltOnAccess(Sequence):
     def __len__(self) -> int:
         return self._n
 
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return tuple(self._item(i) for i in range(self._n)[k])
+    def __getitem__(self, k: int):
         return self._item(range(self._n)[k])
+
+
+def _read_only(values, dtype) -> np.ndarray:
+    """values as a read-only array of dtype; a read-only array is kept, any other is copied."""
+    arr = np.asarray(values, dtype=dtype)
+    if arr.flags.writeable:
+        arr = arr.copy()
+        arr.setflags(write=False)
+    return arr
 
 
 def _feature_rows(values, copy: bool = False) -> np.ndarray:
@@ -143,14 +116,26 @@ def _as_bits(values, n: int, name: str) -> tuple[int, ...]:
     return tuple(bits.astype(np.int64).tolist())
 
 
+def _as_int(value, what: str, least: int) -> int:
+    """value as an int of at least least; a bool, fraction or non-number raises DataError."""
+    try:
+        whole = int(value)
+    except (TypeError, ValueError, OverflowError):
+        whole = None
+    if whole is None or whole != value or isinstance(value, (bool, np.bool_)):
+        raise DataError(f"{what} must be an integer, got {value!r}")
+    if whole < least:
+        raise DataError(f"{what} must be at least {least}, got {whole}")
+    return whole
+
+
 def _as_ids(values, n: int) -> tuple[int | None, ...]:
-    ids = (None,) * n if values is None else tuple(None if g is None else int(g) for g in values)
+    ids = (None,) * n if values is None else tuple(values)
     if len(ids) != n:
         raise DataError(f"gt_ids has {len(ids)} entries for {n} detections")
-    bad = next((k for k, g in enumerate(ids) if g is not None and g < 0), None)
-    if bad is not None:
-        raise DataError(f"det[{bad}]: gt_id must be non-negative, got {ids[bad]}")
-    return ids
+    return tuple(
+        None if g is None else _as_int(g, f"det[{k}]: gt_id", 0) for k, g in enumerate(ids)
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,7 +146,7 @@ class FrameRecord:
     a read-only (n, D) array of unit rows, all normalized in one pass at
     construction. gt_ids holds each detection's ground-truth identity, an
     int or None; left out, no detection has one. detections views the rows
-    as Detection values, each built when it is accessed.
+    as Detection records, each built when it is accessed.
     """
 
     frame_index: int
@@ -173,10 +158,7 @@ class FrameRecord:
     gt_ids: tuple[int | None, ...] | None = None
 
     def __post_init__(self):
-        idx = int(self.frame_index)
-        if idx < 1:
-            raise DataError(f"frame_index must be >= 1, got {idx}")
-        object.__setattr__(self, "frame_index", idx)
+        object.__setattr__(self, "frame_index", _as_int(self.frame_index, "frame_index", 1))
         object.__setattr__(self, "timestamp", float(self.timestamp))
         features = _unit_rows(_feature_rows(self.features, copy=True), "det")
         n = len(features)
@@ -192,7 +174,7 @@ class FrameRecord:
 
     @property
     def detections(self) -> Sequence:
-        """The rows as Detection values, in frame order, each built when accessed."""
+        """The rows as Detection records, in frame order, each built when accessed."""
         return _BuiltOnAccess(len(self), self._detection)
 
     def _detection(self, k: int) -> Detection:
@@ -281,23 +263,19 @@ class SimilarityBlocks:
     perm_j: np.ndarray | None = None
 
     def __post_init__(self):
-        s = np.asarray(self.full, dtype=np.float64)
+        s = _read_only(self.full, np.float64)
         if s.ndim != 2:
             raise DataError("similarity matrix must be 2-d")
         m = int(self.m)
         if not (0 <= m <= min(s.shape)):
             raise DataError(f"shared count {m} out of range for shape {s.shape}")
-        if s.flags.writeable:
-            s = s.copy()
-            s.setflags(write=False)
         object.__setattr__(self, "full", s)
         object.__setattr__(self, "m", m)
         for name, size in (("perm_i", self.n_i), ("perm_j", self.n_j)):
             given = getattr(self, name)
-            perm = np.arange(size) if given is None else np.array(given, dtype=np.intp)
+            perm = _read_only(np.arange(size) if given is None else given, np.intp)
             if perm.shape != (size,) or not np.array_equal(np.sort(perm), np.arange(size)):
                 raise DataError(f"{name} is not a permutation of range({size})")
-            perm.setflags(write=False)
             object.__setattr__(self, name, perm)
 
     n_i = property(lambda self: self.full.shape[0])

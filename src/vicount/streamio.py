@@ -81,10 +81,10 @@ def parse_stream(path) -> DetectionStream:
     if not isinstance(header, dict):
         _fail(path, 1, "header must be a JSON object")
     schema = _need(header, "schema", path, 1)
-    if schema != SCHEMA_VERSION:
+    if type(schema) is not int or schema != SCHEMA_VERSION:
         _fail(path, 1, f"unknown schema version {schema!r}, expected {SCHEMA_VERSION}")
     dim = _need(header, "dim", path, 1)
-    if not isinstance(dim, int) or dim < 0:
+    if type(dim) is not int or dim < 0:
         _fail(path, 1, f"dim must be a non-negative integer, got {dim!r}")
     delta = _need(header, "delta", path, 1)
     if not isinstance(delta, (int, float)) or not delta > 0:

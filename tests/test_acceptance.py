@@ -25,7 +25,6 @@ import numpy as np
 import pytest
 
 from vicount import (
-    Detection,
     DetectionStream,
     FrameRecord,
     LossConfig,
@@ -292,7 +291,7 @@ class TestPseudoTrajectoryFidelity:
             for pm, prev, curr in zip(result.pairs, frames, frames[1:]):
                 for u, v in pm.matches:
                     matched += 1
-                    if prev.detections[u].gt_id != curr.detections[v].gt_id:
+                    if prev.gt_ids[u] != curr.gt_ids[v]:
                         mismatches += 1
         assert mismatches == 0
         _report(8, f"0 identity mismatches across {matched} recovered matches")
@@ -324,11 +323,11 @@ class TestDegenerateHandling:
         assert out.loss == 0.0 and out.raw == 0.0
         assert group_matching_loss([nothing_shared], LossConfig()) == 0.0
 
-        det = Detection((1.0, 2.0), np.array([1.0, 0.0]))
-        memory, record = step(MemoryState.empty(), (det.feature, det.feature), McpConfig())
+        feature = np.array([1.0, 0.0])
+        memory, record = step(MemoryState.empty(), (feature, feature), McpConfig())
         assert record.inflow == 2
         assert record.associations == ()
-        assert len(memory.entries) == 2
+        assert len(memory.ttl) == 2
 
         empty = DetectionStream((), 1.0)
         assert count_video(empty, McpConfig()).total == 0

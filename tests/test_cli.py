@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from vicount import Detection, TemplateEntry
 from vicount.cli import main
+from vicount.stream import _BuiltOnAccess
 
 
 def _simulate(tmp_path, name="scene.jsonl", seed=0, identities=8, frames=6, extra=()):
@@ -179,8 +181,50 @@ class TestExitCodes:
         assert "data error" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_non_integral_id_is_two_with_line(self, tmp_path, capsys):
+        path = tmp_path / "ids.jsonl"
+        path.write_text(
+            '{"schema":1,"dim":2,"delta":1.0}\n'
+            '{"frame":1,"t":0.0,"det":[{"x":0,"y":0,"f":[1.0,0.0],"id":3.2},'
+            '{"x":0,"y":0,"f":[0.0,1.0],"id":3.9}],"in":[1,1],"out":[1,1]}\n'
+        )
+        rc = main(["count", "--in", str(path)])
+        assert rc == 2
+        assert f"{path}:2: det[0]: gt_id must be an integer, got 3.2" in capsys.readouterr().err
+
+    def test_non_integral_gt_count_is_two(self, tmp_path, capsys):
+        report = tmp_path / "r.json"
+        report.write_text(json.dumps({"video": "v", "frames": 3, "total": 2}))
+        gt = tmp_path / "gt.json"
+        gt.write_text(json.dumps({"v": 2.7}))
+        rc = main(["eval", str(report), "--gt", str(gt)])
+        assert rc == 2
+        assert "gt_count must be an integer, got 2.7" in capsys.readouterr().err
+
     def test_invalid_config_is_two(self, tmp_path, capsys):
         stream_path = _simulate(tmp_path)
         rc = main(["count", "--in", str(stream_path), "--zeta", "-1"])
         assert rc == 2
         assert "zeta" in capsys.readouterr().err
+
+
+class TestNoViews:
+    def test_no_subcommand_builds_a_view(self, tmp_path, capsys, monkeypatch):
+        # The commands read frames and memory as arrays; the row views are
+        # only for library callers.
+        def refuse(*args, **kwargs):
+            raise AssertionError("a command built a row view")
+
+        monkeypatch.setattr(Detection, "__init__", refuse)
+        monkeypatch.setattr(TemplateEntry, "__init__", refuse)
+        monkeypatch.setattr(_BuiltOnAccess, "__getitem__", refuse)
+        stream = _simulate(tmp_path, frames=4, extra=("--noise-sigma", "0.05"))
+        report = tmp_path / "report.json"
+        for argv in (
+            ["count", "--in", str(stream), "--report", str(report)],
+            ["eval", str(report)],
+            ["loss", "--in", str(stream)],
+            ["gradcheck", "--in", str(stream)],
+            ["pseudo", "--in", str(stream), "--out", str(tmp_path / "pseudo.jsonl")],
+        ):
+            assert main(argv) == 0, capsys.readouterr().err

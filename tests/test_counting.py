@@ -20,45 +20,45 @@ from vicount import (
     step,
     template_cost,
 )
+from vicount import counting
 from vicount.counting import _cost_matrix
+from vicount.stream import _unit_rows
 
 
-def _det(feature):
-    return Detection((0.0, 0.0), np.asarray(feature, dtype=np.float64))
+def _rows(*features):
+    return np.array(features, dtype=np.float64)
 
 
-def _rows(*dets):
-    return np.array([d.feature for d in dets])
+def _angle(theta):
+    return np.array([np.cos(theta), np.sin(theta)])
 
 
-def _angle_det(theta):
-    return _det([np.cos(theta), np.sin(theta)])
-
-
-E0 = _det([1.0, 0.0])
-E1 = _det([0.0, 1.0])
+E0 = np.array([1.0, 0.0])
+E1 = np.array([0.0, 1.0])
 
 
 class TestTemplateCost:
+    @staticmethod
+    def _cost(templates, aggregator="max"):
+        entry = TemplateEntry(0, np.array(templates, dtype=np.float64), 3)
+        return template_cost(Detection((0.0, 0.0), E0), entry, aggregator)
+
     def test_aggregators(self):
-        entry = TemplateEntry(0, (np.array([1.0, 0.0]), np.array([0.0, 1.0])), 3)
-        assert template_cost(E0, entry, "max") == pytest.approx(1.0)
-        assert template_cost(E0, entry, "min") == pytest.approx(0.0)
-        assert template_cost(E0, entry, "mean") == pytest.approx(0.5)
+        templates = [[1.0, 0.0], [0.0, 1.0]]
+        assert self._cost(templates, "max") == pytest.approx(1.0)
+        assert self._cost(templates, "min") == pytest.approx(0.0)
+        assert self._cost(templates, "mean") == pytest.approx(0.5)
 
     def test_perfect_match_is_free(self):
-        entry = TemplateEntry(0, (np.array([1.0, 0.0]),), 3)
-        assert template_cost(E0, entry) == pytest.approx(0.0, abs=1e-15)
+        assert self._cost([[1.0, 0.0]]) == pytest.approx(0.0, abs=1e-15)
 
     def test_dimension_mismatch(self):
-        entry = TemplateEntry(0, (np.array([1.0, 0.0, 0.0]),), 3)
         with pytest.raises(DataError, match="dimension mismatch"):
-            template_cost(E0, entry)
+            self._cost([[1.0, 0.0, 0.0]])
 
     def test_unknown_aggregator(self):
-        entry = TemplateEntry(0, (np.array([1.0, 0.0]),), 3)
         with pytest.raises(DataError):
-            template_cost(E0, entry, "median")
+            self._cost([[1.0, 0.0]], "median")
 
 
 class TestCostMatrix:
@@ -66,29 +66,33 @@ class TestCostMatrix:
 
     @staticmethod
     def _memory(rng, cfg, dim):
-        entries = []
-        for k in range(1, cfg.mem_max + 1):
-            templates = rng.standard_normal((k, dim))
-            templates /= np.linalg.norm(templates, axis=1, keepdims=True)
-            entries.append(TemplateEntry(k, templates, cfg.ttl_max))
-        return MemoryState(tuple(entries), cfg.mem_max + 1)
+        # Entry k - 1 holds k templates, k = 1..mem_max.
+        size = cfg.mem_max
+        templates = np.zeros((size, size, dim))
+        for k in range(size):
+            templates[k, : k + 1] = _unit_rows(rng.standard_normal((k + 1, dim)))
+        fill = np.arange(1, size + 1)
+        return MemoryState(templates, fill, np.full(size, cfg.ttl_max), fill, size + 1)
 
     def test_aggregators_match_nested_loops(self):
         rng = np.random.default_rng(5)
         cfg = McpConfig(mem_max=6)
         memory = self._memory(rng, cfg, 8)
-        dets = [_det(f) for f in rng.standard_normal((7, 8))]
+        features = _unit_rows(rng.standard_normal((7, 8)))
+        stored = [memory.templates[k, : memory.fill[k]] for k in range(len(memory.ttl))]
         reduce = {"max": np.max, "min": np.min, "mean": np.mean}
         for aggregator, agg in reduce.items():
             want = np.array([
-                [agg([1.0 - np.dot(d.feature, t) for t in e.templates]) for e in memory.entries]
-                for d in dets
+                [agg([1.0 - np.dot(f, t) for t in templates]) for templates in stored]
+                for f in features
             ])
-            got = _cost_matrix(np.array([d.feature for d in dets]), memory, aggregator)
+            got = _cost_matrix(features, memory, aggregator)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-            for i, d in enumerate(dets):
-                for k, e in enumerate(memory.entries):
-                    assert template_cost(d, e, aggregator) == pytest.approx(want[i, k], abs=1e-12)
+            for i, f in enumerate(features):
+                for k, templates in enumerate(stored):
+                    cost = template_cost(Detection((0.0, 0.0), f),
+                                         TemplateEntry(k, templates, cfg.ttl_max), aggregator)
+                    assert cost == pytest.approx(want[i, k], abs=1e-12)
 
     def test_dimension_mismatch_in_step(self):
         rng = np.random.default_rng(6)
@@ -96,9 +100,9 @@ class TestCostMatrix:
         memory = self._memory(rng, cfg, 8)
         with pytest.raises(DataError, match="dimension mismatch"):
             step(memory, _rows(E0, E1), cfg)
-        mixed = (_det(rng.standard_normal(8)), _det(rng.standard_normal(3)))
+        mixed = [_unit_rows(rng.standard_normal((1, d)))[0] for d in (8, 3)]
         with pytest.raises(DataError, match="dimension mismatch"):
-            step(memory, [d.feature for d in mixed], cfg)
+            step(memory, mixed, cfg)
 
 
 class TestStep:
@@ -108,25 +112,25 @@ class TestStep:
         assert record.associations == ()
         assert record.new_entry_ids == (0, 1)
         assert memory.next_entry_id == 2
-        assert [e.entry_id for e in memory.entries] == [0, 1]
-        assert all(e.ttl == 3 for e in memory.entries)
+        assert memory.entry_id.tolist() == [0, 1]
+        assert memory.ttl.tolist() == [3, 3]
 
     def test_no_detections_ticks_ttl(self):
         memory, _ = step(MemoryState.empty(), _rows(E0), McpConfig())
         memory, record = step(memory, (), McpConfig())
         assert record.inflow == 0
-        assert memory.entries[0].ttl == 2
+        assert memory.ttl.tolist() == [2]
 
     def test_match_refreshes_ttl_and_appends_template(self):
         cfg = McpConfig(ttl_max=2)
         memory, _ = step(MemoryState.empty(), _rows(E0), cfg)
         memory, _ = step(memory, (), cfg)
-        assert memory.entries[0].ttl == 1
+        assert memory.ttl.tolist() == [1]
         memory, record = step(memory, _rows(E0), cfg)
         assert record.inflow == 0
         assert record.associations == ((0, 0),)
-        assert memory.entries[0].ttl == 2
-        assert len(memory.entries[0].templates) == 2
+        assert memory.ttl.tolist() == [2]
+        assert memory.fill.tolist() == [2]
 
     def test_costly_match_rejected_as_inflow(self):
         cfg = McpConfig(zeta=0.5)
@@ -135,14 +139,14 @@ class TestStep:
         assert record.inflow == 1
         assert record.new_entry_ids == (1,)
         # the rejected entry is treated as missed
-        assert memory.entries[0].entry_id == 0
-        assert memory.entries[0].ttl == 2
+        assert memory.entry_id[0] == 0
+        assert memory.ttl[0] == 2
 
     def test_survives_gap_equal_to_ttl(self):
         cfg = McpConfig(zeta=0.5, ttl_max=1)
         memory, _ = step(MemoryState.empty(), _rows(E0, E1), cfg)
         memory, _ = step(memory, _rows(E0), cfg)
-        assert [e.entry_id for e in memory.entries] == [0, 1]
+        assert memory.entry_id.tolist() == [0, 1]
         memory, record = step(memory, _rows(E0, E1), cfg)
         assert record.inflow == 0
         assert (1, 1) in record.associations
@@ -152,47 +156,50 @@ class TestStep:
         memory, _ = step(MemoryState.empty(), _rows(E0, E1), cfg)
         memory, _ = step(memory, _rows(E0), cfg)
         memory, _ = step(memory, _rows(E0), cfg)
-        assert [e.entry_id for e in memory.entries] == [0]
+        assert memory.entry_id.tolist() == [0]
         memory, record = step(memory, _rows(E0, E1), cfg)
         assert record.inflow == 1
         assert record.new_entry_ids == (2,)
 
     def test_template_fifo_eviction(self):
         cfg = McpConfig(mem_max=2)
-        f1, f2, f3 = (_angle_det(t) for t in (0.0, 0.1, 0.2))
+        f1, f2, f3 = (_angle(t) for t in (0.0, 0.1, 0.2))
         memory, _ = step(MemoryState.empty(), _rows(f1), cfg)
         memory, _ = step(memory, _rows(f2), cfg)
         memory, _ = step(memory, _rows(f3), cfg)
-        entry = memory.entries[0]
-        assert len(entry.templates) == 2
-        assert np.array_equal(entry.templates[0], f2.feature)
-        assert np.array_equal(entry.templates[1], f3.feature)
+        assert memory.fill.tolist() == [2]
+        assert np.array_equal(memory.templates[0, :2], _rows(f2, f3))
 
     def test_greedy_conflicts_resolved_jointly(self):
         # both detections are individually closest to entry 0; a per-detection
         # greedy pick would collide, the joint assignment keeps both matched
         cfg = McpConfig(zeta=0.7)
-        memory, _ = step(MemoryState.empty(), _rows(_angle_det(0.0), _angle_det(1.0)), cfg)
-        memory, record = step(memory, _rows(_angle_det(0.1), _angle_det(0.3)), cfg)
+        memory, _ = step(MemoryState.empty(), _rows(_angle(0.0), _angle(1.0)), cfg)
+        memory, record = step(memory, _rows(_angle(0.1), _angle(0.3)), cfg)
         assert record.inflow == 0
         assert dict(record.associations) == {0: 0, 1: 1}
 
 
+def _two_entries():
+    """Templates, fill, ttl and entry_id of a memory holding 1 and 3 templates."""
+    templates = np.zeros((2, 3, 2))
+    templates[0, 0] = [1.0, 0.0]
+    templates[1] = [[0.6, 0.8], [0.0, 1.0], [1.0, 0.0]]
+    return templates, np.array([1, 3]), np.array([2, 0]), np.array([4, 7])
+
+
 class TestMemoryState:
     def test_entries_round_trip(self):
-        entries = (
-            TemplateEntry(4, (np.array([1.0, 0.0]),), 2),
-            TemplateEntry(7, (np.array([0.6, 0.8]), np.array([0.0, 1.0]), np.array([1.0, 0.0])), 0),
-        )
-        memory = MemoryState(entries, 9)
+        memory = MemoryState(*_two_entries(), 9)
         assert memory.templates.shape == (2, 3, 2)
         assert memory.fill.tolist() == [1, 3]
         assert len(memory.entries) == 2 and memory.next_entry_id == 9
-        for got, want in zip(memory.entries, entries):
-            assert (got.entry_id, got.ttl) == (want.entry_id, want.ttl)
-            assert np.array_equal(got.templates, want.templates)
+        for k, got in enumerate(memory.entries):
+            assert (got.entry_id, got.ttl) == ([4, 7][k], [2, 0][k])
+            assert got.templates.base is memory.templates
+            assert np.array_equal(got.templates, memory.templates[k, : memory.fill[k]])
         assert memory.entries[-1].entry_id == 7
-        assert [e.entry_id for e in memory.entries[::-1]] == [7, 4]
+        assert [e.entry_id for e in reversed(memory.entries)] == [7, 4]
 
     def test_immutable(self):
         memory, _ = step(MemoryState.empty(), _rows(E0, E1), McpConfig())
@@ -206,16 +213,15 @@ class TestMemoryState:
     def test_step_leaves_input_memory_unchanged(self):
         cfg = McpConfig(mem_max=2, ttl_max=1)
         memory, _ = step(MemoryState.empty(), _rows(E0, E1), cfg)
-        before = [(e.entry_id, e.ttl, e.templates.copy()) for e in memory.entries]
-        step(memory, _rows(_angle_det(0.05)), cfg)
-        after = [(e.entry_id, e.ttl, e.templates) for e in memory.entries]
-        assert [a[:2] for a in after] == [b[:2] for b in before]
-        assert all(np.array_equal(a[2], b[2]) for a, b in zip(after, before))
+        names = ("templates", "fill", "ttl", "entry_id")
+        before = [getattr(memory, name).copy() for name in names]
+        step(memory, _rows(_angle(0.05)), cfg)
+        after = [getattr(memory, name) for name in names]
+        assert all(np.array_equal(a, b) for a, b in zip(after, before))
 
     def test_mixed_dimensions_rejected(self):
-        with pytest.raises(DataError, match="dimension mismatch"):
-            MemoryState((TemplateEntry(0, (np.array([1.0, 0.0]),), 1),
-                         TemplateEntry(1, (np.array([1.0, 0.0, 0.0]),), 1)))
+        with pytest.raises(DataError, match=r"\(N, W, D\)"):
+            MemoryState([[[1.0, 0.0]], [[1.0, 0.0, 0.0]]], [1, 1], [1, 1], [0, 1], 2)
 
     def test_count_builds_no_entries_and_stacks_nothing(self, monkeypatch):
         stream = generate_scene(
@@ -227,9 +233,92 @@ class TestMemoryState:
         def refuse(*args, **kwargs):
             raise AssertionError("the memory step must stay on arrays")
 
-        monkeypatch.setattr(TemplateEntry, "__post_init__", refuse)
+        monkeypatch.setattr(TemplateEntry, "__init__", refuse)
         monkeypatch.setattr(np, "vstack", refuse)
         assert count_video(stream, McpConfig(mem_max=2)) == want
+
+
+class TestMemoryStateValidation:
+    """The array constructor checks shapes, fill and ttl, and stores read-only arrays."""
+
+    def test_templates_rank(self):
+        templates, fill, ttl, entry_id = _two_entries()
+        with pytest.raises(DataError, match=r"\(N, W, D\)"):
+            MemoryState(templates[:, 0], fill, ttl, entry_id, 9)
+
+    @pytest.mark.parametrize("name", ["fill", "ttl", "entry_id"])
+    def test_mismatched_lengths(self, name):
+        arrays = dict(zip(("templates", "fill", "ttl", "entry_id"), _two_entries()))
+        arrays[name] = arrays[name][:1]
+        with pytest.raises(DataError, match=f"{name} has shape"):
+            MemoryState(**arrays, next_entry_id=9)
+
+    def test_needs_templates(self):
+        templates, _, ttl, entry_id = _two_entries()
+        with pytest.raises(DataError, match="fill"):
+            MemoryState(templates, [0, 3], ttl, entry_id, 9)
+
+    def test_fill_above_width(self):
+        templates, _, ttl, entry_id = _two_entries()
+        with pytest.raises(DataError, match="fill"):
+            MemoryState(templates, [1, 4], ttl, entry_id, 9)
+
+    def test_negative_ttl(self):
+        templates, fill, _, entry_id = _two_entries()
+        with pytest.raises(DataError, match="ttl"):
+            MemoryState(templates, fill, [2, -1], entry_id, 9)
+
+    def test_templates_read_only(self):
+        arrays = _two_entries()
+        memory = MemoryState(*arrays, 9)
+        for given, name in zip(arrays, ("templates", "fill", "ttl", "entry_id")):
+            stored = getattr(memory, name)
+            assert not np.shares_memory(stored, given)
+            with pytest.raises(ValueError):
+                stored[0] = 5
+        arrays[0][1, 0, 0] = 5.0
+        assert memory.templates[1, 0, 0] == 0.6
+
+    def test_read_only_input_kept(self):
+        arrays = [np.asarray(a, dtype=dtype) for a, dtype in
+                  zip(_two_entries(), (np.float64, np.intp, np.intp, np.intp))]
+        for a in arrays:
+            a.setflags(write=False)
+        memory = MemoryState(*arrays, 9)
+        assert memory.templates is arrays[0] and memory.fill is arrays[1]
+        assert memory.ttl is arrays[2] and memory.entry_id is arrays[3]
+
+    def test_step_hands_over_without_copies(self, monkeypatch):
+        memory, _ = step(MemoryState.empty(), _rows(E0, E1), McpConfig())
+        stored = []
+
+        def kept(values, dtype):
+            arr = read_only(values, dtype)
+            assert arr is values, "step must hand over read-only arrays of the stored dtype"
+            stored.append(arr)
+            return arr
+
+        read_only = counting._read_only
+        monkeypatch.setattr(counting, "_read_only", kept)
+        memory, _ = step(memory, _rows(E0), McpConfig())
+        assert len(stored) == 4 and memory.templates is stored[0]
+
+
+class TestRowViewContract:
+    """What perfbench reads through the row views until it reads the arrays."""
+
+    def test_views_share_the_validated_rows(self):
+        stream = generate_scene(
+            SimConfig(num_identities=6, num_frames=4, feature_noise_sigma=0.05, seed=2)
+        )
+        memory = MemoryState.empty()
+        for f in stream.frames:
+            assert [d.gt_id for d in f.detections] == list(f.gt_ids)
+            for k, d in enumerate(f.detections):
+                assert np.shares_memory(d.feature, f.features)
+                assert np.array_equal(d.feature, f.features[k])
+            memory, _ = step(memory, f.features, McpConfig())
+            assert len(memory.entries) == len(memory.ttl)
 
 
 class TestMcpConfig:
@@ -244,6 +333,12 @@ class TestMcpConfig:
             McpConfig(zeta=-0.1)
         with pytest.raises(DataError):
             McpConfig(zeta=float("inf"))
+
+    @pytest.mark.parametrize("field", ["ttl_max", "mem_max"])
+    @pytest.mark.parametrize("value", [2.5, True])
+    def test_rejects_non_integral_sizes(self, field, value):
+        with pytest.raises(DataError, match=f"{field} must be an integer"):
+            McpConfig(**{field: value})
 
     def test_other_fields(self):
         with pytest.raises(DataError):
@@ -311,24 +406,3 @@ class TestCountVideo:
                       max_base_similarity=0.3, seed=11)
         )
         assert count_video(stream, McpConfig()) == count_video(stream, McpConfig())
-
-
-class TestTemplateEntryValidation:
-    def test_needs_templates(self):
-        with pytest.raises(DataError):
-            TemplateEntry(0, (), 3)
-
-    def test_negative_ttl(self):
-        with pytest.raises(DataError):
-            TemplateEntry(0, (np.array([1.0]),), -1)
-
-    def test_templates_of_one_dimension(self):
-        with pytest.raises(DataError):
-            TemplateEntry(0, (np.array([1.0, 0.0]), np.array([1.0, 0.0, 0.0])), 3)
-        with pytest.raises(DataError):
-            TemplateEntry(0, np.array([1.0, 0.0]), 3)
-
-    def test_templates_read_only(self):
-        entry = TemplateEntry(0, (np.array([1.0, 0.0]),), 3)
-        with pytest.raises(ValueError):
-            entry.templates[0][0] = 5.0

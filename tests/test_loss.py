@@ -239,6 +239,11 @@ class TestRoundToPermutation:
         # both rows argmax to column 0; total mass favors (0->1, 1->0)
         assert round_to_permutation(omega).tolist() == [1, 0]
 
+    def test_nan_plan_raises(self):
+        # the diagonal argmax once passed as a permutation without a check
+        with pytest.raises(NumericalError, match="non-finite"):
+            round_to_permutation(np.array([[np.nan, 0.0], [0.0, np.nan]]))
+
 
 class TestSoftContrastiveLoss:
     def test_range_and_raw(self):
@@ -369,6 +374,11 @@ class TestLossConfigValidation:
         with pytest.raises(DataError):
             LossConfig(sinkhorn_tol=np.inf)
 
+    @pytest.mark.parametrize("iters", [2.5, True])
+    def test_iteration_budget_is_an_integer(self, iters):
+        with pytest.raises(DataError, match="sinkhorn_max_iters must be an integer"):
+            LossConfig(sinkhorn_max_iters=iters)
+
 
 def _fd_gradient(blocks, cfg, omega, h):
     s = blocks.full
@@ -456,7 +466,7 @@ class TestPseudoTrajectories:
                 assert pm.frame_prev == prev.frame_index
                 assert pm.frame_curr == curr.frame_index
                 for u, v in pm.matches:
-                    assert prev.detections[u].gt_id == curr.detections[v].gt_id
+                    assert prev.gt_ids[u] == curr.gt_ids[v]
 
     def test_every_detection_in_exactly_one_trajectory(self):
         stream = self._scene(5)

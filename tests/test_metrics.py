@@ -27,6 +27,14 @@ class TestVideoResult:
         with pytest.raises(DataError):
             VideoResult("v", 10.0, 5, -1)
 
+    @pytest.mark.parametrize("gt", [2.7, True, "3"])
+    def test_non_integral_gt_count_rejected(self, gt):
+        with pytest.raises(DataError, match="gt_count must be an integer"):
+            VideoResult("v", 10.0, gt, 4)
+
+    def test_integral_gt_count_kept(self):
+        assert VideoResult("v", 10.0, 12.0, 4).gt_count == 12
+
 
 class TestMae:
     def test_hand_value(self):

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from vicount import (
-    Detection,
     DetectionStream,
     FrameRecord,
     McpConfig,
@@ -25,7 +24,6 @@ from vicount import (
     generate_scene,
     gt_unique_count,
     hungarian,
-    normalize_feature,
     parse_stream,
     round_to_permutation,
     sinkhorn,
@@ -134,9 +132,7 @@ def _scenes(draw):
     frames = []
     for _ in range(draw(st.integers(1, 8))):
         present = rng.permutation(pool)[: draw(st.integers(0, pool))]
-        frames.append([
-            Detection((0.0, 0.0), bases[p] + noise * rng.standard_normal(dim)) for p in present
-        ])
+        frames.append(_unit_rows(bases[present] + noise * rng.standard_normal((len(present), dim))))
     cfg = McpConfig(
         zeta=draw(st.sampled_from([0.05, 0.3, 0.7, 1.5])),
         ttl_max=draw(st.integers(1, 3)),
@@ -149,9 +145,9 @@ def _scenes(draw):
 def _stream(frames) -> DetectionStream:
     return DetectionStream(
         tuple(
-            FrameRecord(k + 1, float(k), [d.coordinate for d in dets], [d.feature for d in dets],
-                        (1,) * len(dets), (0,) * len(dets))
-            for k, dets in enumerate(frames)
+            FrameRecord(k + 1, float(k), np.zeros((len(rows), 2)), rows,
+                        (1,) * len(rows), (0,) * len(rows))
+            for k, rows in enumerate(frames)
         ),
         1.0,
     )
@@ -164,19 +160,20 @@ class TestCountingProperties:
         frames, cfg = scene
         memory = MemoryState.empty()
         entries, next_id = [], 0
-        for dets in frames:
-            memory, record = step(memory, [d.feature for d in dets], cfg)
+        for rows in frames:
+            memory, record = step(memory, rows, cfg)
             entries, next_id, associations, new_ids = _reference_step(
-                entries, next_id, [d.feature for d in dets], cfg
+                entries, next_id, list(rows), cfg
             )
             assert record.associations == associations
             assert record.new_entry_ids == new_ids
             assert record.inflow == len(new_ids)
             assert memory.next_entry_id == next_id
-            assert len(memory.entries) == len(entries)
-            for got, (entry_id, templates, ttl) in zip(memory.entries, entries):
-                assert (got.entry_id, got.ttl) == (entry_id, ttl)
-                assert np.array_equal(got.templates, np.array(templates))
+            assert memory.entry_id.tolist() == [entry_id for entry_id, _, _ in entries]
+            assert memory.ttl.tolist() == [ttl for _, _, ttl in entries]
+            for k, (_, templates, _) in enumerate(entries):
+                got = memory.templates[k, : memory.fill[k]]
+                assert np.array_equal(got, np.array(templates))
 
     @_SETTINGS
     @given(_scenes())
@@ -184,7 +181,7 @@ class TestCountingProperties:
         frames, cfg = scene
         report = count_video(_stream(frames), cfg)
         assert report.total == sum(r.inflow for r in report.per_step)
-        assert report.total >= max(len(dets) for dets in frames)
+        assert report.total >= max(len(rows) for rows in frames)
 
 
 @st.composite
@@ -269,6 +266,25 @@ class TestSinkhornProperties:
         assert list(round_to_permutation(shifted.omega)) == list(perm)
         assert list(round_to_permutation(plan.omega)) == list(perm)
 
+    @_SETTINGS
+    @given(st.integers(1, 7).flatmap(lambda n: st.tuples(
+        st.permutations(range(n)),
+        arrays(np.float64, (n, n), elements=st.sampled_from([0.0, 0.25, 0.5, 1.0])),
+        st.booleans(),
+    )))
+    def test_rounding_keeps_an_argmax_permutation(self, case):
+        perm, plan, lift = case
+        if lift:
+            # every row's maximum then sits on the permutation, possibly tied
+            plan[np.arange(len(perm)), perm] = 1.0
+        got = round_to_permutation(plan)
+        greedy = plan.argmax(axis=1)
+        if len(set(greedy.tolist())) == len(plan):
+            assert got.tolist() == greedy.tolist()
+        # in every case the result carries the most plan mass of any permutation
+        best = -brute_force_assignment(-plan).total_cost
+        assert plan[np.arange(len(plan)), got].sum() == pytest.approx(best)
+
 
 # ---- simulator draws ---------------------------------------------------------
 # The simulator draws base-feature candidates as (k, D) blocks and normalizes
@@ -287,10 +303,10 @@ class TestBlockDrawProperties:
     def test_block_normalization_matches_one_row_at_a_time(self, seed, k, d, scale):
         rows = np.random.default_rng(seed).standard_normal((k, d)) * scale
         if k:
-            rows[0] = normalize_feature(rows[0])  # an already-unit row is kept as is
+            rows[0] = _unit_rows(rows[:1].copy())[0]  # an already-unit row is kept as is
         block = _unit_rows(rows.copy())
         for row, got in zip(rows, block):
-            assert normalize_feature(row).tobytes() == got.tobytes()
+            assert _unit_rows(row[None].copy())[0].tobytes() == got.tobytes()
 
     @_SETTINGS
     @given(st.integers(0, 2**32 - 1), st.integers(0, 40), st.integers(1, 130))

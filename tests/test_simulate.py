@@ -7,11 +7,9 @@ import pytest
 
 from vicount import (
     DataError,
-    Detection,
     DetectionStream,
     FrameRecord,
     SimConfig,
-    derive_weak_labels,
     generate_scene,
     gt_unique_count,
     scene_from_lifespans,
@@ -19,22 +17,34 @@ from vicount import (
 )
 
 
+def _weak_labels(prev_ids, curr_ids):
+    """Reference inflow bits of the current frame and outflow bits of the previous one."""
+    inflow = tuple(0 if g in set(prev_ids) else 1 for g in curr_ids)
+    outflow = tuple(0 if g in set(curr_ids) else 1 for g in prev_ids)
+    return inflow, outflow
+
+
 class TestDeriveWeakLabels:
+    """The simulator derives each frame's weak labels from the identities present."""
+
     def test_basic_turnover(self):
-        inflow, outflow = derive_weak_labels([1, 2, 3], [2, 3, 4])
-        assert inflow == (0, 0, 1)
-        assert outflow == (1, 0, 0)
+        # identities 0, 1, 2 in the first frame, then 1, 2, 3
+        cfg = SimConfig(num_identities=4, num_frames=2, seed=0)
+        frames = scene_from_lifespans(cfg, [[(0, 0)], [(0, 1)], [(0, 1)], [(1, 1)]]).frames
+        assert frames[1].inflow == (0, 0, 1)
+        assert frames[0].outflow == (1, 0, 0)
 
     def test_stream_boundaries(self):
-        inflow, _ = derive_weak_labels([], [5, 6])
-        assert inflow == (1, 1)
-        _, outflow = derive_weak_labels([5, 6], [])
-        assert outflow == (1, 1)
+        cfg = SimConfig(num_identities=2, num_frames=2, seed=0)
+        frames = scene_from_lifespans(cfg, [[(0, 1)], [(0, 1)]]).frames
+        assert frames[0].inflow == (1, 1)
+        assert frames[1].outflow == (1, 1)
 
     def test_no_change(self):
-        inflow, outflow = derive_weak_labels([7, 8], [8, 7])
-        assert inflow == (0, 0)
-        assert outflow == (0, 0)
+        cfg = SimConfig(num_identities=2, num_frames=2, seed=0)
+        frames = scene_from_lifespans(cfg, [[(0, 1)], [(0, 1)]]).frames
+        assert frames[1].inflow == (0, 0)
+        assert frames[0].outflow == (0, 0)
 
 
 class TestGenerateScene:
@@ -55,14 +65,11 @@ class TestGenerateScene:
             )
             frames = stream.frames
             for k, frame in enumerate(frames):
-                ids = [d.gt_id for d in frame.detections]
-                prev_ids = [d.gt_id for d in frames[k - 1].detections] if k else []
-                next_ids = (
-                    [d.gt_id for d in frames[k + 1].detections]
-                    if k + 1 < len(frames) else []
-                )
-                inflow, _ = derive_weak_labels(prev_ids, ids)
-                _, outflow = derive_weak_labels(ids, next_ids)
+                ids = frame.gt_ids
+                prev_ids = frames[k - 1].gt_ids if k else ()
+                next_ids = frames[k + 1].gt_ids if k + 1 < len(frames) else ()
+                inflow, _ = _weak_labels(prev_ids, ids)
+                _, outflow = _weak_labels(ids, next_ids)
                 assert frame.inflow == inflow
                 assert frame.outflow == outflow
 
@@ -90,8 +97,8 @@ class TestGenerateScene:
         )
         by_id = {}
         for frame in stream.frames:
-            for det in frame.detections:
-                by_id.setdefault(det.gt_id, det.feature)
+            for gt_id, feature in zip(frame.gt_ids, frame.features):
+                by_id.setdefault(gt_id, feature)
         feats = list(by_id.values())
         for i in range(len(feats)):
             for j in range(i + 1, len(feats)):
@@ -102,15 +109,14 @@ class TestGenerateScene:
             SimConfig(num_identities=5, num_frames=5, feature_noise_sigma=0.2, seed=8)
         )
         for frame in stream.frames:
-            for det in frame.detections:
-                assert np.linalg.norm(det.feature) == pytest.approx(1.0, abs=1e-9)
+            for feature in frame.features:
+                assert np.linalg.norm(feature) == pytest.approx(1.0, abs=1e-9)
 
     def test_positions_inside_scene(self):
         cfg = SimConfig(num_identities=8, num_frames=10, scene_size=(100.0, 50.0),
                         walk_step_sigma=30.0, seed=17)
         for frame in generate_scene(cfg).frames:
-            for det in frame.detections:
-                x, y = det.coordinate
+            for x, y in frame.coordinates:
                 assert 0.0 <= x <= 100.0
                 assert 0.0 <= y <= 50.0
 
@@ -119,7 +125,7 @@ class TestSceneFromLifespans:
     def test_presence_follows_intervals(self):
         cfg = SimConfig(num_identities=3, num_frames=5, seed=2)
         stream = scene_from_lifespans(cfg, [[(0, 4)], [(1, 2)], [(0, 0), (3, 4)]])
-        presence = [[d.gt_id for d in f.detections] for f in stream.frames]
+        presence = [list(f.gt_ids) for f in stream.frames]
         assert presence == [[0, 2], [0, 1], [0, 1], [0, 2], [0, 2]]
 
     def test_labels_mark_exit_and_reentry(self):
@@ -136,9 +142,9 @@ class TestSceneFromLifespans:
         cfg = SimConfig(num_identities=2, num_frames=6, seed=5)
         stream = scene_from_lifespans(cfg, [[(0, 5)], [(0, 1), (4, 5)]])
         frames = stream.frames
-        before = next(d for d in frames[0].detections if d.gt_id == 1)
-        after = next(d for d in frames[4].detections if d.gt_id == 1)
-        assert np.array_equal(before.feature, after.feature)
+        before = frames[0].features[frames[0].gt_ids.index(1)]
+        after = frames[4].features[frames[4].gt_ids.index(1)]
+        assert np.array_equal(before, after)
 
     def test_wrong_identity_count(self):
         cfg = SimConfig(num_identities=3, num_frames=5, seed=0)
@@ -166,8 +172,7 @@ class TestGtUniqueCount:
         assert gt_unique_count(stream) == 4
 
     def test_requires_ids(self):
-        det = Detection((0.0, 0.0), np.array([1.0, 0.0]))
-        frame = FrameRecord(1, 0.0, [det.coordinate], [det.feature], (1,), (1,))
+        frame = FrameRecord(1, 0.0, [(0.0, 0.0)], [[1.0, 0.0]], (1,), (1,))
         with pytest.raises(DataError, match="without gt_id"):
             gt_unique_count(DetectionStream((frame,), 1.0))
 
@@ -209,6 +214,12 @@ class TestSimConfigValidation:
     ])
     def test_rejects_non_finite_values(self, field, value):
         with pytest.raises(DataError, match=field):
+            SimConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["num_identities", "num_frames", "feature_dim"])
+    @pytest.mark.parametrize("value", [3.5, True])
+    def test_rejects_non_integral_counts(self, field, value):
+        with pytest.raises(DataError, match=f"{field} must be an integer"):
             SimConfig(**{field: value})
 
     def test_infeasible_similarity_cap(self):

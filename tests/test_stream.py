@@ -5,19 +5,13 @@ import pytest
 
 from vicount import (
     DataError,
-    Detection,
     DetectionStream,
     FrameRecord,
     SimilarityBlocks,
-    normalize_feature,
     pair_blocks,
     partition_similarity,
     shared_count,
 )
-
-
-def _det(feature, gt_id=None, xy=(0.0, 0.0)):
-    return Detection(xy, np.asarray(feature, dtype=float), gt_id=gt_id)
 
 
 def _frame(idx, feats, inflow, outflow, t=None):
@@ -25,21 +19,28 @@ def _frame(idx, feats, inflow, outflow, t=None):
     return FrameRecord(idx, (idx - 1) * 3.0 if t is None else t, coords, feats, inflow, outflow)
 
 
+def _normalized(v):
+    """v as the unit row that a frame holding it stores."""
+    return _frame(1, [v], (1,), (1,)).features[0]
+
+
 class TestNormalizeFeature:
+    """Feature rows are normalized once, where a frame is built."""
+
     def test_three_four_five(self):
-        np.testing.assert_array_equal(normalize_feature([3.0, 4.0]), [0.6, 0.8])
+        np.testing.assert_array_equal(_normalized([3.0, 4.0]), [0.6, 0.8])
 
     def test_unit_vector_unchanged(self):
         v = np.array([1.0, 0.0, 0.0])
-        np.testing.assert_array_equal(normalize_feature(v), v)
+        np.testing.assert_array_equal(_normalized(v), v)
 
     def test_zero_vector_raises(self):
         with pytest.raises(DataError, match="degenerate feature"):
-            normalize_feature([0.0, 0.0])
+            _normalized([0.0, 0.0])
 
     def test_non_finite_raises(self):
         with pytest.raises(DataError, match="degenerate feature"):
-            normalize_feature([np.nan, 1.0])
+            _normalized([np.nan, 1.0])
 
     def test_unit_norm_within_tolerance(self):
         rng = np.random.default_rng(11)
@@ -47,15 +48,15 @@ class TestNormalizeFeature:
             v = rng.uniform(-10, 10, size=rng.integers(1, 20))
             if not np.any(v):
                 continue
-            out = normalize_feature(v)
+            out = _normalized(v)
             assert abs(np.linalg.norm(out) - 1.0) <= 1e-12
 
     def test_idempotent_bitwise(self):
         rng = np.random.default_rng(12)
         for _ in range(100):
             v = rng.standard_normal(8)
-            once = normalize_feature(v)
-            twice = normalize_feature(once)
+            once = _normalized(v)
+            twice = _normalized(once)
             np.testing.assert_array_equal(once, twice)
 
 
@@ -75,23 +76,20 @@ class TestSharedCount:
 
 
 class TestDetection:
+    """frame.detections views the frame's validated rows as plain records."""
+
     def test_feature_normalized_at_construction(self):
-        d = _det([3.0, 4.0])
+        d = _frame(1, [[3.0, 4.0]], (1,), (1,)).detections[0]
         np.testing.assert_array_equal(d.feature, [0.6, 0.8])
-        assert d.dim == 2
 
     def test_feature_read_only(self):
-        d = _det([1.0, 0.0])
+        d = _frame(1, [[1.0, 0.0]], (1,), (1,)).detections[0]
         with pytest.raises(ValueError):
             d.feature[0] = 5.0
 
     def test_negative_gt_id(self):
-        with pytest.raises(DataError):
-            _det([1.0, 0.0], gt_id=-1)
-
-    def test_equality(self):
-        assert _det([3.0, 4.0], gt_id=2) == _det([0.6, 0.8], gt_id=2)
-        assert _det([1.0, 0.0]) != _det([0.0, 1.0])
+        with pytest.raises(DataError, match=r"det\[0\]: gt_id"):
+            FrameRecord(1, 0.0, [(0.0, 0.0)], [[1.0, 0.0]], (1,), (1,), [-1])
 
 
 class TestFrameRecord:
@@ -108,15 +106,38 @@ class TestFrameRecord:
             _frame(0, [], inflow=(), outflow=())
 
     def test_mixed_dims(self):
-        dets = (_det([1.0, 0.0]), _det([1.0, 0.0, 0.0]))
         with pytest.raises(DataError, match="dimension"):
-            FrameRecord(1, 0.0, np.zeros((2, 2)), [d.feature for d in dets], (1, 1), (0, 0))
+            FrameRecord(1, 0.0, np.zeros((2, 2)), [[1.0, 0.0], [1.0, 0.0, 0.0]], (1, 1), (0, 0))
+
+    def test_equal_after_normalization(self):
+        def frame(feature, gt_id):
+            return FrameRecord(1, 0.0, [(0.0, 0.0)], [feature], (1,), (1,), [gt_id])
+
+        assert frame([3.0, 4.0], 2) == frame([0.6, 0.8], 2)
+        assert frame([1.0, 0.0], 2) != frame([0.0, 1.0], 2)
+        assert frame([1.0, 0.0], 2) != frame([1.0, 0.0], 3)
+
+    @pytest.mark.parametrize("gt_id", [3.2, 3.9, True, "3", float("nan")])
+    def test_non_integral_gt_id_rejected(self, gt_id):
+        with pytest.raises(DataError, match=r"det\[0\]: gt_id must be an integer"):
+            FrameRecord(1, 0.0, [(0.0, 0.0)], [[1.0, 0.0]], (1,), (1,), [gt_id])
+
+    def test_integral_gt_ids_kept(self):
+        frame = FrameRecord(1, 0.0, np.zeros((3, 2)), np.eye(3), (1, 1, 1), (1, 1, 1),
+                            [np.int64(4), 5.0, None])
+        assert frame.gt_ids == (4, 5, None)
+        assert all(type(g) is int for g in frame.gt_ids[:2])
+
+    @pytest.mark.parametrize("index", [1.7, True, "2"])
+    def test_non_integral_frame_index_rejected(self, index):
+        with pytest.raises(DataError, match="frame_index must be an integer"):
+            FrameRecord(index, 0.0, (), (), (), ())
 
 
 class TestDetectionStream:
     def test_timestamp_spacing_enforced(self):
         f1 = _frame(1, [[1.0, 0.0]], (1,), (0,))
-        f2 = FrameRecord(2, 4.0, [(0.0, 0.0)], [_det([1.0, 0.0]).feature], (0,), (1,))
+        f2 = FrameRecord(2, 4.0, [(0.0, 0.0)], [[1.0, 0.0]], (0,), (1,))
         with pytest.raises(DataError, match="spaced"):
             DetectionStream((f1, f2), 3.0)
 
@@ -174,10 +195,7 @@ class TestPartitionSimilarity:
             for a in range(n_i):
                 for b in range(n_j):
                     expect = float(
-                        np.dot(
-                            fi.detections[blocks.perm_i[a]].feature,
-                            fj.detections[blocks.perm_j[b]].feature,
-                        )
+                        np.dot(fi.features[blocks.perm_i[a]], fj.features[blocks.perm_j[b]])
                     )
                     assert full[a, b] == pytest.approx(expect, abs=1e-12)
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from vicount import (
-    Detection,
     DetectionStream,
     FrameRecord,
     SimConfig,
@@ -33,12 +32,11 @@ class TestRoundTrip:
         assert _roundtrip(stream, tmp_path) == stream
 
     def test_without_ids(self, tmp_path):
-        det = Detection((12.5, 7.25), np.array([3.0, 4.0]) / 5.0)
-        frame = FrameRecord(1, 0.0, [det.coordinate], [det.feature], (1,), (1,))
+        frame = FrameRecord(1, 0.0, [(12.5, 7.25)], [np.array([3.0, 4.0]) / 5.0], (1,), (1,))
         stream = DetectionStream((frame,), 2.5)
         back = _roundtrip(stream, tmp_path)
         assert back == stream
-        assert back.frames[0].detections[0].gt_id is None
+        assert back.frames[0].gt_ids == (None,)
 
     def test_empty_stream(self, tmp_path):
         stream = DetectionStream((), 1.0)
@@ -53,12 +51,11 @@ class TestRoundTrip:
 
     def test_awkward_floats_survive(self, tmp_path):
         # coordinates and timestamps that do not print exactly in decimal
-        det = Detection((0.1 + 0.2, 1.0 / 3.0), np.array([1.0, 0.0]))
-        frame = FrameRecord(1, 0.0, [det.coordinate], [det.feature], (1,), (0,))
+        frame = FrameRecord(1, 0.0, [(0.1 + 0.2, 1.0 / 3.0)], [[1.0, 0.0]], (1,), (0,))
         frame2 = FrameRecord(2, 0.1, (), (), (), ())
         stream = DetectionStream((frame, frame2), 0.1)
         back = _roundtrip(stream, tmp_path)
-        assert back.frames[0].detections[0].coordinate == (0.1 + 0.2, 1.0 / 3.0)
+        assert back.frames[0].coordinates.tolist() == [[0.1 + 0.2, 1.0 / 3.0]]
         assert back == stream
 
     def test_write_is_deterministic(self, tmp_path):
@@ -188,6 +185,37 @@ class TestParseErrors:
         with pytest.raises(StreamFormatError, match=r":2: det\[0\]"):
             parse_stream(path)
 
+    @pytest.mark.parametrize("gt_id", ["3.2", "true", '"3"'])
+    def test_non_integral_id_rejected(self, tmp_path, gt_id):
+        path = _write_lines(
+            tmp_path,
+            [
+                HEADER,
+                '{"frame":1,"t":0.0,"det":[{"x":0,"y":0,"f":[1.0,0.0],"id":' + gt_id + '}],'
+                '"in":[1],"out":[1]}',
+            ],
+        )
+        with pytest.raises(StreamFormatError, match=r":2: det\[0\]: gt_id must be an integer"):
+            parse_stream(path)
+
+    @pytest.mark.parametrize("frame", ["1.7", "true"])
+    def test_non_integral_frame_rejected(self, tmp_path, frame):
+        path = _write_lines(
+            tmp_path, [HEADER, '{"frame":' + frame + ',"t":0.0,"det":[],"in":[],"out":[]}']
+        )
+        with pytest.raises(StreamFormatError, match=r":2: frame_index must be an integer"):
+            parse_stream(path)
+
+    @pytest.mark.parametrize("header, message", [
+        ('{"schema":true,"dim":2,"delta":1.0}', "unknown schema version True"),
+        ('{"schema":1.0,"dim":2,"delta":1.0}', "unknown schema version 1.0"),
+        ('{"schema":1,"dim":true,"delta":1.0}', "dim must be a non-negative integer"),
+    ])
+    def test_non_integer_header_fields_rejected(self, tmp_path, header, message):
+        path = _write_lines(tmp_path, [header])
+        with pytest.raises(StreamFormatError, match=":1: " + message):
+            parse_stream(path)
+
     def test_timestamp_spacing_enforced(self, tmp_path):
         path = _write_lines(
             tmp_path,
@@ -215,9 +243,9 @@ class TestHandWrittenFile:
         )
         stream = parse_stream(path)
         assert len(stream.frames) == 2
-        first = stream.frames[0].detections[0]
-        assert first.gt_id == 4
-        assert first.coordinate == (1.5, 2.5)
-        np.testing.assert_allclose(first.feature, [0.6, 0.8])
-        assert stream.frames[1].detections[0].gt_id is None
+        first = stream.frames[0]
+        assert first.gt_ids == (4,)
+        assert first.coordinates.tolist() == [[1.5, 2.5]]
+        np.testing.assert_allclose(first.features, [[0.6, 0.8]])
+        assert stream.frames[1].gt_ids == (None,)
         assert stream.feature_dim == 2
