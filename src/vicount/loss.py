@@ -80,13 +80,21 @@ def sinkhorn(cost, reg: float, max_iters: int = 500, tol: float = 1e-6) -> Trans
     Iterates on the dual potentials of a square cost matrix until the worst
     row or column sum of the plan is within tol of 1, or the iteration
     budget runs out (converged is False then, with the last iterate
-    returned). A few log-domain scaling sweeps open the solve. Plain sweeps
-    crawl when the plan nears a hard permutation (sharp reg relative to the
-    cost gaps), so at every size each later iteration is a damped Newton
-    step, or a burst of sweeps when the step does not reduce the violation.
-    Each Newton step solves an n-by-n Schur system by preconditioned
-    conjugate gradient without forming it, at O(n^2) per CG iteration.
-    Every sweep and every Newton step counts toward max_iters.
+    returned). A few scaling sweeps open the solve. Each sweep divides the
+    plan by its row sums and then by its column sums and moves the
+    potentials by their logs, with no exponential; the plan is re-anchored
+    as the exponential of the potentials only when a sum is zero or
+    non-finite, or when the potentials have moved far enough since the last
+    exponential that a cell which underflowed could carry mass again. Plain
+    sweeps crawl when the plan nears a hard permutation (sharp reg relative
+    to the cost gaps), so at every size each later iteration is a damped
+    Newton step, or a burst of sweeps when the step does not reduce the
+    violation. Each Newton step solves an n-by-n Schur system by
+    preconditioned conjugate gradient without forming it, at O(n^2) per CG
+    iteration. Every sweep and every Newton step counts toward max_iters.
+    Rescaling rounds differently from recomputing the plan, so when reg is
+    far below the cost range an iteration count can differ by rounding from
+    a solver that re-exponentiates every sweep.
     """
     arr = np.asarray(cost, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -106,30 +114,72 @@ def sinkhorn(cost, reg: float, max_iters: int = 500, tol: float = 1e-6) -> Trans
     f = np.zeros(n)
     g = np.zeros(n)
     iters = 0
-    # Negative costs under a small reg overflow here; an infinite entry makes
-    # the violation inf, so the opening log-domain sweeps take over.
+    # Negative costs under a small reg overflow here; an infinite row sum
+    # sends the first sweep to the log domain.
     with np.errstate(over="ignore"):
         plan = np.exp(mr)
+    spare = np.empty_like(plan)
+    drift = 0.0
     err = _plan_violation(plan)
     while not err < tol and iters < max_iters:
         sweeps = 1
         if iters >= 5:
-            accepted = _dual_newton_step(mr, plan, err, f, g)
+            accepted = _dual_newton_step(mr, plan, err, f, g, spare)
             iters += 1
             if accepted is not None:
-                plan, err = accepted
+                spare, (plan, err) = plan, accepted
+                drift = 0.0
                 continue
             sweeps = min(20, max_iters - iters)
         for _ in range(sweeps):
-            f = -_logsumexp(mr + g[None, :], axis=1)
-            g = -_logsumexp(mr + f[:, None], axis=0)
+            drift = _sweep(mr, plan, f, g, drift)
         iters += sweeps
-        plan = np.exp(mr + f[:, None] + g[None, :])
         err = _plan_violation(plan)
+    plan.setflags(write=False)
     return TransportPlan(plan, err < tol, iters)
 
 
-def _dual_newton_step(mr, plan, err, f, g):
+# A cell that underflowed at the last exponential stays below
+# 2.2e-308 * e^100, about 6e-265, until some cell's log has moved this far.
+_REANCHOR_DRIFT = 100.0
+
+
+def _exp_plan(mr, f, g, out):
+    """exp(mr + f[:, None] + g[None, :]) written into out, which is returned."""
+    np.add(mr, f[:, None], out=out)
+    out += g[None, :]
+    return np.exp(out, out=out)
+
+
+def _sweep(mr, plan, f, g, drift):
+    """One scaling sweep, rows then columns, on plan, f and g in place.
+
+    Dividing the plan by its row sums r and setting f -= log(r) is the
+    log-domain update f = -LSE_j(mr + g) without an exponential, and the
+    same holds for the columns. drift bounds how far any cell's log has
+    moved since the plan was last exponentiated; it is returned updated.
+    When a sum is zero or non-finite, or the drift would pass
+    _REANCHOR_DRIFT, that half is taken in the log domain instead and the
+    plan re-anchored as the exponential of the potentials, so no cell stays
+    stuck at an underflowed 0, and the drift restarts at 0.
+    """
+    for pot, other, axis in ((f, g, 1), (g, f, 0)):
+        sums = plan.sum(axis=axis)
+        with np.errstate(divide="ignore"):
+            logs = np.log(sums)
+        shift = float(np.max(np.abs(logs)))
+        if drift + shift <= _REANCHOR_DRIFT:
+            pot -= logs
+            plan /= np.expand_dims(sums, axis)
+            drift += shift
+        else:
+            pot[:] = -_logsumexp(mr + np.expand_dims(other, 1 - axis), axis=axis)
+            _exp_plan(mr, f, g, plan)
+            drift = 0.0
+    return drift
+
+
+def _dual_newton_step(mr, plan, err, f, g, out):
     """One damped Newton step on the dual potentials, in place.
 
     The dual is concave with gradient (1 - r, 1 - c) and Hessian
@@ -139,9 +189,9 @@ def _dual_newton_step(mr, plan, err, f, g):
     step, solved by Jacobi-preconditioned conjugate gradient without forming
     the matrix, at O(n^2) per CG iteration. The system is singular along the
     constant vector but consistent, which CG tolerates. Backtracks until the
-    marginal violation strictly decreases and returns the accepted trial
-    plan with its violation, which is the plan of the updated potentials;
-    returns None when no step length manages that.
+    marginal violation strictly decreases, writing each trial plan into
+    out, and returns out with its violation, which is the plan of the
+    updated potentials; returns None when no step length manages that.
     """
     r = plan.sum(axis=1)
     c = plan.sum(axis=0)
@@ -172,7 +222,7 @@ def _dual_newton_step(mr, plan, err, f, g):
         f_try = f + step * dx
         g_try = g + step * dy
         with np.errstate(over="ignore"):
-            trial = np.exp(mr + f_try[:, None] + g_try[None, :])
+            trial = _exp_plan(mr, f_try, g_try, out)
         trial_err = _plan_violation(trial) if np.all(np.isfinite(trial)) else np.inf
         if trial_err < err:
             f[:] = f_try
@@ -203,7 +253,9 @@ def _contrastive_parts(s: np.ndarray, m: int, scale: float):
     """Shifted exponentials with their marginal sums and the m-by-m contrast matrix.
 
     The global shift cancels in every ratio downstream, so overflow is
-    avoided without changing any result.
+    avoided without changing any result. A shared entry whose whole row and
+    column underflow under the shift has no defined contrast and raises
+    NumericalError.
     """
     z = scale * s
     e = np.exp(z - np.max(z))
@@ -211,6 +263,12 @@ def _contrastive_parts(s: np.ndarray, m: int, scale: float):
     col = e.sum(axis=0)
     e0 = e[:m, :m]
     denom = row[:m, None] + col[None, :m] - e0
+    if not np.all(denom > 0):
+        i, j = np.unravel_index(np.argmin(denom), denom.shape)
+        raise NumericalError(
+            f"contrastive similarity underflows at temperature {scale:g}: "
+            f"shared row {i} and column {j} have no mass left"
+        )
     return e, row, col, e0, denom, e0 / denom
 
 

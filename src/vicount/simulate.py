@@ -179,7 +179,7 @@ def _assemble(cfg: SimConfig, spans, bases: np.ndarray, rng) -> DetectionStream:
         features = bases[ids]
         if cfg.feature_noise_sigma > 0:
             features = features + rng.normal(0, cfg.feature_noise_sigma, size=features.shape)
-        inflow, outflow = ~present[ids, k], ~present[ids, k + 2]
+        inflow, outflow = (~present[ids, k]).astype(int), (~present[ids, k + 2]).astype(int)
         frames.append(FrameRecord(k + 1, k * cfg.delta, walk[at[ids, k + 1]], features,
                                   inflow, outflow, ids.tolist()))
     return DetectionStream(tuple(frames), cfg.delta)

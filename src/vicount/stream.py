@@ -108,12 +108,21 @@ def _feature_rows(values, copy: bool = False) -> np.ndarray:
 
 
 def _as_bits(values, n: int, name: str) -> tuple[int, ...]:
-    bits = np.asarray(values)
-    if bits.shape != (n,):
-        raise DataError(f"{name} has {bits.size} entries for {n} detections")
-    if not ((bits == 0) | (bits == 1)).all():
+    """values as n ints, each 0 or 1; a bool, float or non-number raises DataError."""
+    # object dtype keeps each entry's own type, which an int array would hide
+    arr = np.asarray(values, dtype=object)
+    if arr.shape != (n,):
+        got = f"{arr.size} entries" if arr.ndim == 1 else f"shape {arr.shape}"
+        raise DataError(f"{name} has {got} for {n} detections")
+    bits = arr.tolist()
+    if set(map(type, bits)) - {int}:
+        for k, b in enumerate(bits):
+            if isinstance(b, (bool, np.bool_)) or not isinstance(b, (int, np.integer)):
+                raise DataError(f"{name}[{k}] must be an integer 0 or 1, got {b!r}")
+        bits = [int(b) for b in bits]
+    if not set(bits) <= {0, 1}:
         raise DataError(f"{name} entries must be 0 or 1")
-    return tuple(bits.astype(np.int64).tolist())
+    return tuple(bits)
 
 
 def _as_int(value, what: str, least: int) -> int:

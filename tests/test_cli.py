@@ -1,6 +1,8 @@
 """End-to-end command line tests driven through main()."""
 
+import hashlib
 import json
+import warnings
 
 import pytest
 
@@ -192,6 +194,40 @@ class TestExitCodes:
         assert rc == 2
         assert f"{path}:2: det[0]: gt_id must be an integer, got 3.2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bits, message", [
+        ('"in":[true,1],"out":[1,1]', "inflow[0] must be an integer 0 or 1, got True"),
+        ('"in":[1,1],"out":[1,1.0]', "outflow[1] must be an integer 0 or 1, got 1.0"),
+        ('"in":[1,true],"out":[1,1]', "inflow[1] must be an integer 0 or 1, got True"),
+    ])
+    def test_non_integer_bit_is_two_with_line(self, tmp_path, capsys, bits, message):
+        path = tmp_path / "bits.jsonl"
+        path.write_text(
+            '{"schema":1,"dim":2,"delta":1.0}\n'
+            '{"frame":1,"t":0.0,"det":[{"x":0,"y":0,"f":[1.0,0.0]},'
+            '{"x":0,"y":0,"f":[0.0,1.0]}],' + bits + '}\n'
+        )
+        rc = main(["count", "--in", str(path)])
+        assert rc == 2
+        assert f"{path}:2: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["loss", "pseudo"])
+    def test_underflowing_contrast_is_three(self, tmp_path, capsys, command):
+        # at this temperature a whole shared row and column of the first
+        # pair underflow under the global shift
+        stream_path = tmp_path / "noisy.jsonl"
+        assert main(["simulate", "--identities", "30", "--frames", "3",
+                     "--noise-sigma", "0.1", "--seed", "1", "--out", str(stream_path)]) == 0
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main([command, "--in", str(stream_path), "--gamma-scale", "3000"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(
+            "vicount: numerical error: contrastive similarity underflows at temperature 3000"
+        )
+
     def test_non_integral_gt_count_is_two(self, tmp_path, capsys):
         report = tmp_path / "r.json"
         report.write_text(json.dumps({"video": "v", "frames": 3, "total": 2}))
@@ -206,6 +242,28 @@ class TestExitCodes:
         rc = main(["count", "--in", str(stream_path), "--zeta", "-1"])
         assert rc == 2
         assert "zeta" in capsys.readouterr().err
+
+
+class TestGoldenTransport:
+    """loss stdout and pseudo files pinned by sha256, so any change to a solved plan shows."""
+
+    @pytest.mark.parametrize("seed, loss_digest, pseudo_digest", [
+        (0, "af82c175f8868349f2945778f302476dd8b1cbef2d9f8c965de70d4dcc2c9b9b",
+         "ab4a712ffe801ced8c757831a825cf10b317e53631521067a6589a4c0c9e3b8d"),
+        (1, "3aad97e0c2094c4499d80651b8ed682ac7bb64f3f2606ef621ab9e8ae568bdb8",
+         "7ea6b33ea410bee3bba0a235d300b9587031c256c638e8cbfcc5bfa02521bdc5"),
+    ])
+    def test_noisy_stream(self, tmp_path, capsys, seed, loss_digest, pseudo_digest):
+        stream_path = tmp_path / "noisy.jsonl"
+        pseudo_path = tmp_path / "pseudo.jsonl"
+        assert main(["simulate", "--identities", "300", "--frames", "5",
+                     "--noise-sigma", "0.1", "--seed", str(seed), "--out", str(stream_path)]) == 0
+        capsys.readouterr()
+        assert main(["loss", "--in", str(stream_path)]) == 0
+        loss_out = capsys.readouterr().out
+        assert hashlib.sha256(loss_out.encode()).hexdigest() == loss_digest
+        assert main(["pseudo", "--in", str(stream_path), "--out", str(pseudo_path)]) == 0
+        assert hashlib.sha256(pseudo_path.read_bytes()).hexdigest() == pseudo_digest
 
 
 class TestNoViews:

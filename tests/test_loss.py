@@ -27,7 +27,9 @@ from vicount import (
     soft_contrastive_loss,
     supervised_contrastive_loss,
 )
-from vicount.loss import _dual_newton_step
+import vicount.loss as loss_module
+from vicount.loss import _dual_newton_step, _logsumexp, _sweep
+from vicount.stream import _read_only
 
 
 def _contrastive_oracle(s, m, scale):
@@ -84,6 +86,17 @@ class TestContrastiveSimilarity:
         blocks = SimilarityBlocks(np.array([[1.0, -1.0], [-1.0, 1.0]]), 2)
         c = contrastive_similarity(blocks, 400.0)
         assert np.all(np.isfinite(c))
+
+    def test_underflowing_row_and_column_raise(self):
+        # at scale 1000 every entry but the last underflows under the shift,
+        # so shared row 0 and column 0 have nothing left to normalize by
+        blocks = SimilarityBlocks(np.array([[0.0, 0.0], [0.0, 1.0]]), 1)
+        with warnings.catch_warnings(), np.errstate(divide="raise", invalid="raise"):
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="underflows at temperature 1000"):
+                contrastive_similarity(blocks, 1000.0)
+            with pytest.raises(NumericalError, match="underflows at temperature 1000"):
+                loss_gradient(blocks, np.ones((1, 1)), LossConfig(temperature=1000.0))
 
 
 class TestSinkhorn:
@@ -170,12 +183,130 @@ class TestSinkhorn:
             assert plan.converged
             assert plan.iterations_used < 50
 
+    def test_sweeps_rescale_without_exp(self, monkeypatch):
+        # the CLI regime at m >= 400: one exp of the whole plan at the start
+        # and one per Newton trial, none in a sweep
+        stream = generate_scene(
+            SimConfig(num_identities=900, num_frames=2, feature_dim=64,
+                      feature_noise_sigma=0.1, seed=0)
+        )
+        (blocks,) = pair_blocks(stream)
+        cost = 1.0 - contrastive_similarity(blocks, LossConfig().temperature)
+        m = blocks.m
+        assert m >= 400
+        full_exps = []
+        real_exp = np.exp
+
+        def exp(x, *args, **kwargs):
+            full_exps.append(np.shape(x) == (m, m))
+            return real_exp(x, *args, **kwargs)
+
+        def counted(fn, log):
+            def wrapper(*args):
+                before = sum(full_exps)
+                out = fn(*args)
+                log.append(sum(full_exps) - before)
+                return out
+            return wrapper
+
+        in_sweeps, in_steps = [], []
+        monkeypatch.setattr(np, "exp", exp)
+        monkeypatch.setattr(loss_module, "_sweep", counted(_sweep, in_sweeps))
+        monkeypatch.setattr(loss_module, "_dual_newton_step",
+                            counted(_dual_newton_step, in_steps))
+        plan = sinkhorn(cost, LossConfig().sinkhorn_reg)
+        assert plan.converged
+        assert len(in_sweeps) == 5 and not any(in_sweeps)
+        assert in_steps and all(1 <= k <= 30 for k in in_steps)
+        assert sum(full_exps) == 1 + sum(in_steps)
+
+    def test_plan_is_handed_over_read_only(self, monkeypatch):
+        # a read-only plan is kept by TransportPlan, so it is never copied
+        writeable = []
+
+        def record(values, dtype):
+            writeable.append(values.flags.writeable)
+            return _read_only(values, dtype)
+
+        monkeypatch.setattr(loss_module, "_read_only", record)
+        plan = sinkhorn(np.random.default_rng(37).uniform(0, 1, (9, 9)), reg=0.05)
+        assert writeable == [False]
+        assert not plan.omega.flags.writeable
+
+    def test_underflowed_column_reanchors(self, monkeypatch):
+        # exp(-10 / 0.01) underflows, so the starting plan has an all-zero
+        # column; the sweep goes back to the log domain for it
+        cost = np.random.default_rng(38).uniform(0, 1, (6, 6))
+        cost[:, 2] = 10.0
+        lse_calls = []
+        monkeypatch.setattr(loss_module, "_logsumexp",
+                            lambda x, axis: lse_calls.append(axis) or _logsumexp(x, axis))
+        with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise"):
+            warnings.simplefilter("error")
+            plan = sinkhorn(cost, 0.01)
+        assert lse_calls
+        assert plan.converged
+        np.testing.assert_allclose(plan.omega.sum(axis=0), np.ones(6), atol=1e-6)
+        assert plan.omega[:, 2].sum() == pytest.approx(1.0, abs=1e-6)
+        assert _sweep_gap(cost, 0.01) <= 1e-12
+
+    def test_far_moved_potentials_reanchor(self, monkeypatch):
+        # no sum is zero here, but row 1 of the starting plan holds only
+        # e^-740, a subnormal with a few bits, beside e^-750, which underflowed
+        # to 0; rescaling by it would move the potentials by 740, past the
+        # re-anchor bound, so that half is taken in the log domain
+        cost = np.array([[0.0, 1.0], [0.75, 0.74]])
+        lse_calls = []
+        monkeypatch.setattr(loss_module, "_logsumexp",
+                            lambda x, axis: lse_calls.append(axis) or _logsumexp(x, axis))
+        assert _sweep_gap(cost, 1e-3) <= 1e-12
+        assert lse_calls
+
+    @pytest.mark.parametrize("reg", [1e-3, 1e-2, 0.05])
+    def test_sweeps_match_log_domain_reference(self, reg):
+        rng = np.random.default_rng(39)
+        for n in range(1, 41):
+            for low in (-1.0, 0.0):
+                cost = rng.uniform(low, 1.0, (n, n))
+                assert _sweep_gap(cost, reg) <= 1e-12, f"n={n} reg={reg} low={low}"
+
     def test_deterministic(self):
         cost = np.random.default_rng(34).uniform(0, 1, (7, 7))
         p1 = sinkhorn(cost, reg=0.02)
         p2 = sinkhorn(cost.copy(), reg=0.02)
         np.testing.assert_array_equal(p1.omega, p2.omega)
         assert p1.iterations_used == p2.iterations_used
+
+
+def _log_domain_sweeps(cost, reg, sweeps):
+    """Potentials after sweeps of the log-domain scaling update from zero."""
+    mr = -np.asarray(cost, dtype=np.float64) / reg
+    f = np.zeros(len(mr))
+    g = np.zeros(len(mr))
+    for _ in range(sweeps):
+        f = -_logsumexp(mr + g[None, :], axis=1)
+        g = -_logsumexp(mr + f[:, None], axis=0)
+    return f, g
+
+
+def _sweep_gap(cost, reg, sweeps=5):
+    """Largest gap between the solver's sweeps and the log-domain reference.
+
+    Both start from zero potentials, the solver's from the plan
+    exp(-cost / reg); the gap is relative to the largest reference potential
+    (or 1), the scale at which their rounding differs.
+    """
+    mr = -np.asarray(cost, dtype=np.float64) / reg
+    with np.errstate(over="ignore"):
+        plan = np.exp(mr)
+    f = np.zeros(len(mr))
+    g = np.zeros(len(mr))
+    drift = 0.0
+    for _ in range(sweeps):
+        drift = _sweep(mr, plan, f, g, drift)
+    ref_f, ref_g = _log_domain_sweeps(cost, reg, sweeps)
+    scale = max(np.max(np.abs(ref_f)), np.max(np.abs(ref_g)), 1.0)
+    return max(np.max(np.abs(f - ref_f)), np.max(np.abs(g - ref_g))) / scale
 
 
 def _schur_system(plan):
@@ -194,7 +325,7 @@ class TestNewtonDirection:
         for n in range(2, 61):
             plan = rng.uniform(0.05, 1.0, (n, n)) / n * rng.uniform(0.5, 2.0)
             f, g = np.zeros(n), np.zeros(n)
-            assert _dual_newton_step(np.log(plan), plan, np.inf, f, g) is not None
+            assert _dual_newton_step(np.log(plan), plan, np.inf, f, g, np.empty_like(plan)) is not None
             schur, rhs, col = _schur_system(plan)
             assert np.linalg.norm(schur @ f - rhs) <= 1e-3 * np.linalg.norm(rhs)
             oracle = np.linalg.lstsq(schur, rhs, rcond=None)[0]
@@ -210,7 +341,7 @@ class TestNewtonDirection:
         f, g = np.zeros(4), np.zeros(4)
         with warnings.catch_warnings(), np.errstate(all="raise"):
             warnings.simplefilter("error")
-            trial, err = _dual_newton_step(np.log(plan), plan, np.inf, f, g)
+            trial, err = _dual_newton_step(np.log(plan), plan, np.inf, f, g, np.empty_like(plan))
         assert err == 0.0
         np.testing.assert_array_equal(trial, plan)
         assert not np.any(f) and not np.any(g)
@@ -223,7 +354,7 @@ class TestNewtonDirection:
         f, g = np.zeros(1), np.zeros(1)
         with warnings.catch_warnings(), np.errstate(all="raise"):
             warnings.simplefilter("error")
-            _, err = _dual_newton_step(np.log(plan), plan, np.inf, f, g)
+            _, err = _dual_newton_step(np.log(plan), plan, np.inf, f, g, np.empty_like(plan))
         assert f[0] == 0.0
         assert g[0] == pytest.approx((1.0 - mass) / mass)
         assert err < mass - 1.0

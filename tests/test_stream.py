@@ -101,6 +101,31 @@ class TestFrameRecord:
         with pytest.raises(DataError, match="0 or 1"):
             _frame(1, [[1.0, 0.0]], inflow=(2,), outflow=(0,))
 
+    @pytest.mark.parametrize("bit", [True, False, np.True_, 1.0, 0.0, "1", None])
+    def test_non_integer_bits_rejected(self, bit):
+        with pytest.raises(DataError, match=r"inflow\[0\] must be an integer 0 or 1"):
+            _frame(1, [[1.0, 0.0]], inflow=[bit], outflow=(1,))
+
+    def test_bool_among_integer_bits_rejected(self):
+        # np.asarray([1, True]) is an int64 array, which would hide the bool
+        with pytest.raises(DataError, match=r"outflow\[1\] must be an integer 0 or 1, got True"):
+            _frame(1, [[1.0, 0.0], [0.0, 1.0]], inflow=(1, 1), outflow=[1, True])
+
+    @pytest.mark.parametrize("bits, got", [(1, r"shape \(\)"), ([[1]], r"shape \(1, 1\)")])
+    def test_bits_must_be_a_flat_list(self, bits, got):
+        with pytest.raises(DataError, match=f"inflow has {got} for 1 detections"):
+            _frame(1, [[1.0, 0.0]], inflow=bits, outflow=(1,))
+
+    def test_bool_array_bits_rejected(self):
+        with pytest.raises(DataError, match="got True"):
+            _frame(1, [[1.0, 0.0]], inflow=np.array([True]), outflow=(1,))
+
+    def test_integer_bits_kept(self):
+        frame = _frame(1, np.eye(3), inflow=np.array([1, 1, 1], dtype=np.uint8),
+                       outflow=[np.int64(0), 1, 0])
+        assert frame.inflow == (1, 1, 1) and frame.outflow == (0, 1, 0)
+        assert all(type(b) is int for b in frame.inflow + frame.outflow)
+
     def test_frame_index_positive(self):
         with pytest.raises(DataError, match="frame_index"):
             _frame(0, [], inflow=(), outflow=())
