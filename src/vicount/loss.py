@@ -67,11 +67,13 @@ def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
     return m + np.log(np.sum(np.exp(x - np.expand_dims(m, axis)), axis=axis))
 
 
-def _plan_violation(plan: np.ndarray) -> float:
-    return max(
-        float(np.max(np.abs(plan.sum(axis=1) - 1.0))),
-        float(np.max(np.abs(plan.sum(axis=0) - 1.0))),
-    )
+def _violation(r: np.ndarray, c: np.ndarray) -> float:
+    """Worst marginal violation of a plan with row sums r and column sums c.
+
+    It is NaN or inf whenever a cell of the plan is, since every cell is
+    non-negative and so reaches both its row and its column sum.
+    """
+    return float(np.maximum(np.max(np.abs(r - 1.0)), np.max(np.abs(c - 1.0))))
 
 
 def sinkhorn(cost, reg: float, max_iters: int = 500, tol: float = 1e-6) -> TransportPlan:
@@ -120,21 +122,24 @@ def sinkhorn(cost, reg: float, max_iters: int = 500, tol: float = 1e-6) -> Trans
         plan = np.exp(mr)
     spare = np.empty_like(plan)
     drift = 0.0
-    err = _plan_violation(plan)
+    r, c = plan.sum(axis=1), plan.sum(axis=0)
+    err = _violation(r, c)
     while not err < tol and iters < max_iters:
         sweeps = 1
         if iters >= 5:
-            accepted = _dual_newton_step(mr, plan, err, f, g, spare)
+            accepted = _dual_newton_step(mr, plan, r, c, err, f, g, spare)
             iters += 1
             if accepted is not None:
-                spare, (plan, err) = plan, accepted
+                spare, (plan, r, c, err) = plan, accepted
                 drift = 0.0
                 continue
             sweeps = min(20, max_iters - iters)
         for _ in range(sweeps):
-            drift = _sweep(mr, plan, f, g, drift)
+            drift = _sweep(mr, plan, r, f, g, drift)
+            r = plan.sum(axis=1)
         iters += sweeps
-        err = _plan_violation(plan)
+        c = plan.sum(axis=0)
+        err = _violation(r, c)
     plan.setflags(write=False)
     return TransportPlan(plan, err < tol, iters)
 
@@ -151,8 +156,10 @@ def _exp_plan(mr, f, g, out):
     return np.exp(out, out=out)
 
 
-def _sweep(mr, plan, f, g, drift):
+def _sweep(mr, plan, rows, f, g, drift):
     """One scaling sweep, rows then columns, on plan, f and g in place.
+
+    rows holds the plan's row sums, which the caller has already taken.
 
     Dividing the plan by its row sums r and setting f -= log(r) is the
     log-domain update f = -LSE_j(mr + g) without an exponential, and the
@@ -164,7 +171,7 @@ def _sweep(mr, plan, f, g, drift):
     stuck at an underflowed 0, and the drift restarts at 0.
     """
     for pot, other, axis in ((f, g, 1), (g, f, 0)):
-        sums = plan.sum(axis=axis)
+        sums = rows if axis else plan.sum(axis=0)
         with np.errstate(divide="ignore"):
             logs = np.log(sums)
         shift = float(np.max(np.abs(logs)))
@@ -179,7 +186,7 @@ def _sweep(mr, plan, f, g, drift):
     return drift
 
 
-def _dual_newton_step(mr, plan, err, f, g, out):
+def _dual_newton_step(mr, plan, r, c, err, f, g, out):
     """One damped Newton step on the dual potentials, in place.
 
     The dual is concave with gradient (1 - r, 1 - c) and Hessian
@@ -188,13 +195,14 @@ def _dual_newton_step(mr, plan, err, f, g, out):
     (diag(r) - P diag(1/c) P^T) dx = (1 - r) - P((1 - c)/c) for the row
     step, solved by Jacobi-preconditioned conjugate gradient without forming
     the matrix, at O(n^2) per CG iteration. The system is singular along the
-    constant vector but consistent, which CG tolerates. Backtracks until the
+    constant vector but consistent, which CG tolerates. r and c are the
+    row and column sums of plan and err its violation. Backtracks until the
     marginal violation strictly decreases, writing each trial plan into
-    out, and returns out with its violation, which is the plan of the
-    updated potentials; returns None when no step length manages that.
+    out, and returns out with its row sums, column sums and violation,
+    which is the plan of the updated potentials; returns None when no step
+    length manages that. A trial with a non-finite cell has a NaN or
+    infinite violation, which never decreases it.
     """
-    r = plan.sum(axis=1)
-    c = plan.sum(axis=0)
     col = c + 1e-12
     row = r + 1e-12
     res = (1.0 - r) - plan @ ((1.0 - c) / col)
@@ -223,11 +231,12 @@ def _dual_newton_step(mr, plan, err, f, g, out):
         g_try = g + step * dy
         with np.errstate(over="ignore"):
             trial = _exp_plan(mr, f_try, g_try, out)
-        trial_err = _plan_violation(trial) if np.all(np.isfinite(trial)) else np.inf
+        r_try, c_try = trial.sum(axis=1), trial.sum(axis=0)
+        trial_err = _violation(r_try, c_try)
         if trial_err < err:
             f[:] = f_try
             g[:] = g_try
-            return trial, trial_err
+            return trial, r_try, c_try, trial_err
         step *= 0.5
     return None
 

@@ -8,6 +8,7 @@ and reordering each side so that shared individuals come first partitions the
 similarity matrix into blocks that the loss functions consume.
 """
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -98,7 +99,7 @@ def _feature_rows(values, copy: bool = False) -> np.ndarray:
     """Feature rows as an (n, D) float array, a new one if copy; empty input gives (0, 0)."""
     try:
         rows = (np.array if copy else np.asarray)(values, dtype=np.float64)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise DataError(f"feature dimension mismatch or non-numeric entry: {exc}") from None
     if rows.ndim != 2:
         if rows.size:
@@ -138,6 +139,17 @@ def _as_int(value, what: str, least: int) -> int:
     return whole
 
 
+def _finite(value, what: str) -> float:
+    """value as a finite float; an infinity, a NaN or an int past float range raises DataError."""
+    try:
+        x = float(value)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise DataError(f"{what} must be finite, got {x}")
+    return x
+
+
 def _as_ids(values, n: int) -> tuple[int | None, ...]:
     ids = (None,) * n if values is None else tuple(values)
     if len(ids) != n:
@@ -153,9 +165,10 @@ class FrameRecord:
 
     coordinates is a read-only (n, 2) array of image positions and features
     a read-only (n, D) array of unit rows, all normalized in one pass at
-    construction. gt_ids holds each detection's ground-truth identity, an
-    int or None; left out, no detection has one. detections views the rows
-    as Detection records, each built when it is accessed.
+    construction. The timestamp and every coordinate must be finite, as
+    every feature row must be. gt_ids holds each detection's ground-truth
+    identity, an int or None; left out, no detection has one. detections
+    views the rows as Detection records, each built when it is accessed.
     """
 
     frame_index: int
@@ -168,12 +181,19 @@ class FrameRecord:
 
     def __post_init__(self):
         object.__setattr__(self, "frame_index", _as_int(self.frame_index, "frame_index", 1))
-        object.__setattr__(self, "timestamp", float(self.timestamp))
+        object.__setattr__(self, "timestamp", _finite(self.timestamp, "timestamp"))
         features = _unit_rows(_feature_rows(self.features, copy=True), "det")
         n = len(features)
-        coordinates = np.array(self.coordinates, dtype=np.float64).reshape(-1, 2)
+        try:
+            coordinates = np.array(self.coordinates, dtype=np.float64).reshape(-1, 2)
+        except OverflowError:
+            raise DataError("non-finite coordinate: an integer too large for a float") from None
         if coordinates.shape != (n, 2):
             raise DataError(f"coordinates have shape {coordinates.shape}, expected ({n}, 2)")
+        finite = np.isfinite(coordinates).all(axis=1)
+        if not finite.all():
+            k = int(np.argmin(finite))
+            raise DataError(f"det[{k}]: non-finite coordinate {tuple(coordinates[k].tolist())}")
         for name, arr in (("coordinates", coordinates), ("features", features)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -216,8 +236,8 @@ class DetectionStream:
     delta: float
 
     def __post_init__(self):
-        object.__setattr__(self, "delta", float(self.delta))
-        if not (self.delta > 0):
+        object.__setattr__(self, "delta", _finite(self.delta, "delta"))
+        if not self.delta > 0:
             raise DataError(f"delta must be positive, got {self.delta}")
         frames = tuple(self.frames)
         object.__setattr__(self, "frames", frames)
@@ -228,7 +248,8 @@ class DetectionStream:
                     f"frame indices must increase: {prev.frame_index} then {curr.frame_index}"
                 )
             gap = curr.timestamp - prev.timestamp
-            if abs(gap - self.delta) > tol:
+            # written so that a NaN gap fails too
+            if not abs(gap - self.delta) <= tol:
                 raise DataError(
                     f"frames {prev.frame_index}->{curr.frame_index} spaced {gap}s, expected {self.delta}s"
                 )

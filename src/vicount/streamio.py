@@ -9,6 +9,7 @@ float form), and write followed by parse reproduces the stream exactly.
 """
 
 import json
+import sys
 
 import numpy as np
 
@@ -18,25 +19,38 @@ from .stream import DetectionStream, FrameRecord
 SCHEMA_VERSION = 1
 
 
-def _dump(obj) -> str:
-    return json.dumps(obj, separators=(",", ":"), ensure_ascii=True)
-
-
 def write_stream(stream: DetectionStream, path) -> None:
-    """Write a stream to a JSON Lines file (header line plus one line per frame)."""
+    """Write a stream to a JSON Lines file (header line plus one line per frame).
+
+    Each line is assembled from the repr of its numbers, which is what
+    json.dumps prints for the finite floats and ints a stream holds. A
+    feature row whose bytes match a row earlier in the same frame or in the
+    previous frame reuses that row's text, so a noiseless scene formats
+    each identity's row about once; between frames only the row texts of
+    the frame just written are kept.
+    """
     dim = stream.feature_dim
-    header = {"schema": SCHEMA_VERSION, "dim": 0 if dim is None else dim, "delta": stream.delta}
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(_dump(header) + "\n")
+        fh.write(f'{{"schema":{SCHEMA_VERSION},"dim":{0 if dim is None else dim},'
+                 f'"delta":{stream.delta!r}}}\n')
+        previous = {}
         for frame in stream.frames:
-            rows = zip(frame.coordinates.tolist(), frame.features.tolist(), frame.gt_ids)
-            dets = [
-                {"x": x, "y": y, "f": f} if g is None else {"x": x, "y": y, "f": f, "id": g}
-                for (x, y), f, g in rows
-            ]
-            line = {"frame": frame.frame_index, "t": frame.timestamp, "det": dets,
-                    "in": list(frame.inflow), "out": list(frame.outflow)}
-            fh.write(_dump(line) + "\n")
+            features = frame.features
+            raw = features.tobytes()
+            width = features.shape[1] * features.itemsize
+            texts = {}
+            dets = []
+            for k, ((x, y), g) in enumerate(zip(frame.coordinates.tolist(), frame.gt_ids)):
+                # keyed on bytes: 0.0 and -0.0 compare equal but print differently
+                key = raw[k * width:(k + 1) * width]
+                f = texts.get(key) or previous.get(key) or ",".join(map(repr, features[k].tolist()))
+                texts[key] = f
+                tail = "" if g is None else f',"id":{g!r}'
+                dets.append(f'{{"x":{x!r},"y":{y!r},"f":[{f}]{tail}}}')
+            fh.write(f'{{"frame":{frame.frame_index!r},"t":{frame.timestamp!r},'
+                     f'"det":[{",".join(dets)}],"in":[{",".join(map(repr, frame.inflow))}],'
+                     f'"out":[{",".join(map(repr, frame.outflow))}]}}\n')
+            previous = texts
 
 
 def _fail(path, lineno: int, msg: str):
@@ -89,6 +103,8 @@ def parse_stream(path) -> DetectionStream:
     delta = _need(header, "delta", path, 1)
     if not isinstance(delta, (int, float)) or not delta > 0:
         _fail(path, 1, f"delta must be a positive number, got {delta!r}")
+    if not delta <= sys.float_info.max:
+        _fail(path, 1, f"delta must be finite, got {delta!r}")
     frames = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():

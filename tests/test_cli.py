@@ -183,6 +183,23 @@ class TestExitCodes:
         assert "data error" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("delta, t2, x, where", [
+        ("Infinity", "5.0", "0.0", ":1: delta must be finite"),
+        ("1.0", "NaN", "0.0", ":3: timestamp must be finite"),
+        ("1.0", "1e400", "0.0", ":3: timestamp must be finite"),
+        ("1.0", "1.0", "NaN", ":2: det[0]: non-finite coordinate"),
+    ])
+    def test_non_finite_value_is_two_with_line(self, tmp_path, capsys, delta, t2, x, where):
+        path = tmp_path / "nonfinite.jsonl"
+        path.write_text(
+            '{"schema":1,"dim":2,"delta":' + delta + '}\n'
+            '{"frame":1,"t":0.0,"det":[{"x":' + x + ',"y":0,"f":[1.0,0.0]}],"in":[1],"out":[0]}\n'
+            '{"frame":2,"t":' + t2 + ',"det":[{"x":0,"y":0,"f":[1.0,0.0]}],"in":[0],"out":[1]}\n'
+        )
+        rc = main(["count", "--in", str(path)])
+        assert rc == 2
+        assert f"{path}{where}" in capsys.readouterr().err
+
     def test_non_integral_id_is_two_with_line(self, tmp_path, capsys):
         path = tmp_path / "ids.jsonl"
         path.write_text(

@@ -28,7 +28,7 @@ from vicount import (
     supervised_contrastive_loss,
 )
 import vicount.loss as loss_module
-from vicount.loss import _dual_newton_step, _logsumexp, _sweep
+from vicount.loss import _dual_newton_step, _logsumexp, _sweep, _violation
 from vicount.stream import _read_only
 
 
@@ -303,7 +303,7 @@ def _sweep_gap(cost, reg, sweeps=5):
     g = np.zeros(len(mr))
     drift = 0.0
     for _ in range(sweeps):
-        drift = _sweep(mr, plan, f, g, drift)
+        drift = _sweep(mr, plan, plan.sum(axis=1), f, g, drift)
     ref_f, ref_g = _log_domain_sweeps(cost, reg, sweeps)
     scale = max(np.max(np.abs(ref_f)), np.max(np.abs(ref_g)), 1.0)
     return max(np.max(np.abs(f - ref_f)), np.max(np.abs(g - ref_g))) / scale
@@ -317,6 +317,12 @@ def _schur_system(plan):
     return schur, (1.0 - r) - plan @ ((1.0 - c) / col), col
 
 
+def _newton_step(plan, f, g):
+    """The solver's Newton step on plan, with log(plan) standing in for -cost / reg."""
+    r, c = plan.sum(axis=1), plan.sum(axis=0)
+    return _dual_newton_step(np.log(plan), plan, r, c, np.inf, f, g, np.empty_like(plan))
+
+
 class TestNewtonDirection:
     # With err = inf the full step is accepted, so the potentials, started
     # at zero, come back holding the direction itself.
@@ -325,7 +331,7 @@ class TestNewtonDirection:
         for n in range(2, 61):
             plan = rng.uniform(0.05, 1.0, (n, n)) / n * rng.uniform(0.5, 2.0)
             f, g = np.zeros(n), np.zeros(n)
-            assert _dual_newton_step(np.log(plan), plan, np.inf, f, g, np.empty_like(plan)) is not None
+            assert _newton_step(plan, f, g) is not None
             schur, rhs, col = _schur_system(plan)
             assert np.linalg.norm(schur @ f - rhs) <= 1e-3 * np.linalg.norm(rhs)
             oracle = np.linalg.lstsq(schur, rhs, rcond=None)[0]
@@ -341,9 +347,11 @@ class TestNewtonDirection:
         f, g = np.zeros(4), np.zeros(4)
         with warnings.catch_warnings(), np.errstate(all="raise"):
             warnings.simplefilter("error")
-            trial, err = _dual_newton_step(np.log(plan), plan, np.inf, f, g, np.empty_like(plan))
+            trial, r, c, err = _newton_step(plan, f, g)
         assert err == 0.0
         np.testing.assert_array_equal(trial, plan)
+        np.testing.assert_array_equal(r, trial.sum(axis=1))
+        np.testing.assert_array_equal(c, trial.sum(axis=0))
         assert not np.any(f) and not np.any(g)
 
     def test_vanishing_preconditioner_diagonal_is_floored(self):
@@ -354,10 +362,17 @@ class TestNewtonDirection:
         f, g = np.zeros(1), np.zeros(1)
         with warnings.catch_warnings(), np.errstate(all="raise"):
             warnings.simplefilter("error")
-            _, err = _dual_newton_step(np.log(plan), plan, np.inf, f, g, np.empty_like(plan))
+            *_, err = _newton_step(plan, f, g)
         assert f[0] == 0.0
         assert g[0] == pytest.approx((1.0 - mass) / mass)
         assert err < mass - 1.0
+
+    def test_non_finite_trial_never_decreases_the_violation(self):
+        # the backtracking relies on this instead of testing each trial for finiteness
+        for bad in (np.inf, np.nan):
+            plan = np.full((3, 3), 1.0 / 3.0)
+            plan[1, 2] = bad
+            assert not _violation(plan.sum(axis=1), plan.sum(axis=0)) < np.finfo(float).max
 
 
 class TestRoundToPermutation:

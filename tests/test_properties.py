@@ -3,6 +3,7 @@ the counting step against a nested-loop reference of the template memory,
 counts under renumbered ground-truth ids, transport marginals at convergence,
 and stream files through write and parse."""
 
+import json
 import math
 import tempfile
 from pathlib import Path
@@ -325,26 +326,71 @@ class TestBlockDrawProperties:
 _COORDINATES = st.floats(allow_nan=False, allow_infinity=False)
 
 
+def _feature_row(draw, rng, dim, scale, earlier):
+    """One raw feature row: fresh, with a signed zero, or an earlier row of the stream.
+
+    A copied row is either exact or has the sign of each of its zeros
+    flipped, so it differs from the row it copies in nothing else.
+    """
+    kind = draw(st.sampled_from(("fresh", "signed zero", "copy", "copy, zero signs flipped")))
+    if kind.startswith("copy") and earlier:
+        row = earlier[draw(st.integers(0, len(earlier) - 1))].copy()
+        if kind.endswith("flipped"):
+            row[row == 0.0] *= -1.0
+        return row
+    row = rng.standard_normal(dim) * scale
+    if kind == "signed zero" and dim > 1:
+        row[draw(st.integers(0, dim - 1))] = draw(st.sampled_from((0.0, -0.0)))
+    return row
+
+
 @st.composite
 def _streams(draw):
-    """Streams of random dimension with empty frames, partial ids and awkward floats."""
+    """Streams of random dimension with empty frames, partial ids and awkward floats.
+
+    Feature rows repeat the bytes of a row earlier in the same frame, in the
+    previous frame or further back, or differ from one only in the sign of
+    a zero, as well as being drawn fresh.
+    """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     dim = draw(st.integers(1, 5))
     delta = draw(st.floats(0.01, 100.0))
     start = draw(st.floats(-1e3, 1e3))
     index = draw(st.integers(1, 5))
     frames = []
+    earlier = []
     for k in range(draw(st.integers(0, 5))):
         n = draw(st.integers(0, 4))
         coordinates = draw(st.lists(st.tuples(_COORDINATES, _COORDINATES), min_size=n, max_size=n))
         ids = draw(st.lists(st.none() | st.integers(0, 10**12), min_size=n, max_size=n))
         inflow = [1] * n if k == 0 else rng.integers(0, 2, size=n).tolist()
         outflow = rng.integers(0, 2, size=n).tolist()
-        features = rng.standard_normal((n, dim)) * draw(st.sampled_from([1e-3, 1.0, 1e3]))
-        frames.append(FrameRecord(index, start + k * delta, coordinates, features,
-                                  inflow, outflow, ids))
+        scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+        features = [_feature_row(draw, rng, dim, scale, earlier) for _ in range(n)]
+        earlier += features
+        frames.append(FrameRecord(index, start + k * delta, coordinates,
+                                  np.reshape(features, (n, dim)), inflow, outflow, ids))
         index += draw(st.integers(1, 3))
     return DetectionStream(tuple(frames), delta)
+
+
+def _reference_write(stream, path):
+    """Write a stream as one dict per line through json.dumps, a row at a time."""
+    def dump(obj):
+        return json.dumps(obj, separators=(",", ":"), ensure_ascii=True, allow_nan=False)
+
+    dim = stream.feature_dim
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(dump({"schema": 1, "dim": 0 if dim is None else dim, "delta": stream.delta}) + "\n")
+        for frame in stream.frames:
+            rows = zip(frame.coordinates.tolist(), frame.features.tolist(), frame.gt_ids)
+            dets = [
+                {"x": x, "y": y, "f": f} if g is None else {"x": x, "y": y, "f": f, "id": g}
+                for (x, y), f, g in rows
+            ]
+            line = {"frame": frame.frame_index, "t": frame.timestamp, "det": dets,
+                    "in": list(frame.inflow), "out": list(frame.outflow)}
+            fh.write(dump(line) + "\n")
 
 
 class TestStreamFileProperties:
@@ -358,3 +404,12 @@ class TestStreamFileProperties:
             assert back == stream
             write_stream(back, second)
             assert second.read_bytes() == first.read_bytes()
+
+    @_SETTINGS
+    @given(_streams())
+    def test_write_matches_the_reference_writer(self, stream):
+        with tempfile.TemporaryDirectory() as directory:
+            got, want = Path(directory, "got.jsonl"), Path(directory, "want.jsonl")
+            write_stream(stream, got)
+            _reference_write(stream, want)
+            assert got.read_bytes() == want.read_bytes()

@@ -284,6 +284,15 @@ class TestGoldenStreams:
             "c6b95a0acd04509f8ba1d05bf52f25a0dae3e1f1b04ec7f8937d58f77fb9ee43"
         )
 
+    def test_noiseless_reentry(self, tmp_path):
+        # 13 identities leave and come back after one frame or more, so their
+        # unchanged rows are written again after a gap
+        cfg = SimConfig(num_identities=40, num_frames=12, feature_dim=16,
+                        reentry_probability=0.5, seed=3)
+        assert self._digest(generate_scene(cfg), tmp_path) == (
+            "146995d4644e163e9eca4bf004a0071bd502056249475218c48a323c000f3132"
+        )
+
     def test_unplaceable_message(self):
         cfg = SimConfig(num_identities=40, num_frames=6, feature_dim=8,
                         max_base_similarity=0.5, seed=0)

@@ -159,7 +159,36 @@ class TestFrameRecord:
             FrameRecord(index, 0.0, (), (), (), ())
 
 
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf, 10**400])
+    def test_non_finite_timestamp_rejected(self, t):
+        with pytest.raises(DataError, match="timestamp must be finite"):
+            FrameRecord(1, t, (), (), (), ())
+
+    @pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coordinate_rejected(self, x):
+        with pytest.raises(DataError, match=r"det\[1\]: non-finite coordinate"):
+            FrameRecord(1, 0.0, [(0.0, 0.0), (5.0, x)], np.eye(2), (1, 1), (1, 1))
+
+    def test_coordinate_past_float_range_rejected(self):
+        with pytest.raises(DataError, match="non-finite coordinate"):
+            FrameRecord(1, 0.0, [(10**400, 0)], [[1.0, 0.0]], (1,), (1,))
+
+
 class TestDetectionStream:
+    @pytest.mark.parametrize("delta", [np.nan, np.inf, 10**400])
+    def test_non_finite_delta_rejected(self, delta):
+        # an infinite delta would make the spacing tolerance infinite too
+        f1 = _frame(1, [], (), ())
+        f2 = _frame(2, [], (), (), t=5.0)
+        with pytest.raises(DataError, match="delta must be finite"):
+            DetectionStream((f1, f2), delta)
+
+    def test_overflowing_gap_rejected(self):
+        f1 = _frame(1, [], (), (), t=-1e308)
+        f2 = _frame(2, [], (), (), t=1e308)
+        with pytest.raises(DataError, match="spaced inf"):
+            DetectionStream((f1, f2), 1.0)
+
     def test_timestamp_spacing_enforced(self):
         f1 = _frame(1, [[1.0, 0.0]], (1,), (0,))
         f2 = FrameRecord(2, 4.0, [(0.0, 0.0)], [[1.0, 0.0]], (0,), (1,))

@@ -1,5 +1,7 @@
 """Serialization tests: exact round trips and line-numbered failures."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -227,6 +229,54 @@ class TestParseErrors:
         )
         with pytest.raises(StreamFormatError):
             parse_stream(path)
+
+
+    @pytest.mark.parametrize("frame, message", [
+        ('{"frame":1,"t":NaN,"det":[],"in":[],"out":[]}', "timestamp must be finite, got nan"),
+        ('{"frame":1,"t":1e400,"det":[],"in":[],"out":[]}', "timestamp must be finite, got inf"),
+        ('{"frame":1,"t":0.0,"det":[{"x":NaN,"y":0,"f":[1.0,0.0]}],"in":[1],"out":[1]}',
+         r"det\[0\]: non-finite coordinate \(nan, 0.0\)"),
+        ('{"frame":1,"t":0.0,"det":[{"x":0,"y":-Infinity,"f":[1.0,0.0]}],"in":[1],"out":[1]}',
+         r"det\[0\]: non-finite coordinate \(0.0, -inf\)"),
+    ])
+    def test_non_finite_frame_values_rejected(self, tmp_path, frame, message):
+        path = _write_lines(tmp_path, [HEADER, frame])
+        with pytest.raises(StreamFormatError, match=":2: " + message):
+            parse_stream(path)
+
+    @pytest.mark.parametrize("delta", ["Infinity", "1" + "0" * 400])
+    def test_non_finite_delta_rejected(self, tmp_path, delta):
+        path = _write_lines(tmp_path, ['{"schema":1,"dim":2,"delta":' + delta + '}',
+                                       '{"frame":1,"t":0.0,"det":[],"in":[],"out":[]}',
+                                       '{"frame":2,"t":5.0,"det":[],"in":[],"out":[]}'])
+        with pytest.raises(StreamFormatError, match=":1: delta must be finite"):
+            parse_stream(path)
+
+
+def _refuse_constant(name):
+    raise AssertionError(f"the writer emitted the non-standard JSON constant {name}")
+
+
+class TestWrittenLines:
+    def test_every_line_is_standard_json(self, tmp_path):
+        # extreme but finite values, and both signs of zero
+        frame = FrameRecord(1, -0.0, [(1e308, -5e-324), (-0.0, 2.2250738585072014e-308)],
+                            [[1.0, 5e-324], [-0.0, -1.0]], (1, 1), (0, 1), [0, None])
+        edge = DetectionStream((frame, FrameRecord(2, 1.7976931348623157e308, (), (), (), ())),
+                               1.7976931348623157e308)
+        scenes = [
+            generate_scene(SimConfig(num_identities=6, num_frames=5, reentry_probability=0.5,
+                                     seed=5)),
+            generate_scene(SimConfig(num_identities=6, num_frames=5, feature_noise_sigma=0.1,
+                                     seed=5)),
+            edge,
+        ]
+        for stream in scenes:
+            path = tmp_path / "stream.jsonl"
+            write_stream(stream, path)
+            for line in path.read_text(encoding="ascii").splitlines():
+                json.loads(line, parse_constant=_refuse_constant)
+            assert parse_stream(path) == stream
 
 
 class TestHandWrittenFile:
