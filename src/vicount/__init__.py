@@ -24,6 +24,7 @@ from .errors import DataError, NumericalError, StreamFormatError
 from .loss import (
     LossConfig,
     PairMatching,
+    PairObjective,
     PseudoTrajectories,
     SoftContrastiveLoss,
     TransportPlan,
@@ -32,6 +33,7 @@ from .loss import (
     group_matching_loss,
     hinge_loss,
     loss_gradient,
+    pair_objective,
     pseudo_trajectories,
     round_to_permutation,
     sinkhorn,
@@ -71,6 +73,7 @@ __all__ = [
     "MemoryState",
     "NumericalError",
     "PairMatching",
+    "PairObjective",
     "PseudoTrajectories",
     "SimConfig",
     "SimilarityBlocks",
@@ -93,6 +96,7 @@ __all__ = [
     "mae",
     "mse",
     "pair_blocks",
+    "pair_objective",
     "parse_stream",
     "partition_similarity",
     "pseudo_trajectories",

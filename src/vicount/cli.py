@@ -18,14 +18,9 @@ import numpy as np
 
 from .counting import McpConfig, count_video
 from .errors import DataError, NumericalError
-from .loss import (
-    LossConfig,
-    frozen_plan_loss,
-    hinge_loss,
-    loss_gradient,
-    pseudo_trajectories,
-    soft_contrastive_loss,
-)
+# perfbench's tracer wraps pair_blocks, soft_contrastive_loss and hinge_loss here (ROADMAP item 1)
+from .loss import LossConfig, _adjacent_pairs, frozen_plan_loss, hinge_loss, loss_gradient
+from .loss import pair_objective, pseudo_trajectories, soft_contrastive_loss
 from .metrics import VideoResult, mae, mse, wrae
 from .simulate import SimConfig, generate_scene, gt_unique_count
 from .stream import SimilarityBlocks, pair_blocks, random_similarity_blocks
@@ -158,18 +153,16 @@ def _cmd_eval(args) -> int:
 
 def _cmd_loss(args) -> int:
     cfg = _loss_config(args)
-    stream = parse_stream(args.infile)
-    blocks_list = pair_blocks(stream)
     total = 0.0
-    for blocks, (prev, curr) in zip(blocks_list, zip(stream.frames, stream.frames[1:])):
-        sc = soft_contrastive_loss(blocks, cfg)
-        hl = hinge_loss(blocks.s3, cfg.hinge_threshold)
-        total += sc.loss + hl
+    for prev, curr, blocks in _adjacent_pairs(parse_stream(args.infile)):
+        obj = pair_objective(blocks, cfg)
+        total += obj.total
         print(
             f"pair {prev.frame_index}->{curr.frame_index}: m={blocks.m} "
-            f"scon={_fmt(sc.loss)} hinge={_fmt(hl)} "
-            f"converged={sc.plan.converged} iters={sc.plan.iterations_used}"
+            f"scon={_fmt(obj.loss)} hinge={_fmt(obj.hinge)} "
+            f"converged={obj.plan.converged} iters={obj.plan.iterations_used}"
         )
+        del obj  # else this pair's plan stays alive through the next pair's solve
     print(f"total {_fmt(total)}")
     return 0
 
@@ -177,15 +170,13 @@ def _cmd_loss(args) -> int:
 def _fd_gradient(blocks: SimilarityBlocks, cfg: LossConfig, omega, h: float) -> np.ndarray:
     base = blocks.full
     out = np.empty_like(base)
-    for p in range(base.shape[0]):
-        for q in range(base.shape[1]):
-            plus = base.copy()
-            plus[p, q] += h
-            minus = base.copy()
-            minus[p, q] -= h
-            f_plus = frozen_plan_loss(SimilarityBlocks(plus, blocks.m), omega, cfg)
-            f_minus = frozen_plan_loss(SimilarityBlocks(minus, blocks.m), omega, cfg)
-            out[p, q] = (f_plus - f_minus) / (2 * h)
+    for p, q in np.ndindex(base.shape):
+        sides = []
+        for shift in (h, -h):
+            s = base.copy()
+            s[p, q] += shift
+            sides.append(frozen_plan_loss(SimilarityBlocks(s, blocks.m), omega, cfg))
+        out[p, q] = (sides[0] - sides[1]) / (2 * h)
     return out
 
 
@@ -230,18 +221,11 @@ def _cmd_pseudo(args) -> int:
     cfg = _loss_config(args)
     stream = parse_stream(args.infile)
     result = pseudo_trajectories(stream, cfg)
-    lines = []
-    for pm in result.pairs:
-        lines.append(json.dumps(
-            {"pair": [pm.frame_prev, pm.frame_curr],
-             "matches": [list(m) for m in pm.matches]},
-            separators=(",", ":"),
-        ))
-    for t_idx, traj in enumerate(result.trajectories):
-        lines.append(json.dumps(
-            {"traj": t_idx, "steps": [list(s) for s in traj]},
-            separators=(",", ":"),
-        ))
+    records = [{"pair": [pm.frame_prev, pm.frame_curr], "matches": [list(m) for m in pm.matches]}
+               for pm in result.pairs]
+    records += [{"traj": t_idx, "steps": [list(s) for s in traj]}
+                for t_idx, traj in enumerate(result.trajectories)]
+    lines = [json.dumps(r, separators=(",", ":")) for r in records]
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
             fh.write("\n".join(lines) + ("\n" if lines else ""))

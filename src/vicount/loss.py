@@ -4,9 +4,10 @@ For an adjacent frame pair with m shared individuals, a contrastive
 similarity matrix over the shared blocks is turned into a transport cost,
 solved for a soft matching plan, and scored. Detections that enter or leave
 are pushed toward dissimilarity by a hinge penalty on the outflow-vs-inflow
-block. The total over all adjacent pairs of a stream is the group matching
-loss. An analytic gradient with the plan held fixed supports training-side
-use and is validated against finite differences.
+block. pair_objective is one pair's term, and the total over all adjacent
+pairs of a stream is the group matching loss. An analytic gradient with the
+plan held fixed supports training-side use and is validated against finite
+differences.
 """
 
 from dataclasses import dataclass
@@ -94,9 +95,6 @@ def sinkhorn(cost, reg: float, max_iters: int = 500, tol: float = 1e-6) -> Trans
     violation. Each Newton step solves an n-by-n Schur system by
     preconditioned conjugate gradient without forming it, at O(n^2) per CG
     iteration. Every sweep and every Newton step counts toward max_iters.
-    Rescaling rounds differently from recomputing the plan, so when reg is
-    far below the cost range an iteration count can differ by rounding from
-    a solver that re-exponentiates every sweep.
     """
     arr = np.asarray(cost, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -252,10 +250,8 @@ def round_to_permutation(omega) -> np.ndarray:
     arr = np.asarray(omega, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise NumericalError(f"invalid cost matrix: expected square, got {arr.shape}")
-    perm = np.empty(arr.shape[0], dtype=np.intp)
-    for i, j in hungarian(-arr).pairs:
-        perm[i] = j
-    return perm
+    # A square assignment lists its pairs in row order.
+    return np.array([j for _, j in hungarian(-arr).pairs], dtype=np.intp)
 
 
 def _contrastive_parts(s: np.ndarray, m: int, scale: float):
@@ -292,11 +288,9 @@ def contrastive_similarity(blocks: SimilarityBlocks, temperature: float) -> np.n
     """
     if not (temperature > 0 and np.isfinite(temperature)):
         raise DataError(f"temperature must be positive, got {temperature}")
-    m = blocks.m
-    if m == 0:
+    if blocks.m == 0:
         raise DataError("no shared individuals")
-    _, _, _, _, _, c = _contrastive_parts(blocks.full, m, temperature)
-    return c
+    return _contrastive_parts(blocks.full, blocks.m, temperature)[-1]
 
 
 @dataclass(frozen=True)
@@ -322,7 +316,7 @@ def soft_contrastive_loss(blocks: SimilarityBlocks, cfg: LossConfig) -> SoftCont
     if m == 0:
         empty = TransportPlan(np.zeros((0, 0)), True, 0)
         return SoftContrastiveLoss(0.0, 0.0, empty)
-    c = contrastive_similarity(blocks, cfg.temperature)
+    c = _contrastive_parts(blocks.full, m, cfg.temperature)[-1]
     plan = sinkhorn(1.0 - c, cfg.sinkhorn_reg, cfg.sinkhorn_max_iters, cfg.sinkhorn_tol)
     if not plan.converged:
         raise NumericalError(
@@ -349,7 +343,7 @@ def supervised_contrastive_loss(
         raise DataError(f"association must be a permutation of range({m})")
     if m == 0:
         return 0.0
-    c = contrastive_similarity(blocks, cfg.temperature)
+    c = _contrastive_parts(blocks.full, m, cfg.temperature)[-1]
     return -float(np.sum(c[np.arange(m), np.asarray(perm, dtype=np.intp)])) / m
 
 
@@ -361,36 +355,58 @@ def hinge_loss(s3, threshold: float) -> float:
     """
     if not (0.0 <= threshold < 1.0):
         raise DataError(f"hinge_threshold must be in [0, 1), got {threshold}")
-    arr = np.asarray(s3, dtype=np.float64)
-    if arr.size == 0:
-        return 0.0
-    return float(np.mean(np.maximum(arr - threshold, 0.0)))
+    return _hinge(np.asarray(s3, dtype=np.float64), threshold)
+
+
+def _hinge(s3: np.ndarray, threshold: float) -> float:
+    return float(np.mean(np.maximum(s3 - threshold, 0.0))) if s3.size else 0.0
+
+
+@dataclass(frozen=True)
+class PairObjective:
+    """One pair's soft contrastive loss, its hinge, their sum and the solved plan."""
+
+    loss: float
+    hinge: float
+    total: float
+    plan: TransportPlan
+
+
+def pair_objective(blocks: SimilarityBlocks, cfg: LossConfig) -> PairObjective:
+    """One adjacent pair's group matching objective: its soft contrastive loss plus
+    its hinge, added in that order here and nowhere else."""
+    sc = soft_contrastive_loss(blocks, cfg)
+    hinge = _hinge(blocks.s3, cfg.hinge_threshold)
+    return PairObjective(sc.loss, hinge, sc.loss + hinge, sc.plan)
+
+
+def _held_plan(blocks: SimilarityBlocks, omega, cfg: LossConfig):
+    """The plan as an m-by-m array, checked, with the pair's _contrastive_parts."""
+    omega = np.asarray(omega, dtype=np.float64)
+    if omega.shape != (blocks.m, blocks.m):
+        raise DataError(f"plan shape {omega.shape} does not match shared count {blocks.m}")
+    return omega, _contrastive_parts(blocks.full, blocks.m, cfg.temperature)
 
 
 def frozen_plan_loss(blocks: SimilarityBlocks, omega, cfg: LossConfig) -> float:
     """Pair loss (contrastive part plus hinge) with the transport plan held fixed.
 
-    Evaluates the same objective as soft_contrastive_loss plus hinge_loss
-    but uses the given plan instead of re-solving, which makes it the right
-    target for finite-difference checks of loss_gradient.
+    Evaluates the same sum as pair_objective but uses the given plan instead
+    of re-solving, which makes it the right target for finite-difference
+    checks of loss_gradient.
     """
-    m = blocks.m
-    hinge = hinge_loss(blocks.s3, cfg.hinge_threshold)
-    if m == 0:
+    hinge = _hinge(blocks.s3, cfg.hinge_threshold)
+    if blocks.m == 0:
         return hinge
-    arr = np.asarray(omega, dtype=np.float64)
-    if arr.shape != (m, m):
-        raise DataError(f"plan shape {arr.shape} does not match shared count {m}")
-    c = contrastive_similarity(blocks, cfg.temperature)
-    return -float(np.sum(arr * c)) / m + hinge
+    omega, parts = _held_plan(blocks, omega, cfg)
+    return -float(np.sum(omega * parts[-1])) / blocks.m + hinge
 
 
 def group_matching_loss(pairs, cfg: LossConfig) -> float:
-    """Total loss over adjacent frame pairs: soft contrastive plus hinge each."""
+    """Total of pair_objective over adjacent frame pairs, added in order."""
     total = 0.0
     for blocks in pairs:
-        total += soft_contrastive_loss(blocks, cfg).loss
-        total += hinge_loss(blocks.s3, cfg.hinge_threshold)
+        total += pair_objective(blocks, cfg).total
     return total
 
 
@@ -407,13 +423,8 @@ def loss_gradient(blocks: SimilarityBlocks, omega, cfg: LossConfig) -> np.ndarra
     m = blocks.m
     if m == 0:
         raise DataError("no shared individuals")
-    omega = np.asarray(omega, dtype=np.float64)
-    if omega.shape != (m, m):
-        raise DataError(f"plan shape {omega.shape} does not match shared count {m}")
-    s = blocks.full
-    n_i, n_j = s.shape
-    scale = cfg.temperature
-    e, _, _, e0, denom, _ = _contrastive_parts(s, m, scale)
+    omega, (e, _, _, e0, denom, _) = _held_plan(blocks, omega, cfg)
+    n_i, n_j = blocks.full.shape
     # d(-sum(omega*C))/dS splits into a direct term on the shared block and
     # competitor terms wherever an entry shares a row or column with it.
     w = omega * e0 / denom**2
@@ -424,7 +435,7 @@ def loss_gradient(blocks: SimilarityBlocks, omega, cfg: LossConfig) -> np.ndarra
     coeff[:m, :] += row_w[:, None]
     coeff[:, :m] += col_w[None, :]
     coeff[:m, :m] -= a + 2.0 * w
-    grad = scale * e * coeff / m
+    grad = cfg.temperature * e * coeff / m
     rest_i, rest_j = n_i - m, n_j - m
     if rest_i > 0 and rest_j > 0:
         grad[m:, m:] += (blocks.s3 > cfg.hinge_threshold) / (rest_i * rest_j)
@@ -453,6 +464,13 @@ class PseudoTrajectories:
     trajectories: tuple[tuple[tuple[int, int], ...], ...]
 
 
+def _adjacent_pairs(stream: DetectionStream):
+    """(prev, curr, blocks) of each adjacent frame pair, partitioned when the walk reaches it."""
+    frames = stream.frames
+    for prev, curr in zip(frames, frames[1:]):
+        yield prev, curr, partition_similarity(prev, curr)
+
+
 def pseudo_trajectories(stream: DetectionStream, cfg: LossConfig) -> PseudoTrajectories:
     """Recover hard correspondences from the soft plans of a labeled stream.
 
@@ -467,28 +485,22 @@ def pseudo_trajectories(stream: DetectionStream, cfg: LossConfig) -> PseudoTraje
     trajectories = [[(frames[0].frame_index, d)] for d in range(len(frames[0]))] if frames else []
     # owner[d] = index of the trajectory currently ending at detection d of
     # the latest processed frame.
-    owner = {d: d for d in range(len(trajectories))}
-    for prev, curr in zip(frames, frames[1:]):
-        blocks = partition_similarity(prev, curr)
+    owner = list(range(len(trajectories)))
+    for prev, curr, blocks in _adjacent_pairs(stream):
         m = blocks.m
         matches: list[tuple[int, int]] = []
         if m > 0:
             perm = round_to_permutation(soft_contrastive_loss(blocks, cfg).plan.omega)
             matches = sorted(zip(blocks.perm_i[:m].tolist(), blocks.perm_j[perm].tolist()))
-        pair_results.append(
-            PairMatching(prev.frame_index, curr.frame_index, tuple(matches))
-        )
-        next_owner: dict[int, int] = {}
-        continued = {v: u for u, v in matches}
+        pair_results.append(PairMatching(prev.frame_index, curr.frame_index, tuple(matches)))
+        continued = {v: owner[u] for u, v in matches}
+        owner = []
         for d in range(len(curr)):
-            if d in continued:
-                t = owner[continued[d]]
-            else:
-                t = len(trajectories)
+            if d not in continued:
+                continued[d] = len(trajectories)
                 trajectories.append([])
-            trajectories[t].append((curr.frame_index, d))
-            next_owner[d] = t
-        owner = next_owner
+            trajectories[continued[d]].append((curr.frame_index, d))
+            owner.append(continued[d])
     return PseudoTrajectories(
         tuple(pair_results),
         tuple(tuple(t) for t in trajectories),

@@ -101,7 +101,7 @@ def parse_stream(path) -> DetectionStream:
     if type(dim) is not int or dim < 0:
         _fail(path, 1, f"dim must be a non-negative integer, got {dim!r}")
     delta = _need(header, "delta", path, 1)
-    if not isinstance(delta, (int, float)) or not delta > 0:
+    if type(delta) not in (int, float) or not delta > 0:
         _fail(path, 1, f"delta must be a positive number, got {delta!r}")
     if not delta <= sys.float_info.max:
         _fail(path, 1, f"delta must be finite, got {delta!r}")

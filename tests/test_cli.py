@@ -3,9 +3,12 @@
 import hashlib
 import json
 import warnings
+import weakref
 
 import pytest
 
+import vicount.loss
+import vicount.stream
 from vicount import Detection, TemplateEntry
 from vicount.cli import main
 from vicount.stream import _BuiltOnAccess
@@ -87,6 +90,27 @@ class TestPipeline:
         assert lines[0].startswith("pair 1->2:")
         assert "converged=True" in lines[0]
         assert lines[-1].startswith("total ")
+
+    def test_loss_holds_at_most_one_earlier_pair(self, tmp_path, capsys, monkeypatch):
+        stream_path = _simulate(tmp_path, frames=5, extra=("--noise-sigma", "0.05"))
+        built = []
+        alive_at_build = []
+
+        def tracked(partition):
+            def wrapper(frame_i, frame_j):
+                alive_at_build.append(sum(ref() is not None for ref in built))
+                blocks = partition(frame_i, frame_j)
+                built.append(weakref.ref(blocks))
+                return blocks
+            return wrapper
+
+        # both names, so the check holds wherever the command looks the partition up
+        for module in (vicount.loss, vicount.stream):
+            monkeypatch.setattr(module, "partition_similarity",
+                                tracked(module.partition_similarity))
+        assert main(["loss", "--in", str(stream_path)]) == 0
+        assert len(built) == 4
+        assert max(alive_at_build) <= 1, alive_at_build
 
     def test_pseudo_stdout_and_file_agree(self, tmp_path, capsys):
         stream_path = _simulate(tmp_path, frames=4)
@@ -199,6 +223,18 @@ class TestExitCodes:
         rc = main(["count", "--in", str(path)])
         assert rc == 2
         assert f"{path}{where}" in capsys.readouterr().err
+
+    def test_truth_value_delta_is_two_with_line(self, tmp_path, capsys):
+        path = tmp_path / "delta.jsonl"
+        path.write_text(
+            '{"schema":1,"dim":2,"delta":true}\n'
+            '{"frame":1,"t":0.0,"det":[{"x":0,"y":0,"f":[1.0,0.0]}],"in":[1],"out":[1]}\n'
+        )
+        rc = main(["count", "--in", str(path)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{path}:1: delta must be a positive number, got True" in captured.err
 
     def test_non_integral_id_is_two_with_line(self, tmp_path, capsys):
         path = tmp_path / "ids.jsonl"

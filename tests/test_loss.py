@@ -20,14 +20,18 @@ from vicount import (
     hinge_loss,
     loss_gradient,
     pair_blocks,
+    pair_objective,
+    parse_stream,
     pseudo_trajectories,
     random_similarity_blocks,
     round_to_permutation,
     sinkhorn,
     soft_contrastive_loss,
     supervised_contrastive_loss,
+    write_stream,
 )
 import vicount.loss as loss_module
+from vicount.cli import _fmt, main
 from vicount.loss import _dual_newton_step, _logsumexp, _sweep, _violation
 from vicount.stream import _read_only
 
@@ -503,6 +507,39 @@ class TestGroupMatchingLoss:
         blocks = SimilarityBlocks(s, 0)
         cfg = LossConfig(hinge_threshold=0.2)
         assert group_matching_loss([blocks], cfg) == pytest.approx(0.3, abs=1e-12)
+
+
+class TestPairObjective:
+    def test_one_objective_for_library_cli_and_frozen_plan(self, tmp_path, capsys):
+        path = tmp_path / "scene.jsonl"
+        write_stream(generate_scene(SimConfig(num_identities=12, num_frames=5,
+                                              feature_noise_sigma=0.05, seed=3)), path)
+        cfg = LossConfig()
+        pairs = pair_blocks(parse_stream(path))
+        objectives = [pair_objective(blocks, cfg) for blocks in pairs]
+        total = 0.0
+        for obj in objectives:
+            assert obj.total == obj.loss + obj.hinge
+            total += obj.loss + obj.hinge
+        assert group_matching_loss(pairs, cfg) == total
+        assert main(["loss", "--in", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == f"total {_fmt(total)}"
+        assert any(blocks.m and blocks.s3.size for blocks in pairs)
+        for blocks, obj in zip(pairs, objectives):
+            held = frozen_plan_loss(blocks, obj.plan.omega, cfg)
+            assert held == pytest.approx(obj.loss + obj.hinge, abs=1e-12)
+
+    def test_parts_match_the_public_terms(self):
+        rng = np.random.default_rng(39)
+        cfg = LossConfig(hinge_threshold=0.1)
+        full = rng.uniform(-1.0, 1.0, size=(5, 6))
+        full[3:, 3:] = rng.uniform(0.0, 1.0, size=(2, 3))  # some outflow/inflow above 0.1
+        blocks = SimilarityBlocks(full, 3)
+        obj = pair_objective(blocks, cfg)
+        sc = soft_contrastive_loss(blocks, cfg)
+        assert obj.loss == sc.loss and obj.hinge > 0
+        assert obj.hinge == hinge_loss(blocks.s3, cfg.hinge_threshold)
+        assert np.array_equal(obj.plan.omega, sc.plan.omega)
 
 
 class TestLossConfigValidation:

@@ -212,6 +212,7 @@ class TestParseErrors:
         ('{"schema":true,"dim":2,"delta":1.0}', "unknown schema version True"),
         ('{"schema":1.0,"dim":2,"delta":1.0}', "unknown schema version 1.0"),
         ('{"schema":1,"dim":true,"delta":1.0}', "dim must be a non-negative integer"),
+        ('{"schema":1,"dim":2,"delta":true}', "delta must be a positive number, got True"),
     ])
     def test_non_integer_header_fields_rejected(self, tmp_path, header, message):
         path = _write_lines(tmp_path, [header])
