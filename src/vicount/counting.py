@@ -16,7 +16,7 @@ import numpy as np
 
 from .assignment import hungarian
 from .errors import DataError
-from .stream import Detection, DetectionStream, _as_int, _BuiltOnAccess, _feature_rows, _read_only
+from .stream import Detection, DetectionStream, _as_int, _BuiltOnAccess, _read_only, _real_rows
 
 _AGGREGATORS = ("max", "min", "mean")
 
@@ -138,7 +138,7 @@ class CountReport:
 
 def _features(features, memory: MemoryState) -> np.ndarray:
     """Feature rows as an (n, D) array, checked against the memory's dimension."""
-    rows = _feature_rows(features)
+    rows = _real_rows(features, "feature")
     dim = memory.templates.shape[2]
     if len(rows) and len(memory.ttl) and rows.shape[1] != dim:
         raise DataError(

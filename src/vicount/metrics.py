@@ -4,7 +4,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DataError
-from .stream import _as_int
+from .stream import _as_int, _finite
 
 
 @dataclass(frozen=True)
@@ -23,10 +23,8 @@ class VideoResult:
 
     def __post_init__(self):
         object.__setattr__(self, "video_id", str(self.video_id))
-        object.__setattr__(self, "length", float(self.length))
-        object.__setattr__(self, "pred_count", float(self.pred_count))
-        if not (self.length > 0):
-            raise DataError(f"length must be positive, got {self.length}")
+        object.__setattr__(self, "length", _finite(self.length, "length", positive=True))
+        object.__setattr__(self, "pred_count", _finite(self.pred_count, "pred_count"))
         object.__setattr__(self, "gt_count", _as_int(self.gt_count, "gt_count", 1))
         if not (self.pred_count >= 0):
             raise DataError(f"pred_count must be non-negative, got {self.pred_count}")

@@ -9,6 +9,7 @@ similarity matrix into blocks that the loss functions consume.
 """
 
 import math
+import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -20,15 +21,21 @@ _UNIT_NORM_TOL = 1e-12
 
 
 def _unit_rows(rows: np.ndarray, row_label: str | None = None) -> np.ndarray:
-    """Scale every row of a float (n, D) array to unit Euclidean norm in place.
+    """Scale every row of a float (n, D) array to unit Euclidean norm in place; return rows.
 
-    Rows already unit-length within tolerance are left unchanged, so the
-    operation is idempotent bit-for-bit. Returns rows. A zero or non-finite
-    row has no direction and raises DataError, naming row_label[k] when given.
+    A row already unit-length within tolerance is kept, so this is idempotent bit-for-bit.
+    A row whose squared norm is 0, subnormal or infinite is first divided by its largest
+    absolute entry. A zero or non-finite row raises DataError, naming row_label[k] if given.
     """
     finite = np.isfinite(rows).all(axis=1)
     # Batched matmul gives every row's squared norm bit-for-bit as np.dot does.
-    sq = (rows[:, None, :] @ rows[:, :, None]).reshape(-1)
+    with np.errstate(over="ignore", under="ignore"):
+        sq = (rows[:, None, :] @ rows[:, :, None]).reshape(-1)
+    off = np.flatnonzero(finite & ((sq < np.finfo(np.float64).tiny) | (sq == np.inf)))
+    if len(off):
+        # initial, the least positive float, keeps a zero row's divisor above 0
+        rows[off] /= np.abs(rows[off]).max(axis=1, keepdims=True, initial=5e-324)
+        sq[off] = (rows[off] ** 2).sum(axis=1)
     bad = ~finite | (sq == 0.0)
     if bad.any():
         k = int(np.argmax(bad))
@@ -46,14 +53,10 @@ def shared_count(outflow_i, inflow_j) -> int:
     the later frame's inflow mark individuals that were already there. Both
     counts must agree or the weak labels are contradictory.
     """
-    out_arr = np.asarray(outflow_i, dtype=np.int64)
-    in_arr = np.asarray(inflow_j, dtype=np.int64)
-    m_out = int(np.count_nonzero(out_arr == 0))
-    m_in = int(np.count_nonzero(in_arr == 0))
+    m_out = int(np.count_nonzero(np.asarray(outflow_i, dtype=np.int64) == 0))
+    m_in = int(np.count_nonzero(np.asarray(inflow_j, dtype=np.int64) == 0))
     if m_out != m_in:
-        raise DataError(
-            f"inconsistent weak labels: {m_out} staying vs {m_in} already present"
-        )
+        raise DataError(f"inconsistent weak labels: {m_out} staying vs {m_in} already present")
     return m_out
 
 
@@ -95,17 +98,41 @@ def _read_only(values, dtype) -> np.ndarray:
     return arr
 
 
-def _feature_rows(values, copy: bool = False) -> np.ndarray:
-    """Feature rows as an (n, D) float array, a new one if copy; empty input gives (0, 0)."""
+def _real(value, what: str, kind: str = "a number") -> float:
+    """value as a float, an int past float range as an infinity; a bool or non-number: DataError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise DataError(f"{what} must be {kind}, got {value!r}")
     try:
-        rows = (np.array if copy else np.asarray)(values, dtype=np.float64)
-    except (ValueError, OverflowError) as exc:
-        raise DataError(f"feature dimension mismatch or non-numeric entry: {exc}") from None
-    if rows.ndim != 2:
-        if rows.size:
-            raise DataError(f"features must form an (n, D) array, got shape {rows.shape}")
-        rows = rows.reshape(0, 0)
-    return rows
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def _real_rows(values, what: str, width: int = 0, copy: bool = False) -> np.ndarray:
+    """values as an (n, k) float array, row i for det[i], new if copy; empty gives (0, width).
+
+    Inferred with no dtype, so a string, None or int past 64 bits shows in the dtype and sends
+    every entry through _real. Of a list, entries equal to 0 or 1 (true, false) go through too.
+    """
+    def entry(index):
+        value = values
+        for i in index:
+            value = value[i]
+        return _real(value, f"det[{index[0]}]: {what} entry" if index else what)
+
+    try:
+        rows = (np.array if copy else np.asarray)(values)
+    except ValueError as exc:
+        raise DataError(f"{what} dimension mismatch or non-numeric entry: {exc}") from None
+    if rows.dtype.kind not in "iuf":
+        rows = np.array([entry(k) for k in np.ndindex(rows.shape)]).reshape(rows.shape)
+    elif rows.ndim == 2 and not isinstance(values, np.ndarray):
+        for k in zip(*np.unravel_index(np.flatnonzero((rows == 0) | (rows == 1)), rows.shape)):
+            entry(k)
+    rows = rows.astype(np.float64, copy=False)
+    if rows.ndim != 2 and rows.size:
+        raise DataError(f"{what}s must form an (n, k) array, got shape {rows.shape}")
+    return rows if rows.ndim == 2 else rows.reshape(0, width)
 
 
 def _as_bits(values, n: int, name: str) -> tuple[int, ...]:
@@ -116,14 +143,11 @@ def _as_bits(values, n: int, name: str) -> tuple[int, ...]:
         got = f"{arr.size} entries" if arr.ndim == 1 else f"shape {arr.shape}"
         raise DataError(f"{name} has {got} for {n} detections")
     bits = arr.tolist()
-    if set(map(type, bits)) - {int}:
+    if set(map(type, bits)) - {int} or not set(bits) <= {0, 1}:
         for k, b in enumerate(bits):
-            if isinstance(b, (bool, np.bool_)) or not isinstance(b, (int, np.integer)):
+            if isinstance(b, bool) or not isinstance(b, (int, np.integer)) or b not in (0, 1):
                 raise DataError(f"{name}[{k}] must be an integer 0 or 1, got {b!r}")
-        bits = [int(b) for b in bits]
-    if not set(bits) <= {0, 1}:
-        raise DataError(f"{name} entries must be 0 or 1")
-    return tuple(bits)
+    return tuple(map(int, bits))
 
 
 def _as_int(value, what: str, least: int) -> int:
@@ -139,14 +163,14 @@ def _as_int(value, what: str, least: int) -> int:
     return whole
 
 
-def _finite(value, what: str) -> float:
-    """value as a finite float; an infinity, a NaN or an int past float range raises DataError."""
-    try:
-        x = float(value)
-    except OverflowError:
-        x = math.inf
+def _finite(value, what: str, positive: bool = False) -> float:
+    """value read by _real as a finite float, above 0 if positive, else DataError."""
+    kind = "a positive number" if positive else "a number"
+    x = _real(value, what, kind)
     if not math.isfinite(x):
         raise DataError(f"{what} must be finite, got {x}")
+    if positive and not x > 0:
+        raise DataError(f"{what} must be {kind}, got {x}")
     return x
 
 
@@ -154,21 +178,19 @@ def _as_ids(values, n: int) -> tuple[int | None, ...]:
     ids = (None,) * n if values is None else tuple(values)
     if len(ids) != n:
         raise DataError(f"gt_ids has {len(ids)} entries for {n} detections")
-    return tuple(
-        None if g is None else _as_int(g, f"det[{k}]: gt_id", 0) for k, g in enumerate(ids)
-    )
+    return tuple(None if g is None else _as_int(g, f"det[{k}]: gt_id", 0)
+                 for k, g in enumerate(ids))
 
 
 @dataclass(frozen=True, eq=False)
 class FrameRecord:
     """A sampled frame held as arrays, one row per detection, with inflow/outflow bits.
 
-    coordinates is a read-only (n, 2) array of image positions and features
-    a read-only (n, D) array of unit rows, all normalized in one pass at
-    construction. The timestamp and every coordinate must be finite, as
-    every feature row must be. gt_ids holds each detection's ground-truth
-    identity, an int or None; left out, no detection has one. detections
-    views the rows as Detection records, each built when it is accessed.
+    coordinates is a read-only (n, 2) array of image positions and features a read-only
+    (n, D) array of unit rows, all normalized in one pass at construction. The timestamp,
+    coordinates and feature entries must be numbers, never bools or strings, and finite.
+    gt_ids holds each detection's ground-truth identity, an int or None; left out, no
+    detection has one. detections views the rows as Detection records, built on access.
     """
 
     frame_index: int
@@ -182,12 +204,9 @@ class FrameRecord:
     def __post_init__(self):
         object.__setattr__(self, "frame_index", _as_int(self.frame_index, "frame_index", 1))
         object.__setattr__(self, "timestamp", _finite(self.timestamp, "timestamp"))
-        features = _unit_rows(_feature_rows(self.features, copy=True), "det")
+        features = _unit_rows(_real_rows(self.features, "feature", copy=True), "det")
         n = len(features)
-        try:
-            coordinates = np.array(self.coordinates, dtype=np.float64).reshape(-1, 2)
-        except OverflowError:
-            raise DataError("non-finite coordinate: an integer too large for a float") from None
+        coordinates = _real_rows(self.coordinates, "coordinate", width=2, copy=True)
         if coordinates.shape != (n, 2):
             raise DataError(f"coordinates have shape {coordinates.shape}, expected ({n}, 2)")
         finite = np.isfinite(coordinates).all(axis=1)
@@ -228,7 +247,7 @@ class FrameRecord:
         )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class DetectionStream:
     """Frames sampled at a fixed interval, validated for internal consistency."""
 
@@ -236,23 +255,19 @@ class DetectionStream:
     delta: float
 
     def __post_init__(self):
-        object.__setattr__(self, "delta", _finite(self.delta, "delta"))
-        if not self.delta > 0:
-            raise DataError(f"delta must be positive, got {self.delta}")
+        object.__setattr__(self, "delta", _finite(self.delta, "delta", positive=True))
         frames = tuple(self.frames)
         object.__setattr__(self, "frames", frames)
         tol = 1e-9 * max(1.0, self.delta)
         for prev, curr in zip(frames, frames[1:]):
             if curr.frame_index <= prev.frame_index:
-                raise DataError(
-                    f"frame indices must increase: {prev.frame_index} then {curr.frame_index}"
-                )
+                raise DataError(f"frame indices must increase: {prev.frame_index} then "
+                                f"{curr.frame_index}")
             gap = curr.timestamp - prev.timestamp
             # written so that a NaN gap fails too
             if not abs(gap - self.delta) <= tol:
-                raise DataError(
-                    f"frames {prev.frame_index}->{curr.frame_index} spaced {gap}s, expected {self.delta}s"
-                )
+                raise DataError(f"frames {prev.frame_index}->{curr.frame_index} spaced {gap}s, "
+                                f"expected {self.delta}s")
         dims = {f.features.shape[1] for f in frames if len(f)}
         if len(dims) > 1:
             raise DataError(f"mixed feature dimensions in stream: {sorted(dims)}")
@@ -265,11 +280,6 @@ class DetectionStream:
 
     def __len__(self) -> int:
         return len(self.frames)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DetectionStream):
-            return NotImplemented
-        return self.delta == other.delta and self.frames == other.frames
 
 
 @dataclass(frozen=True, eq=False)
@@ -338,16 +348,10 @@ def partition_similarity(frame_i: FrameRecord, frame_j: FrameRecord) -> Similari
 
 def pair_blocks(stream: DetectionStream) -> list[SimilarityBlocks]:
     """Partitioned similarity blocks for every adjacent frame pair of a stream."""
-    return [
-        partition_similarity(prev, curr)
-        for prev, curr in zip(stream.frames, stream.frames[1:])
-    ]
+    return [partition_similarity(a, b) for a, b in zip(stream.frames, stream.frames[1:])]
 
 
-def random_similarity_blocks(
-    rng: np.random.Generator, n_i: int, n_j: int, m: int
-) -> SimilarityBlocks:
+def random_similarity_blocks(rng: np.random.Generator, n_i: int, n_j: int,
+                             m: int) -> SimilarityBlocks:
     """Random blocks with entries in [-1, 1], for diagnostics and gradient checks."""
-    if not (0 <= m <= min(n_i, n_j)):
-        raise DataError(f"shared count {m} out of range for ({n_i}, {n_j})")
     return SimilarityBlocks(rng.uniform(-1.0, 1.0, size=(n_i, n_j)), m)

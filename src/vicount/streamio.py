@@ -9,12 +9,9 @@ float form), and write followed by parse reproduces the stream exactly.
 """
 
 import json
-import sys
 
-import numpy as np
-
-from .errors import StreamFormatError
-from .stream import DetectionStream, FrameRecord
+from .errors import DataError, StreamFormatError
+from .stream import DetectionStream, FrameRecord, _finite
 
 SCHEMA_VERSION = 1
 
@@ -58,79 +55,77 @@ def _fail(path, lineno: int, msg: str):
 
 
 def _need(obj: dict, key: str, path, lineno: int):
-    if key not in obj:
-        _fail(path, lineno, f"missing key {key!r}")
-    return obj[key]
+    return obj[key] if key in obj else _fail(path, lineno, f"missing key {key!r}")
 
 
 def _bad_detection(raw_dets: list, dim: int) -> str | None:
-    """Describe the first detection that is not an object with x, y and dim numbers f, if any."""
+    """Describe the first detection that is not an object with x, y and a flat f of dim entries."""
     for k, raw in enumerate(raw_dets):
         if not isinstance(raw, dict) or not {"x", "y", "f"} <= raw.keys():
             return f"det[{k}] must be a JSON object with keys 'x', 'y' and 'f'"
-        try:
-            shape = np.array(raw["f"], dtype=np.float64).shape
-        except (TypeError, ValueError) as exc:
-            return f"det[{k}]: {exc}"
-        if len(shape) != 1:
+        feature = raw["f"]
+        if not isinstance(feature, list) or any(isinstance(v, (list, dict)) for v in feature):
             return f"det[{k}]: feature must be a flat list of {dim} numbers"
-        if shape[0] != dim:
-            return f"det[{k}]: feature length {shape[0]} != header dim {dim}"
+        if len(feature) != dim:
+            return f"det[{k}]: feature length {len(feature)} != header dim {dim}"
     return None
 
 
 def parse_stream(path) -> DetectionStream:
     """Parse a stream file written by write_stream, validating as it goes.
 
-    Errors carry the path and 1-based line number of the offending line.
+    Errors carry the path and 1-based line number of the offending line. The file is read
+    line by line, and a line is split again where str.splitlines also splits (form feed,
+    vertical tab, file, group or record separator), so the numbers are those of the whole text.
     """
     with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        _fail(path, 1, "empty file, expected a header line")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        _fail(path, 1, f"malformed header: {exc.msg}")
-    if not isinstance(header, dict):
-        _fail(path, 1, "header must be a JSON object")
-    schema = _need(header, "schema", path, 1)
-    if type(schema) is not int or schema != SCHEMA_VERSION:
-        _fail(path, 1, f"unknown schema version {schema!r}, expected {SCHEMA_VERSION}")
-    dim = _need(header, "dim", path, 1)
-    if type(dim) is not int or dim < 0:
-        _fail(path, 1, f"dim must be a non-negative integer, got {dim!r}")
-    delta = _need(header, "delta", path, 1)
-    if type(delta) not in (int, float) or not delta > 0:
-        _fail(path, 1, f"delta must be a positive number, got {delta!r}")
-    if not delta <= sys.float_info.max:
-        _fail(path, 1, f"delta must be finite, got {delta!r}")
-    frames = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            _fail(path, lineno, "blank line in frame section")
+        lines = enumerate((part for raw in fh for part in (
+            raw.splitlines() if any(c in raw for c in "\v\f\x1c\x1d\x1e") else [raw])), start=1)
+        lineno, header_line = next(lines, (1, None))
+        if header_line is None:
+            _fail(path, 1, "empty file, expected a header line")
         try:
-            obj = json.loads(line)
+            header = json.loads(header_line)
         except json.JSONDecodeError as exc:
-            _fail(path, lineno, f"malformed frame: {exc.msg}")
-        if not isinstance(obj, dict):
-            _fail(path, lineno, "frame must be a JSON object")
-        frame_index, timestamp, raw_dets, inflow, outflow = (
-            _need(obj, key, path, lineno) for key in ("frame", "t", "det", "in", "out")
-        )
-        if not isinstance(raw_dets, list):
-            _fail(path, lineno, "det must be a list")
+            _fail(path, 1, f"malformed header: {exc.msg}")
+        if not isinstance(header, dict):
+            _fail(path, 1, "header must be a JSON object")
+        schema = _need(header, "schema", path, 1)
+        if type(schema) is not int or schema != SCHEMA_VERSION:
+            _fail(path, 1, f"unknown schema version {schema!r}, expected {SCHEMA_VERSION}")
+        dim = _need(header, "dim", path, 1)
+        if type(dim) is not int or dim < 0:
+            _fail(path, 1, f"dim must be a non-negative integer, got {dim!r}")
+        delta = _need(header, "delta", path, 1)
         try:
-            coordinates = [(d["x"], d["y"]) for d in raw_dets]
-            features = [d["f"] for d in raw_dets]
-            ids = [d.get("id") for d in raw_dets]
-            frame = FrameRecord(frame_index, timestamp, coordinates, features, inflow, outflow, ids)
-        except (KeyError, TypeError, ValueError) as exc:
-            _fail(path, lineno, _bad_detection(raw_dets, dim) or f"{exc}")
-        if len(frame) and frame.features.shape[1] != dim:
-            _fail(path, lineno, _bad_detection(raw_dets, dim))
-        frames.append(frame)
+            delta = _finite(delta, "delta", positive=True)
+        except DataError as exc:
+            _fail(path, 1, f"{exc}")
+        frames = []
+        for lineno, line in lines:
+            if not line.strip():
+                _fail(path, lineno, "blank line in frame section")
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                _fail(path, lineno, f"malformed frame: {exc.msg}")
+            if not isinstance(obj, dict):
+                _fail(path, lineno, "frame must be a JSON object")
+            frame_index, timestamp, raw_dets, inflow, outflow = (
+                _need(obj, key, path, lineno) for key in ("frame", "t", "det", "in", "out")
+            )
+            if not isinstance(raw_dets, list):
+                _fail(path, lineno, "det must be a list")
+            try:
+                frame = FrameRecord(frame_index, timestamp, [(d["x"], d["y"]) for d in raw_dets],
+                                    [d["f"] for d in raw_dets], inflow, outflow,
+                                    [d.get("id") for d in raw_dets])
+            except (KeyError, TypeError, ValueError) as exc:
+                _fail(path, lineno, _bad_detection(raw_dets, dim) or f"{exc}")
+            if len(frame) and frame.features.shape[1] != dim:
+                _fail(path, lineno, _bad_detection(raw_dets, dim))
+            frames.append(frame)
     try:
         return DetectionStream(tuple(frames), delta)
     except (ValueError, TypeError) as exc:
-        _fail(path, len(lines), f"{exc}")
+        _fail(path, lineno, f"{exc}")

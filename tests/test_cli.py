@@ -290,6 +290,20 @@ class TestExitCodes:
         assert rc == 2
         assert "gt_count must be an integer, got 2.7" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("frames", "12", "length must be a positive number, got '12'"),
+        ("total", True, "pred_count must be a number, got True"),
+    ])
+    def test_non_number_report_field_is_two(self, tmp_path, capsys, field, value, message):
+        report = tmp_path / "r.json"
+        report.write_text(json.dumps({"video": "v", "frames": 12, "total": 3, "gt_total": 3,
+                                      field: value}))
+        rc = main(["eval", str(report)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
     def test_invalid_config_is_two(self, tmp_path, capsys):
         stream_path = _simulate(tmp_path)
         rc = main(["count", "--in", str(stream_path), "--zeta", "-1"])

@@ -310,6 +310,20 @@ class TestBlockDrawProperties:
             assert _unit_rows(row[None].copy())[0].tobytes() == got.tobytes()
 
     @_SETTINGS
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 40),
+        st.integers(1, 130),
+        st.sampled_from([1e300, -1e300, 1e-300, -1e-300]),
+    )
+    def test_rows_of_any_finite_scale_normalize(self, seed, k, d, scale):
+        # At 1e300 a row's squared norm overflows, at 1e-300 it underflows to 0.
+        row = _unit_rows(np.random.default_rng(seed).standard_normal((1, d)))[0]
+        got = _unit_rows(np.tile(row * scale, (k, 1)))
+        want = np.tile(np.copysign(1.0, scale) * row, (k, 1))
+        np.testing.assert_allclose(got, want, rtol=0, atol=4 * np.finfo(np.float64).eps)
+
+    @_SETTINGS
     @given(st.integers(0, 2**32 - 1), st.integers(0, 40), st.integers(1, 130))
     def test_block_draw_matches_row_by_row_draws(self, seed, k, d):
         block_rng = np.random.default_rng(seed)

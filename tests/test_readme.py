@@ -1,10 +1,13 @@
-"""The README's Quick start, run as written: its commands must print its output."""
+"""The README run as written: its Quick start commands must print its output, its
+Library use block must run, and its command reference must name every flag of each
+subcommand and no other."""
 
+import argparse
 import re
 import shlex
 from pathlib import Path
 
-from vicount.cli import main
+from vicount.cli import build_parser, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -28,3 +31,26 @@ def test_quick_start_prints_what_the_readme_shows(tmp_path, capsys, monkeypatch)
         assert argv[0] == "vicount"
         assert main(argv[1:]) == 0, capsys.readouterr().err
     assert capsys.readouterr().out == expected
+
+
+def test_library_use_runs(tmp_path, monkeypatch, capsys):
+    (block,) = [b for b in _fenced_blocks(_section("Library use")) if "import" in b]
+    monkeypatch.chdir(tmp_path)
+    exec(compile(block, "README.md (Library use)", "exec"), {})
+    assert "predicted" in capsys.readouterr().out
+
+
+def test_command_reference_documents_exactly_the_parser_flags():
+    reference = _section("Command line reference")
+    documented = {
+        title: set(re.findall(r"--[a-z][a-z-]*", body))
+        for title, body in re.findall(r"^### (\w+)\n(.*?)(?=^### |\Z)", reference, flags=re.M | re.S)
+    }
+    parser = build_parser()
+    (parsers,) = [a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    defined = {
+        name: {flag for action in sub._actions for flag in action.option_strings
+               if flag.startswith("--") and flag != "--help"}
+        for name, sub in parsers.items()
+    }
+    assert documented == defined

@@ -42,6 +42,13 @@ class TestNormalizeFeature:
         with pytest.raises(DataError, match="degenerate feature"):
             _normalized([np.nan, 1.0])
 
+    @pytest.mark.parametrize("v, unit", [
+        ([-1e300, 1e300], [-0.5**0.5, 0.5**0.5]),  # squared norm overflows
+        ([1e-200, 0.0], [1.0, 0.0]),  # squared norm underflows to 0
+    ])
+    def test_extreme_scales_normalize(self, v, unit):
+        np.testing.assert_allclose(_normalized(v), unit, rtol=0, atol=1e-15)
+
     def test_unit_norm_within_tolerance(self):
         rng = np.random.default_rng(11)
         for _ in range(200):

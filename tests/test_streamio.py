@@ -1,9 +1,15 @@
 """Serialization tests: exact round trips and line-numbered failures."""
 
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from vicount import (
     DetectionStream,
@@ -14,6 +20,7 @@ from vicount import (
     parse_stream,
     write_stream,
 )
+from vicount.cli import main
 
 
 def _roundtrip(stream, tmp_path):
@@ -300,3 +307,63 @@ class TestHandWrittenFile:
         np.testing.assert_allclose(first.features, [[0.6, 0.8]])
         assert stream.frames[1].gt_ids == (None,)
         assert stream.feature_dim == 2
+
+
+# ---- wrong kinds of scalar --------------------------------------------------
+# A valid two-frame stream as JSON values, one line per entry, and the place
+# of every scalar in it: (line index, path of keys, whether the field is real).
+
+_VALID = [
+    {"schema": 1, "dim": 2, "delta": 1.0},
+    {"frame": 1, "t": 0.0, "det": [{"x": 1.5, "y": 2.0, "f": [0.6, 0.8], "id": 0},
+                                   {"x": 3.0, "y": 4.5, "f": [1.0, 0.0], "id": 1}],
+     "in": [1, 1], "out": [0, 1]},
+    {"frame": 2, "t": 1.0, "det": [{"x": 1.0, "y": 2.5, "f": [0.6, 0.8], "id": 0}],
+     "in": [0], "out": [1]},
+]
+_SCALARS = [(0, ("schema",), False), (0, ("dim",), False), (0, ("delta",), True)] + [
+    place
+    for line, frame in enumerate(_VALID[1:], start=1)
+    for place in [(line, ("frame",), False), (line, ("t",), True)]
+    + [(line, (key, j), False) for key in ("in", "out") for j in range(len(frame["in"]))]
+    + [(line, ("det", j, key), real) for j in range(len(frame["det"]))
+       for key, real in (("x", True), ("y", True), ("id", False))]
+    + [(line, ("det", j, "f", i), True) for j in range(len(frame["det"])) for i in range(2)]
+]
+# JSON text spliced into the line in place of a marker, so that NaN, 1e400 and
+# a 400-digit integer reach the parser exactly as written.
+_WRONG = ["true", "false", '"0.5"', "null", "[]", "{}", "NaN", "Infinity", "1e400"]
+_HUGE = "1" + "0" * 399
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(_SCALARS), st.sampled_from(_WRONG + [_HUGE]))
+def test_a_scalar_of_the_wrong_kind_is_a_format_error(place, wrong):
+    line, keys, real = place
+    # a huge integer is a valid integer, and "id": null means no id
+    assume(real or wrong != _HUGE)
+    assume(keys[-1] != "id" or wrong != "null")
+    values = json.loads(json.dumps(_VALID))
+    target = values[line]
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = "@WRONG@"
+    lines = [json.dumps(v, separators=(",", ":")) for v in values]
+    lines[line] = lines[line].replace('"@WRONG@"', wrong)
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory, "stream.jsonl")
+        path.write_text("\n".join(lines) + "\n", encoding="ascii")
+        for argv in (["count"], ["loss"], ["pseudo", "--out", str(Path(directory, "p.jsonl"))]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                rc = main(argv + ["--in", str(path)])
+            assert rc == 2, (argv[0], lines[line], out.getvalue())
+            assert f"{path}:{line + 1}: " in err.getvalue(), err.getvalue()
+            assert "Traceback" not in err.getvalue()
+
+
+def test_the_unaltered_stream_is_valid(tmp_path, capsys):
+    path = tmp_path / "stream.jsonl"
+    path.write_text("".join(json.dumps(v) + "\n" for v in _VALID), encoding="ascii")
+    for argv in (["count"], ["loss"], ["pseudo"]):
+        assert main(argv + ["--in", str(path)]) == 0, capsys.readouterr().err
