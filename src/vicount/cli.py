@@ -141,7 +141,10 @@ def _cmd_eval(args) -> int:
         gt = gt_map.get(video, rep.get("gt_total"))
         if gt is None:
             raise DataError(f"{path}: no ground-truth count for video {video!r}")
-        results.append(VideoResult(video, rep["frames"], gt, rep["total"]))
+        try:
+            results.append(VideoResult(video, rep["frames"], gt, rep["total"]))
+        except DataError as exc:
+            raise DataError(f"{path}: {exc}") from None
     print("video\tframes\tgt\tpred")
     for r in results:
         print(f"{r.video_id}\t{_fmt(r.length)}\t{r.gt_count}\t{_fmt(r.pred_count)}")

@@ -16,7 +16,8 @@ import numpy as np
 
 from .assignment import hungarian
 from .errors import DataError
-from .stream import Detection, DetectionStream, _as_int, _BuiltOnAccess, _read_only, _real_rows
+from .stream import (Detection, DetectionStream, _as_int, _BuiltOnAccess, _read_only, _real,
+                     _real_rows)
 
 _AGGREGATORS = ("max", "min", "mean")
 
@@ -39,6 +40,7 @@ class McpConfig:
     template_aggregator: str = "max"
 
     def __post_init__(self):
+        object.__setattr__(self, "zeta", _real(self.zeta, "zeta"))
         if not (self.zeta >= 0 and np.isfinite(self.zeta)):
             raise DataError(f"zeta must be a finite non-negative number, got {self.zeta}")
         object.__setattr__(self, "ttl_max", _as_int(self.ttl_max, "ttl_max", 1))
@@ -82,9 +84,13 @@ class MemoryState:
 
     def __post_init__(self):
         try:
-            templates = _read_only(self.templates, np.float64)
+            templates = np.asarray(self.templates)
         except ValueError as exc:
             raise DataError(f"templates must form an (N, W, D) array: {exc}") from None
+        # checked before the cast, which would read strings as numbers
+        if templates.dtype.kind not in "iuf":
+            raise DataError(f"templates must be numbers, got dtype {templates.dtype}")
+        templates = _read_only(templates, np.float64)
         if templates.ndim != 3:
             raise DataError(f"templates must form an (N, W, D) array, got shape {templates.shape}")
         size, width = templates.shape[:2]

@@ -16,7 +16,8 @@ import numpy as np
 
 from .assignment import hungarian
 from .errors import DataError, NumericalError
-from .stream import DetectionStream, SimilarityBlocks, _as_int, _read_only, partition_similarity
+from .stream import (DetectionStream, SimilarityBlocks, _as_int, _read_only, _real,
+                     partition_similarity)
 
 
 @dataclass(frozen=True)
@@ -37,6 +38,8 @@ class LossConfig:
     sinkhorn_tol: float = 1e-6
 
     def __post_init__(self):
+        for name in ("temperature", "hinge_threshold", "sinkhorn_reg", "sinkhorn_tol"):
+            object.__setattr__(self, name, _real(getattr(self, name), name))
         if not (self.temperature > 0 and np.isfinite(self.temperature)):
             raise DataError(f"temperature must be positive, got {self.temperature}")
         if not (0.0 <= self.hinge_threshold < 1.0):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .stream import DetectionStream, FrameRecord, _as_int, _unit_rows
+from .stream import DetectionStream, FrameRecord, _as_int, _real, _unit_rows
 
 # Candidates drawn and normalized at once when base features are
 # rejection-sampled under a similarity cap.
@@ -32,9 +32,13 @@ class SimConfig:
     observation (zero means observations repeat the base exactly).
     max_base_similarity, when set, rejection-samples base features until all
     pairwise cosine similarities stay below it, which keeps identities
-    separable by appearance. Candidates are drawn in blocks, but the stream
-    for a given seed is the one that drawing them one at a time gives, and
-    is unchanged from earlier versions. Real-valued fields must be finite.
+    separable by appearance. Candidates are drawn and tested in blocks: one
+    matrix product per block and one per base accepted inside it, with a
+    candidate re-tested alone only when its block similarity lies within a
+    rounding margin of the cap. The stream for a given seed is the one that
+    drawing and testing them one at a time gives, and is unchanged from
+    earlier versions. Real-valued fields must be numbers, not bools or
+    strings, and finite.
     """
 
     num_identities: int = 20
@@ -51,13 +55,19 @@ class SimConfig:
     def __post_init__(self):
         for name, least in (("num_identities", 0), ("num_frames", 1), ("feature_dim", 2)):
             object.__setattr__(self, name, _as_int(getattr(self, name), name, least))
+        for name in ("delta", "feature_noise_sigma", "reentry_probability", "walk_step_sigma"):
+            object.__setattr__(self, name, _real(getattr(self, name), name))
+        w, h = (_real(side, "scene_size") for side in self.scene_size)
+        object.__setattr__(self, "scene_size", (w, h))
+        if self.max_base_similarity is not None:
+            cap = _real(self.max_base_similarity, "max_base_similarity")
+            object.__setattr__(self, "max_base_similarity", cap)
         if not (0 < self.delta < np.inf):
             raise DataError("delta must be positive and finite")
         if not (0 <= self.feature_noise_sigma < np.inf):
             raise DataError("feature_noise_sigma must be non-negative and finite")
         if not (0.0 <= self.reentry_probability <= 1.0):
             raise DataError("reentry_probability must be in [0, 1]")
-        w, h = self.scene_size
         if not (0 < w < np.inf and 0 < h < np.inf):
             raise DataError("scene_size must be positive and finite")
         if not (0 <= self.walk_step_sigma < np.inf):
@@ -72,37 +82,56 @@ def _draw_bases(rng: np.random.Generator, cfg: SimConfig) -> np.ndarray:
     Candidates are standard normal draws of feature_dim values, normalized.
     Without a similarity cap every candidate is a base, so all are drawn at
     once. With a cap, candidates are drawn and normalized in blocks of
-    _BASE_BLOCK and tested in order against the bases accepted so far, each
-    with its own matrix-vector product; when the last base is placed part
-    way through a block, the generator is rewound to the block's start and
-    redraws only the candidates used. A (k, D) draw yields the same numbers
-    as k draws of D, so the bases and the generator's final state are those
-    of drawing one candidate at a time.
+    _BASE_BLOCK. One matrix product gives each candidate of a block its
+    largest |similarity| to the bases accepted before the block, and each
+    base accepted inside the block raises the later candidates' maxima with
+    one product over the rest of the block. The loop then jumps from one
+    candidate below the cap to the next. A candidate whose block maximum
+    lies within a rounding margin of the cap is re-tested alone with the
+    matrix-vector product against the bases so far, so every decision is
+    the one that testing candidates one at a time makes. When the last
+    base is placed part way through a block, the generator is rewound to
+    the block's start and redraws only the candidates used. A (k, D) draw
+    yields the same numbers as k draws of D, so the bases and the
+    generator's final state are those of drawing one candidate at a time.
     """
     n, dim = cfg.num_identities, cfg.feature_dim
     cap = cfg.max_base_similarity
     if cap is None:
         return _unit_rows(rng.standard_normal((n, dim)))
+    # Two float64 dot products of the same unit vectors, summed in any
+    # order, differ by at most about dim * eps; 4x that leaves headroom.
+    margin = 4 * dim * np.finfo(np.float64).eps
     bases = np.empty((n, dim))
     g = attempts = 0
     while g < n:
         start = rng.bit_generator.state
         block = _unit_rows(rng.standard_normal((_BASE_BLOCK, dim)))
-        for used, cand in enumerate(block, 1):
-            # the largest |similarity| is below cap exactly when all of them are
-            if g == 0 or np.abs(bases[:g] @ cand).max() < cap:
+        top = np.abs(block @ bases[:g].T).max(axis=1, initial=0.0)
+        used = 0
+        while g < n:
+            # every candidate before the next one near or below the cap is rejected
+            near = np.flatnonzero(top[used:] < cap + margin)
+            k = used + int(near[0]) if len(near) else _BASE_BLOCK
+            attempts += k - used
+            if attempts > 10000:
+                raise DataError(
+                    f"cannot place {n} features below "
+                    f"pairwise similarity {cap} in dimension {dim}"
+                )
+            used = k
+            if k == _BASE_BLOCK:
+                break
+            cand = block[k]
+            # clear of the cap by the margin, or below it in the one-at-a-time test
+            if top[k] < cap - margin or g == 0 or np.abs(bases[:g] @ cand).max() < cap:
                 bases[g] = cand
                 g += 1
                 attempts = 0
-                if g == n:
-                    break
+                used = k + 1
+                top[used:] = np.maximum(top[used:], np.abs(block[used:] @ cand))
             else:
-                attempts += 1
-                if attempts > 10000:
-                    raise DataError(
-                        f"cannot place {n} features below "
-                        f"pairwise similarity {cap} in dimension {dim}"
-                    )
+                top[k] = np.inf  # rejected after all: the next skip counts it
         if used < _BASE_BLOCK:
             rng.bit_generator.state = start
             rng.standard_normal((used, dim))

@@ -304,6 +304,18 @@ class TestExitCodes:
         assert captured.out == ""
         assert message in captured.err
 
+    def test_bad_report_field_names_the_report(self, tmp_path, capsys):
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        good.write_text(json.dumps({"video": "a", "frames": 12, "total": 3, "gt_total": 3}))
+        bad.write_text(json.dumps({"video": "b", "frames": "12", "total": 3, "gt_total": 3}))
+        rc = main(["eval", str(good), str(bad)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"vicount: data error: {bad}: length must be a positive number, got '12'\n"
+        )
+
     def test_invalid_config_is_two(self, tmp_path, capsys):
         stream_path = _simulate(tmp_path)
         rc = main(["count", "--in", str(stream_path), "--zeta", "-1"])

@@ -253,6 +253,10 @@ class TestMemoryStateValidation:
         with pytest.raises(DataError, match=f"{name} has shape"):
             MemoryState(**arrays, next_entry_id=9)
 
+    def test_templates_must_be_numbers(self):
+        with pytest.raises(DataError, match="templates must be numbers, got dtype <U3"):
+            MemoryState(np.array([[["0.6", "0.8"]]]), [1], [3], [0], 1)
+
     def test_needs_templates(self):
         templates, _, ttl, entry_id = _two_entries()
         with pytest.raises(DataError, match="fill"):
@@ -333,6 +337,11 @@ class TestMcpConfig:
             McpConfig(zeta=-0.1)
         with pytest.raises(DataError):
             McpConfig(zeta=float("inf"))
+
+    @pytest.mark.parametrize("value", [True, "0.5"])
+    def test_rejects_non_number_zeta(self, value):
+        with pytest.raises(DataError, match=f"zeta must be a number, got {value!r}"):
+            McpConfig(zeta=value)
 
     @pytest.mark.parametrize("field", ["ttl_max", "mem_max"])
     @pytest.mark.parametrize("value", [2.5, True])

@@ -557,6 +557,13 @@ class TestLossConfigValidation:
         with pytest.raises(DataError):
             LossConfig(sinkhorn_tol=np.inf)
 
+    @pytest.mark.parametrize("field", ["temperature", "hinge_threshold", "sinkhorn_reg",
+                                       "sinkhorn_tol"])
+    @pytest.mark.parametrize("value", [True, "0.1"])
+    def test_real_fields_are_numbers(self, field, value):
+        with pytest.raises(DataError, match=f"{field} must be a number, got {value!r}"):
+            LossConfig(**{field: value})
+
     @pytest.mark.parametrize("iters", [2.5, True])
     def test_iteration_budget_is_an_integer(self, iters):
         with pytest.raises(DataError, match="sinkhorn_max_iters must be an integer"):

@@ -4,6 +4,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vicount import (
     DataError,
@@ -15,6 +17,8 @@ from vicount import (
     scene_from_lifespans,
     write_stream,
 )
+from vicount.simulate import _draw_bases
+from vicount.stream import _unit_rows
 
 
 def _weak_labels(prev_ids, curr_ids):
@@ -222,10 +226,89 @@ class TestSimConfigValidation:
         with pytest.raises(DataError, match=f"{field} must be an integer"):
             SimConfig(**{field: value})
 
+    @pytest.mark.parametrize("field", ["delta", "feature_noise_sigma", "reentry_probability",
+                                       "walk_step_sigma", "max_base_similarity"])
+    @pytest.mark.parametrize("value", [True, "0.1"])
+    def test_real_fields_are_numbers(self, field, value):
+        with pytest.raises(DataError, match=f"{field} must be a number, got {value!r}"):
+            SimConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [(True, 10.0), (10.0, "10")])
+    def test_scene_size_sides_are_numbers(self, value):
+        with pytest.raises(DataError, match="scene_size must be a number"):
+            SimConfig(scene_size=value)
+
     def test_infeasible_similarity_cap(self):
         cfg = SimConfig(num_identities=50, feature_dim=2, max_base_similarity=0.05, seed=0)
         with pytest.raises(DataError, match="cannot place"):
             generate_scene(cfg)
+
+
+def _draw_bases_one_at_a_time(rng, cfg):
+    """Reference sampler: draw D values, normalize them, test them against the bases so far."""
+    n, dim, cap = cfg.num_identities, cfg.feature_dim, cfg.max_base_similarity
+    bases = np.empty((n, dim))
+    g = attempts = 0
+    while g < n:
+        cand = rng.standard_normal(dim)
+        cand /= np.sqrt(cand @ cand)
+        if g == 0 or np.abs(bases[:g] @ cand).max() < cap:
+            bases[g] = cand
+            g += 1
+            attempts = 0
+        else:
+            attempts += 1
+            if attempts > 10000:
+                raise DataError(
+                    f"cannot place {n} features below "
+                    f"pairwise similarity {cap} in dimension {dim}"
+                )
+    return bases
+
+
+def _draw_both(cfg):
+    """(bases, generator state) or the DataError text, from each sampler."""
+    out = []
+    for sampler in (_draw_bases, _draw_bases_one_at_a_time):
+        rng = np.random.default_rng(cfg.seed)
+        try:
+            out.append((sampler(rng, cfg), rng.bit_generator.state))
+        except DataError as exc:
+            out.append(str(exc))
+    return out
+
+
+class TestDrawBases:
+    """Testing candidates in blocks makes every decision testing them one at a time makes."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(dim=st.sampled_from([2, 3, 5, 8, 16, 64, 257]),
+           cap=st.floats(0.05, 1.0),
+           n=st.integers(0, 40),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_one_at_a_time(self, dim, cap, n, seed):
+        cfg = SimConfig(num_identities=n, feature_dim=dim, max_base_similarity=cap, seed=seed)
+        blocked, reference = _draw_both(cfg)
+        if isinstance(reference, str):
+            assert blocked == reference
+        else:
+            assert np.array_equal(blocked[0], reference[0])
+            assert blocked[1] == reference[1]
+
+    def test_similarity_equal_to_cap_is_rejected(self):
+        # The cap is candidate 1's exact similarity to candidate 0, so only the
+        # exact re-test decides it. The block product may round it to either
+        # side of the cap; where it lands below, only the re-test rejects it.
+        dim, seed = 16, 0
+        block = _unit_rows(np.random.default_rng(seed).standard_normal((256, dim)))
+        cap = float(np.abs(block[:1] @ block[1]).max())
+        assert abs(np.abs(block[1:] @ block[0])[0] - cap) < 4 * dim * np.finfo(float).eps
+        cfg = SimConfig(num_identities=3, feature_dim=dim, max_base_similarity=cap, seed=seed)
+        blocked, reference = _draw_both(cfg)
+        assert np.array_equal(blocked[0], reference[0])
+        assert blocked[1] == reference[1]
+        assert np.array_equal(blocked[0][0], block[0])
+        assert not (blocked[0] == block[1]).all(axis=1).any()
 
 
 class TestGoldenStreams:
