@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
+from .stream import _array
 
 
 @dataclass(frozen=True)
@@ -24,12 +25,13 @@ class Assignment:
     unmatched_rows: tuple[int, ...]
 
 
-def _check_cost(cost) -> np.ndarray:
-    arr = np.asarray(cost, dtype=np.float64)
-    if arr.ndim != 2:
-        raise NumericalError(f"invalid cost matrix: expected 2-d, got {arr.ndim}-d")
+def _check_cost(cost, what: str = "cost", square: bool = False) -> np.ndarray:
+    """cost read as a 2-d float array, square if asked, of finite entries; else NumericalError."""
+    arr = _array(cost, what, 2, error=NumericalError)
+    if square and arr.shape[0] != arr.shape[1]:
+        raise NumericalError(f"invalid cost matrix: {what} must be square, got shape {arr.shape}")
     if arr.size and not np.all(np.isfinite(arr)):
-        raise NumericalError("invalid cost matrix: non-finite entries")
+        raise NumericalError(f"invalid cost matrix: {what} has non-finite entries")
     return arr
 
 

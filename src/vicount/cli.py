@@ -23,7 +23,7 @@ from .loss import LossConfig, _adjacent_pairs, frozen_plan_loss, hinge_loss, los
 from .loss import pair_objective, pseudo_trajectories, soft_contrastive_loss
 from .metrics import VideoResult, mae, mse, wrae
 from .simulate import SimConfig, generate_scene, gt_unique_count
-from .stream import SimilarityBlocks, pair_blocks, random_similarity_blocks
+from .stream import SimilarityBlocks, _as_int, _finite, pair_blocks, random_similarity_blocks
 from .streamio import parse_stream, write_stream
 
 
@@ -129,7 +129,10 @@ def _cmd_eval(args) -> int:
             raw = json.load(fh)
         if not isinstance(raw, dict):
             raise DataError(f"{args.gt}: ground-truth file must be a JSON object")
-        gt_map = {str(k): v for k, v in raw.items()}
+        try:
+            gt_map = {str(k): _as_int(v, f"video {k!r}: gt_count", 1) for k, v in raw.items()}
+        except DataError as exc:
+            raise DataError(f"{args.gt}: {exc}") from None
     results = []
     for path in args.reports:
         with open(path, "r", encoding="utf-8") as fh:
@@ -190,6 +193,11 @@ def _max_rel_err(analytic: np.ndarray, fd: np.ndarray) -> float:
 
 def _cmd_gradcheck(args) -> int:
     cfg = _loss_config(args)
+    h = _finite(args.step, "--step", "(0, inf)")
+    if args.fail_above is not None:
+        _finite(args.fail_above, "--fail-above", "[0, inf)")
+    for flag in ("--trials", "--max-rows", "--max-cols"):
+        _as_int(getattr(args, flag[2:].replace("-", "_")), flag, 1)
     blocks_list = []
     if args.infile:
         blocks_list = [b for b in pair_blocks(parse_stream(args.infile)) if b.m > 0]
@@ -210,7 +218,7 @@ def _cmd_gradcheck(args) -> int:
     for blocks in blocks_list:
         omega = soft_contrastive_loss(blocks, cfg).plan.omega
         analytic = loss_gradient(blocks, omega, cfg)
-        fd = _fd_gradient(blocks, cfg, omega, args.step)
+        fd = _fd_gradient(blocks, cfg, omega, h)
         worst = max(worst, _max_rel_err(analytic, fd))
     print(f"checked {len(blocks_list)} blocks, max relative error {worst:.3e}")
     if args.fail_above is not None and worst > args.fail_above:

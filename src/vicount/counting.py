@@ -16,8 +16,8 @@ import numpy as np
 
 from .assignment import hungarian
 from .errors import DataError
-from .stream import (Detection, DetectionStream, _as_int, _BuiltOnAccess, _read_only, _real,
-                     _real_rows)
+from .stream import (Detection, DetectionStream, _array, _as_int, _BuiltOnAccess, _finite,
+                     _read_only)
 
 _AGGREGATORS = ("max", "min", "mean")
 
@@ -40,9 +40,7 @@ class McpConfig:
     template_aggregator: str = "max"
 
     def __post_init__(self):
-        object.__setattr__(self, "zeta", _real(self.zeta, "zeta"))
-        if not (self.zeta >= 0 and np.isfinite(self.zeta)):
-            raise DataError(f"zeta must be a finite non-negative number, got {self.zeta}")
+        object.__setattr__(self, "zeta", _finite(self.zeta, "zeta", "[0, inf)"))
         object.__setattr__(self, "ttl_max", _as_int(self.ttl_max, "ttl_max", 1))
         object.__setattr__(self, "mem_max", _as_int(self.mem_max, "mem_max", 1))
         if self.template_aggregator not in _AGGREGATORS:
@@ -83,20 +81,11 @@ class MemoryState:
     next_entry_id: int
 
     def __post_init__(self):
-        try:
-            templates = np.asarray(self.templates)
-        except ValueError as exc:
-            raise DataError(f"templates must form an (N, W, D) array: {exc}") from None
-        # checked before the cast, which would read strings as numbers
-        if templates.dtype.kind not in "iuf":
-            raise DataError(f"templates must be numbers, got dtype {templates.dtype}")
-        templates = _read_only(templates, np.float64)
-        if templates.ndim != 3:
-            raise DataError(f"templates must form an (N, W, D) array, got shape {templates.shape}")
+        templates = _read_only(_array(self.templates, "templates", 3))
         size, width = templates.shape[:2]
         object.__setattr__(self, "templates", templates)
         for name in ("fill", "ttl", "entry_id"):
-            arr = _read_only(getattr(self, name), np.intp)
+            arr = _read_only(_array(getattr(self, name), name, 1, integer=True))
             if arr.shape != (size,):
                 raise DataError(f"{name} has shape {arr.shape}, expected ({size},)")
             object.__setattr__(self, name, arr)
@@ -104,7 +93,7 @@ class MemoryState:
             raise DataError(f"every fill must lie in [1, {width}]")
         if (self.ttl < 0).any():
             raise DataError("every ttl must be non-negative")
-        object.__setattr__(self, "next_entry_id", int(self.next_entry_id))
+        object.__setattr__(self, "next_entry_id", _as_int(self.next_entry_id, "next_entry_id", 0))
 
     @classmethod
     def empty(cls) -> "MemoryState":
@@ -144,7 +133,7 @@ class CountReport:
 
 def _features(features, memory: MemoryState) -> np.ndarray:
     """Feature rows as an (n, D) array, checked against the memory's dimension."""
-    rows = _real_rows(features, "feature")
+    rows = _array(features, "features", 2, width=0)
     dim = memory.templates.shape[2]
     if len(rows) and len(memory.ttl) and rows.shape[1] != dim:
         raise DataError(
@@ -180,8 +169,10 @@ def template_cost(detection: Detection, entry: TemplateEntry, aggregator: str = 
     Taking the max is the conservative default: the detection must resemble
     every remembered appearance.
     """
-    templates = np.asarray(entry.templates, dtype=np.float64)
-    memory = MemoryState(templates[None], [len(templates)], [entry.ttl], [entry.entry_id], 0)
+    templates = entry.templates
+    # a list goes on as one, so the memory reads each of its entries
+    stacked = templates[None] if isinstance(templates, np.ndarray) else [templates]
+    memory = MemoryState(stacked, [len(templates)], [entry.ttl], [entry.entry_id], 0)
     features = _features([detection.feature], memory)
     return float(_cost_matrix(features, memory, aggregator)[0, 0])
 

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assignment import hungarian
+from .assignment import _check_cost, hungarian
 from .errors import DataError, NumericalError
-from .stream import (DetectionStream, SimilarityBlocks, _as_int, _read_only, _real,
+from .stream import (DetectionStream, SimilarityBlocks, _array, _as_int, _finite, _read_only,
                      partition_similarity)
 
 
@@ -38,20 +38,11 @@ class LossConfig:
     sinkhorn_tol: float = 1e-6
 
     def __post_init__(self):
-        for name in ("temperature", "hinge_threshold", "sinkhorn_reg", "sinkhorn_tol"):
-            object.__setattr__(self, name, _real(getattr(self, name), name))
-        if not (self.temperature > 0 and np.isfinite(self.temperature)):
-            raise DataError(f"temperature must be positive, got {self.temperature}")
-        if not (0.0 <= self.hinge_threshold < 1.0):
-            raise DataError(
-                f"hinge_threshold must be in [0, 1), got {self.hinge_threshold}"
-            )
-        if not (self.sinkhorn_reg > 0 and np.isfinite(self.sinkhorn_reg)):
-            raise DataError(f"sinkhorn_reg must be positive, got {self.sinkhorn_reg}")
+        for name, interval in (("temperature", "(0, inf)"), ("hinge_threshold", "[0, 1)"),
+                               ("sinkhorn_reg", "(0, inf)"), ("sinkhorn_tol", "(0, inf)")):
+            object.__setattr__(self, name, _finite(getattr(self, name), name, interval))
         iters = _as_int(self.sinkhorn_max_iters, "sinkhorn_max_iters", 1)
         object.__setattr__(self, "sinkhorn_max_iters", iters)
-        if not (self.sinkhorn_tol > 0 and np.isfinite(self.sinkhorn_tol)):
-            raise DataError("sinkhorn_tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -63,7 +54,7 @@ class TransportPlan:
     iterations_used: int
 
     def __post_init__(self):
-        object.__setattr__(self, "omega", _read_only(self.omega, np.float64))
+        object.__setattr__(self, "omega", _read_only(_array(self.omega, "omega", 2)))
 
 
 def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
@@ -99,19 +90,12 @@ def sinkhorn(cost, reg: float, max_iters: int = 500, tol: float = 1e-6) -> Trans
     preconditioned conjugate gradient without forming it, at O(n^2) per CG
     iteration. Every sweep and every Newton step counts toward max_iters.
     """
-    arr = np.asarray(cost, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise NumericalError(f"invalid cost matrix: expected square, got {arr.shape}")
+    arr = _check_cost(cost, square=True)
     if arr.shape[0] == 0:
         raise NumericalError("invalid cost matrix: empty")
-    if not np.all(np.isfinite(arr)):
-        raise NumericalError("invalid cost matrix: non-finite entries")
-    if not (reg > 0 and np.isfinite(reg)):
-        raise NumericalError(f"regularization must be positive, got {reg}")
-    if max_iters < 0:
-        raise NumericalError(f"iteration budget must be non-negative, got {max_iters}")
-    if not (tol > 0 and np.isfinite(tol)):
-        raise NumericalError(f"tolerance must be positive, got {tol}")
+    reg = _finite(reg, "reg", "(0, inf)", NumericalError)
+    max_iters = _as_int(max_iters, "max_iters", 0, NumericalError)
+    tol = _finite(tol, "tol", "(0, inf)", NumericalError)
     n = arr.shape[0]
     mr = -arr / reg
     f = np.zeros(n)
@@ -250,9 +234,7 @@ def round_to_permutation(omega) -> np.ndarray:
     argmax whenever those already form a permutation, so that case needs no
     search. A non-finite plan raises NumericalError.
     """
-    arr = np.asarray(omega, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise NumericalError(f"invalid cost matrix: expected square, got {arr.shape}")
+    arr = _check_cost(omega, "omega", square=True)
     # A square assignment lists its pairs in row order.
     return np.array([j for _, j in hungarian(-arr).pairs], dtype=np.intp)
 
@@ -289,8 +271,7 @@ def contrastive_similarity(blocks: SimilarityBlocks, temperature: float) -> np.n
     that dominate their competitors. Requires at least one shared
     individual.
     """
-    if not (temperature > 0 and np.isfinite(temperature)):
-        raise DataError(f"temperature must be positive, got {temperature}")
+    temperature = _finite(temperature, "temperature", "(0, inf)")
     if blocks.m == 0:
         raise DataError("no shared individuals")
     return _contrastive_parts(blocks.full, blocks.m, temperature)[-1]
@@ -341,13 +322,13 @@ def supervised_contrastive_loss(
     floor the soft loss approaches.
     """
     m = blocks.m
-    perm = tuple(int(a) for a in association)
-    if sorted(perm) != list(range(m)):
+    perm = _array(association, "association", 1, integer=True)
+    if not np.array_equal(np.sort(perm), np.arange(m)):
         raise DataError(f"association must be a permutation of range({m})")
     if m == 0:
         return 0.0
     c = _contrastive_parts(blocks.full, m, cfg.temperature)[-1]
-    return -float(np.sum(c[np.arange(m), np.asarray(perm, dtype=np.intp)])) / m
+    return -float(np.sum(c[np.arange(m), perm])) / m
 
 
 def hinge_loss(s3, threshold: float) -> float:
@@ -356,9 +337,8 @@ def hinge_loss(s3, threshold: float) -> float:
     Averages max(0, s - threshold) over the s3 block; an empty block
     contributes zero.
     """
-    if not (0.0 <= threshold < 1.0):
-        raise DataError(f"hinge_threshold must be in [0, 1), got {threshold}")
-    return _hinge(np.asarray(s3, dtype=np.float64), threshold)
+    threshold = _finite(threshold, "threshold", "[0, 1)")
+    return _hinge(_array(s3, "s3", 2), threshold)
 
 
 def _hinge(s3: np.ndarray, threshold: float) -> float:
@@ -385,7 +365,7 @@ def pair_objective(blocks: SimilarityBlocks, cfg: LossConfig) -> PairObjective:
 
 def _held_plan(blocks: SimilarityBlocks, omega, cfg: LossConfig):
     """The plan as an m-by-m array, checked, with the pair's _contrastive_parts."""
-    omega = np.asarray(omega, dtype=np.float64)
+    omega = _array(omega, "omega", 2)
     if omega.shape != (blocks.m, blocks.m):
         raise DataError(f"plan shape {omega.shape} does not match shared count {blocks.m}")
     return omega, _contrastive_parts(blocks.full, blocks.m, cfg.temperature)

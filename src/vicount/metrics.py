@@ -23,11 +23,9 @@ class VideoResult:
 
     def __post_init__(self):
         object.__setattr__(self, "video_id", str(self.video_id))
-        object.__setattr__(self, "length", _finite(self.length, "length", positive=True))
-        object.__setattr__(self, "pred_count", _finite(self.pred_count, "pred_count"))
+        object.__setattr__(self, "length", _finite(self.length, "length", "(0, inf)"))
+        object.__setattr__(self, "pred_count", _finite(self.pred_count, "pred_count", "[0, inf)"))
         object.__setattr__(self, "gt_count", _as_int(self.gt_count, "gt_count", 1))
-        if not (self.pred_count >= 0):
-            raise DataError(f"pred_count must be non-negative, got {self.pred_count}")
 
 
 def _require(results) -> list:

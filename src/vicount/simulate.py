@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .stream import DetectionStream, FrameRecord, _as_int, _real, _unit_rows
+from .stream import DetectionStream, FrameRecord, _as_int, _finite, _unit_rows
 
 # Candidates drawn and normalized at once when base features are
 # rejection-sampled under a similarity cap.
@@ -55,25 +55,14 @@ class SimConfig:
     def __post_init__(self):
         for name, least in (("num_identities", 0), ("num_frames", 1), ("feature_dim", 2)):
             object.__setattr__(self, name, _as_int(getattr(self, name), name, least))
-        for name in ("delta", "feature_noise_sigma", "reentry_probability", "walk_step_sigma"):
-            object.__setattr__(self, name, _real(getattr(self, name), name))
-        w, h = (_real(side, "scene_size") for side in self.scene_size)
+        for name, interval in (("delta", "(0, inf)"), ("feature_noise_sigma", "[0, inf)"),
+                               ("reentry_probability", "[0, 1]"), ("walk_step_sigma", "[0, inf)")):
+            object.__setattr__(self, name, _finite(getattr(self, name), name, interval))
+        w, h = (_finite(side, "scene_size", "(0, inf)") for side in self.scene_size)
         object.__setattr__(self, "scene_size", (w, h))
         if self.max_base_similarity is not None:
-            cap = _real(self.max_base_similarity, "max_base_similarity")
+            cap = _finite(self.max_base_similarity, "max_base_similarity", "(0, 1]")
             object.__setattr__(self, "max_base_similarity", cap)
-        if not (0 < self.delta < np.inf):
-            raise DataError("delta must be positive and finite")
-        if not (0 <= self.feature_noise_sigma < np.inf):
-            raise DataError("feature_noise_sigma must be non-negative and finite")
-        if not (0.0 <= self.reentry_probability <= 1.0):
-            raise DataError("reentry_probability must be in [0, 1]")
-        if not (0 < w < np.inf and 0 < h < np.inf):
-            raise DataError("scene_size must be positive and finite")
-        if not (0 <= self.walk_step_sigma < np.inf):
-            raise DataError("walk_step_sigma must be non-negative and finite")
-        if self.max_base_similarity is not None and not (0 < self.max_base_similarity <= 1):
-            raise DataError("max_base_similarity must be in (0, 1]")
 
 
 def _draw_bases(rng: np.random.Generator, cfg: SimConfig) -> np.ndarray:
@@ -161,7 +150,8 @@ def scene_from_lifespans(cfg: SimConfig, lifespans) -> DetectionStream:
     still come from cfg.seed, so equal configs and lifespans give identical
     streams. Useful for scripting exact entry/exit/re-entry scenarios.
     """
-    spans = [list(iv) for iv in lifespans]
+    spans = [[tuple(_as_int(x, f"identity {g}: interval bound") for x in ab) for ab in iv]
+             for g, iv in enumerate(lifespans)]
     if len(spans) != cfg.num_identities:
         raise DataError(
             f"expected lifespans for {cfg.num_identities} identities, got {len(spans)}"

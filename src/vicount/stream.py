@@ -12,6 +12,8 @@ import math
 import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import reduce
+from operator import getitem
 
 import numpy as np
 
@@ -53,8 +55,8 @@ def shared_count(outflow_i, inflow_j) -> int:
     the later frame's inflow mark individuals that were already there. Both
     counts must agree or the weak labels are contradictory.
     """
-    m_out = int(np.count_nonzero(np.asarray(outflow_i, dtype=np.int64) == 0))
-    m_in = int(np.count_nonzero(np.asarray(inflow_j, dtype=np.int64) == 0))
+    m_out = int(np.count_nonzero(_array(outflow_i, "outflow_i", 1, integer=True) == 0))
+    m_in = int(np.count_nonzero(_array(inflow_j, "inflow_j", 1, integer=True) == 0))
     if m_out != m_in:
         raise DataError(f"inconsistent weak labels: {m_out} staying vs {m_in} already present")
     return m_out
@@ -89,50 +91,98 @@ class _BuiltOnAccess(Sequence):
         return self._item(range(self._n)[k])
 
 
-def _read_only(values, dtype) -> np.ndarray:
-    """values as a read-only array of dtype; a read-only array is kept, any other is copied."""
-    arr = np.asarray(values, dtype=dtype)
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """arr itself if it is read-only, else a read-only copy of it."""
     if arr.flags.writeable:
         arr = arr.copy()
         arr.setflags(write=False)
     return arr
 
 
-def _real(value, what: str, kind: str = "a number") -> float:
-    """value as a float, an int past float range as an infinity; a bool or non-number: DataError."""
+# The readers below read every number the library is handed, from a stream file or an
+# argument, and raise error (DataError by default) for what they refuse rather than cast it.
+
+def _real(value, what: str, kind: str = "a number", error: type = DataError) -> float:
+    """value as a float, an int past float range as an infinity; a bool or non-number: error."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise DataError(f"{what} must be {kind}, got {value!r}")
+        raise error(f"{what} must be {kind}, got {value!r}")
     try:
         return float(value)
     except OverflowError:
         return math.inf if value > 0 else -math.inf
 
 
-def _real_rows(values, what: str, width: int = 0, copy: bool = False) -> np.ndarray:
-    """values as an (n, k) float array, row i for det[i], new if copy; empty gives (0, width).
+def _finite(value, what: str, interval: str = "(-inf, inf)", error: type = DataError) -> float:
+    """value read by _real as a finite float inside interval, else error.
 
-    Inferred with no dtype, so a string, None or int past 64 bits shows in the dtype and sends
-    every entry through _real. Of a list, entries equal to 0 or 1 (true, false) go through too.
+    interval is written as in mathematics: "[0, 1)" takes 0 in and leaves 1 out. Messages
+    call "(0, inf)" a positive number.
     """
-    def entry(index):
-        value = values
-        for i in index:
-            value = value[i]
-        return _real(value, f"det[{index[0]}]: {what} entry" if index else what)
+    positive = "a positive number" if interval == "(0, inf)" else None
+    x = _real(value, what, positive or "a number", error)
+    if not math.isfinite(x):
+        raise error(f"{what} must be finite, got {x}")
+    lo, hi = map(float, interval[1:-1].split(","))
+    if not (lo < x < hi or x == lo and interval[0] == "[" or x == hi and interval[-1] == "]"):
+        raise error(f"{what} must be {positive or 'in ' + interval}, got {x}")
+    return x
+
+
+def _as_int(value, what: str, least: float = -math.inf, error: type = DataError) -> int:
+    """value as an int of at least least; a bool, fraction or non-number raises error."""
+    try:
+        whole = int(value)
+    except (TypeError, ValueError, OverflowError):
+        whole = None
+    if whole is None or whole != value or isinstance(value, (bool, np.bool_)):
+        raise error(f"{what} must be an integer, got {value!r}")
+    if whole < least:
+        raise error(f"{what} must be at least {least}, got {whole}")
+    return whole
+
+
+def _array(values, what: str, ndim: int, integer: bool = False, copy: bool = False,
+           width: int | None = None, error: type = DataError) -> np.ndarray:
+    """values as an ndim-d float64 array, or intp if integer, its entries checked before any cast.
+
+    Inferred with no dtype, a string, None or an int past 64 bits shows in the dtype: an array
+    of such a dtype or of bools is refused, and a list has each entry read by _real (_as_int if
+    integer), naming the first bad one as what[i, j]. Of a list, the entries equal to 0 or 1
+    are read too, as True and False land there. If integer, a fraction or an int past 64 bits
+    is refused. Given a width, an empty array of another rank reads as (0, ..., 0, width). A
+    new array if copy, else values itself if already such an array: no argument is copied.
+    """
+    def read(index, value):
+        name = f"{what}{list(index)}" if len(index) else what
+        return (_as_int if integer else _real)(value, name, error=error)
 
     try:
-        rows = (np.array if copy else np.asarray)(values)
+        arr = (np.array if copy else np.asarray)(values)
     except ValueError as exc:
-        raise DataError(f"{what} dimension mismatch or non-numeric entry: {exc}") from None
-    if rows.dtype.kind not in "iuf":
-        rows = np.array([entry(k) for k in np.ndindex(rows.shape)]).reshape(rows.shape)
-    elif rows.ndim == 2 and not isinstance(values, np.ndarray):
-        for k in zip(*np.unravel_index(np.flatnonzero((rows == 0) | (rows == 1)), rows.shape)):
-            entry(k)
-    rows = rows.astype(np.float64, copy=False)
-    if rows.ndim != 2 and rows.size:
-        raise DataError(f"{what}s must form an (n, k) array, got shape {rows.shape}")
-    return rows if rows.ndim == 2 else rows.reshape(0, width)
+        raise error(f"{what} dimension mismatch: {exc}") from None
+    listed = not isinstance(values, np.ndarray)
+    if arr.dtype.kind not in "iuf":
+        if not listed and arr.dtype != object:
+            raise error(f"{what} must be numbers, got dtype {arr.dtype}")
+        arr = np.array([read(k, reduce(getitem, k, values))
+                        for k in np.ndindex(arr.shape)]).reshape(arr.shape)
+    elif listed:
+        for k in np.argwhere((arr == 0) | (arr == 1)).tolist():
+            read(k, reduce(getitem, k, values))
+    if integer and arr.dtype.kind in "fuO":
+        # NaN compares False here, so it is read, and refused, with the fractions
+        whole = np.abs(arr) < 2.0**63
+        if arr.dtype.kind == "f":
+            whole &= arr == np.trunc(arr)
+        for k in np.argwhere(~whole)[:1].tolist():
+            read(k, arr.item(tuple(k)))
+            raise error(f"{what}{k} must fit in 64 bits, got {arr.item(tuple(k))}")
+    arr = arr.astype(np.intp if integer else np.float64, copy=False)
+    if arr.ndim != ndim:
+        if arr.size or width is None:
+            raise error(f"{what} must form a {ndim}-d array, got shape {arr.shape}")
+        arr = arr.reshape((0,) * (ndim - 1) + (width,))
+    return arr
 
 
 def _as_bits(values, n: int, name: str) -> tuple[int, ...]:
@@ -148,30 +198,6 @@ def _as_bits(values, n: int, name: str) -> tuple[int, ...]:
             if isinstance(b, bool) or not isinstance(b, (int, np.integer)) or b not in (0, 1):
                 raise DataError(f"{name}[{k}] must be an integer 0 or 1, got {b!r}")
     return tuple(map(int, bits))
-
-
-def _as_int(value, what: str, least: int) -> int:
-    """value as an int of at least least; a bool, fraction or non-number raises DataError."""
-    try:
-        whole = int(value)
-    except (TypeError, ValueError, OverflowError):
-        whole = None
-    if whole is None or whole != value or isinstance(value, (bool, np.bool_)):
-        raise DataError(f"{what} must be an integer, got {value!r}")
-    if whole < least:
-        raise DataError(f"{what} must be at least {least}, got {whole}")
-    return whole
-
-
-def _finite(value, what: str, positive: bool = False) -> float:
-    """value read by _real as a finite float, above 0 if positive, else DataError."""
-    kind = "a positive number" if positive else "a number"
-    x = _real(value, what, kind)
-    if not math.isfinite(x):
-        raise DataError(f"{what} must be finite, got {x}")
-    if positive and not x > 0:
-        raise DataError(f"{what} must be {kind}, got {x}")
-    return x
 
 
 def _as_ids(values, n: int) -> tuple[int | None, ...]:
@@ -204,9 +230,9 @@ class FrameRecord:
     def __post_init__(self):
         object.__setattr__(self, "frame_index", _as_int(self.frame_index, "frame_index", 1))
         object.__setattr__(self, "timestamp", _finite(self.timestamp, "timestamp"))
-        features = _unit_rows(_real_rows(self.features, "feature", copy=True), "det")
+        features = _unit_rows(_array(self.features, "features", 2, copy=True, width=0), "det")
         n = len(features)
-        coordinates = _real_rows(self.coordinates, "coordinate", width=2, copy=True)
+        coordinates = _array(self.coordinates, "coordinates", 2, copy=True, width=2)
         if coordinates.shape != (n, 2):
             raise DataError(f"coordinates have shape {coordinates.shape}, expected ({n}, 2)")
         finite = np.isfinite(coordinates).all(axis=1)
@@ -255,7 +281,7 @@ class DetectionStream:
     delta: float
 
     def __post_init__(self):
-        object.__setattr__(self, "delta", _finite(self.delta, "delta", positive=True))
+        object.__setattr__(self, "delta", _finite(self.delta, "delta", "(0, inf)"))
         frames = tuple(self.frames)
         object.__setattr__(self, "frames", frames)
         tol = 1e-9 * max(1.0, self.delta)
@@ -303,17 +329,16 @@ class SimilarityBlocks:
     perm_j: np.ndarray | None = None
 
     def __post_init__(self):
-        s = _read_only(self.full, np.float64)
-        if s.ndim != 2:
-            raise DataError("similarity matrix must be 2-d")
-        m = int(self.m)
-        if not (0 <= m <= min(s.shape)):
+        s = _read_only(_array(self.full, "full", 2))
+        m = _as_int(self.m, "m", 0)
+        if m > min(s.shape):
             raise DataError(f"shared count {m} out of range for shape {s.shape}")
         object.__setattr__(self, "full", s)
         object.__setattr__(self, "m", m)
         for name, size in (("perm_i", self.n_i), ("perm_j", self.n_j)):
             given = getattr(self, name)
-            perm = _read_only(np.arange(size) if given is None else given, np.intp)
+            perm = np.arange(size) if given is None else given
+            perm = _read_only(_array(perm, name, 1, integer=True))
             if perm.shape != (size,) or not np.array_equal(np.sort(perm), np.arange(size)):
                 raise DataError(f"{name} is not a permutation of range({size})")
             object.__setattr__(self, name, perm)
@@ -333,9 +358,11 @@ def partition_similarity(frame_i: FrameRecord, frame_j: FrameRecord) -> Similari
     one (its inflow bits apply). The reorderings are stable: within the
     shared and non-shared groups, original detection order is preserved.
     """
-    m = shared_count(frame_i.outflow, frame_j.inflow)
-    order_i = np.argsort(np.asarray(frame_i.outflow, dtype=np.int64), kind="stable")
-    order_j = np.argsort(np.asarray(frame_j.inflow, dtype=np.int64), kind="stable")
+    outflow = np.asarray(frame_i.outflow, dtype=np.int64)
+    inflow = np.asarray(frame_j.inflow, dtype=np.int64)
+    m = shared_count(outflow, inflow)
+    order_i = np.argsort(outflow, kind="stable")
+    order_j = np.argsort(inflow, kind="stable")
     if len(frame_i) and len(frame_j):
         s = frame_i.features[order_i] @ frame_j.features[order_j].T
         np.clip(s, -1.0, 1.0, out=s)
@@ -354,4 +381,5 @@ def pair_blocks(stream: DetectionStream) -> list[SimilarityBlocks]:
 def random_similarity_blocks(rng: np.random.Generator, n_i: int, n_j: int,
                              m: int) -> SimilarityBlocks:
     """Random blocks with entries in [-1, 1], for diagnostics and gradient checks."""
-    return SimilarityBlocks(rng.uniform(-1.0, 1.0, size=(n_i, n_j)), m)
+    size = (_as_int(n_i, "n_i", 0), _as_int(n_j, "n_j", 0))
+    return SimilarityBlocks(rng.uniform(-1.0, 1.0, size=size), m)

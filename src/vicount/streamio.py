@@ -98,7 +98,7 @@ def parse_stream(path) -> DetectionStream:
             _fail(path, 1, f"dim must be a non-negative integer, got {dim!r}")
         delta = _need(header, "delta", path, 1)
         try:
-            delta = _finite(delta, "delta", positive=True)
+            delta = _finite(delta, "delta", "(0, inf)")
         except DataError as exc:
             _fail(path, 1, f"{exc}")
         frames = []

@@ -290,6 +290,35 @@ class TestExitCodes:
         assert rc == 2
         assert "gt_count must be an integer, got 2.7" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("from_gt_file", [True, False])
+    def test_bad_gt_count_names_the_file_it_came_from(self, tmp_path, capsys, from_gt_file):
+        report = tmp_path / "r.json"
+        gt = tmp_path / "gt.json"
+        report.write_text(json.dumps({"video": "x", "frames": 3, "total": 2,
+                                      "gt_total": 3 if from_gt_file else 2.7}))
+        gt.write_text(json.dumps({"x": 2.7} if from_gt_file else {}))
+        rc = main(["eval", str(report), "--gt", str(gt)])
+        assert rc == 2
+        named = f"{gt}: video 'x'" if from_gt_file else report
+        assert capsys.readouterr().err == (
+            f"vicount: data error: {named}: gt_count must be an integer, got 2.7\n")
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--step", "0", "--step must be a positive number, got 0.0"),
+        ("--step", "nan", "--step must be finite, got nan"),
+        ("--fail-above", "nan", "--fail-above must be finite, got nan"),
+        ("--fail-above", "-1", "--fail-above must be in [0, inf), got -1.0"),
+        ("--max-rows", "0", "--max-rows must be at least 1, got 0"),
+        ("--max-cols", "0", "--max-cols must be at least 1, got 0"),
+        ("--trials", "-3", "--trials must be at least 1, got -3"),
+    ])
+    def test_bad_gradcheck_flag_is_two(self, capsys, flag, value, message):
+        rc = main(["gradcheck", "--trials", "2", flag, value])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"vicount: data error: {message}\n"
+
     @pytest.mark.parametrize("field, value, message", [
         ("frames", "12", "length must be a positive number, got '12'"),
         ("total", True, "pred_count must be a number, got True"),

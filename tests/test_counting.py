@@ -220,7 +220,7 @@ class TestMemoryState:
         assert all(np.array_equal(a, b) for a, b in zip(after, before))
 
     def test_mixed_dimensions_rejected(self):
-        with pytest.raises(DataError, match=r"\(N, W, D\)"):
+        with pytest.raises(DataError, match="templates dimension mismatch"):
             MemoryState([[[1.0, 0.0]], [[1.0, 0.0, 0.0]]], [1, 1], [1, 1], [0, 1], 2)
 
     def test_count_builds_no_entries_and_stacks_nothing(self, monkeypatch):
@@ -243,7 +243,7 @@ class TestMemoryStateValidation:
 
     def test_templates_rank(self):
         templates, fill, ttl, entry_id = _two_entries()
-        with pytest.raises(DataError, match=r"\(N, W, D\)"):
+        with pytest.raises(DataError, match="templates must form a 3-d array"):
             MemoryState(templates[:, 0], fill, ttl, entry_id, 9)
 
     @pytest.mark.parametrize("name", ["fill", "ttl", "entry_id"])
@@ -296,8 +296,8 @@ class TestMemoryStateValidation:
         memory, _ = step(MemoryState.empty(), _rows(E0, E1), McpConfig())
         stored = []
 
-        def kept(values, dtype):
-            arr = read_only(values, dtype)
+        def kept(values):
+            arr = read_only(values)
             assert arr is values, "step must hand over read-only arrays of the stored dtype"
             stored.append(arr)
             return arr

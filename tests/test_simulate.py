@@ -230,12 +230,13 @@ class TestSimConfigValidation:
                                        "walk_step_sigma", "max_base_similarity"])
     @pytest.mark.parametrize("value", [True, "0.1"])
     def test_real_fields_are_numbers(self, field, value):
-        with pytest.raises(DataError, match=f"{field} must be a number, got {value!r}"):
+        kind = "a positive number" if field == "delta" else "a number"
+        with pytest.raises(DataError, match=f"{field} must be {kind}, got {value!r}"):
             SimConfig(**{field: value})
 
     @pytest.mark.parametrize("value", [(True, 10.0), (10.0, "10")])
     def test_scene_size_sides_are_numbers(self, value):
-        with pytest.raises(DataError, match="scene_size must be a number"):
+        with pytest.raises(DataError, match="scene_size must be a positive number"):
             SimConfig(scene_size=value)
 
     def test_infeasible_similarity_cap(self):
