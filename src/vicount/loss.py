@@ -96,8 +96,16 @@ def sinkhorn(cost, reg: float, max_iters: int = 500, tol: float = 1e-6) -> Trans
     reg = _finite(reg, "reg", "(0, inf)", NumericalError)
     max_iters = _as_int(max_iters, "max_iters", 0, NumericalError)
     tol = _finite(tol, "tol", "(0, inf)", NumericalError)
-    n = arr.shape[0]
-    mr = -arr / reg
+    # a / -reg is -a / reg to the bit, in one new array
+    return _solve(np.divide(arr, -reg), max_iters, tol)
+
+
+def _solve(mr: np.ndarray, max_iters: int, tol: float) -> TransportPlan:
+    """The solve sinkhorn describes, from the checked log-kernel mr = -cost / reg.
+
+    mr is non-empty, square and of finite entries, and is only read.
+    """
+    n = mr.shape[0]
     f = np.zeros(n)
     g = np.zeros(n)
     iters = 0
@@ -191,8 +199,9 @@ def _dual_newton_step(mr, plan, r, c, err, f, g, out):
     col = c + 1e-12
     row = r + 1e-12
     res = (1.0 - r) - plan @ ((1.0 - c) / col)
-    # the diagonal is >= 0 in exact arithmetic; rounding can take it to 0 or below
-    jacobi = np.maximum(row - (plan * plan) @ (1.0 / col), 1e-12)
+    # The diagonal is >= 0 in exact arithmetic; rounding can take it to 0 or below.
+    # out holds the squared plan until the first trial plan is written into it.
+    jacobi = np.maximum(row - np.multiply(plan, plan, out=out) @ (1.0 / col), 1e-12)
     dx = np.zeros_like(r)
     p = z = res / jacobi
     rz = res @ z
@@ -247,12 +256,14 @@ def _contrastive_parts(s: np.ndarray, m: int, scale: float):
     column underflow under the shift has no defined contrast and raises
     NumericalError.
     """
-    z = scale * s
-    e = np.exp(z - np.max(z))
+    e = np.multiply(s, scale)
+    e -= np.max(e)
+    np.exp(e, out=e)
     row = e.sum(axis=1)
     col = e.sum(axis=0)
     e0 = e[:m, :m]
-    denom = row[:m, None] + col[None, :m] - e0
+    denom = np.add(row[:m, None], col[None, :m])
+    denom -= e0
     if not np.all(denom > 0):
         i, j = np.unravel_index(np.argmin(denom), denom.shape)
         raise NumericalError(
@@ -301,13 +312,16 @@ def soft_contrastive_loss(blocks: SimilarityBlocks, cfg: LossConfig) -> SoftCont
         empty = TransportPlan(np.zeros((0, 0)), True, 0)
         return SoftContrastiveLoss(0.0, 0.0, empty)
     c = _contrastive_parts(blocks.full, m, cfg.temperature)[-1]
-    plan = sinkhorn(1.0 - c, cfg.sinkhorn_reg, cfg.sinkhorn_max_iters, cfg.sinkhorn_tol)
+    # (c - 1) / reg is sinkhorn's -(1 - c) / reg to the bit, and c is finite by construction
+    mr = np.subtract(c, 1.0)
+    mr /= cfg.sinkhorn_reg
+    plan = _solve(mr, cfg.sinkhorn_max_iters, cfg.sinkhorn_tol)
     if not plan.converged:
         raise NumericalError(
             f"transport solve for m={m} did not converge "
             f"in {plan.iterations_used} iterations"
         )
-    raw = -float(np.sum(plan.omega * c))
+    raw = -float(np.sum(np.multiply(plan.omega, c, out=c)))
     return SoftContrastiveLoss(raw / m, raw, plan)
 
 

@@ -150,7 +150,9 @@ def _array(values, what: str, ndim: int, integer: bool = False, copy: bool = Fal
     integer), naming the first bad one as what[i, j]. Of a list, the entries equal to 0 or 1
     are read too, as True and False land there. If integer, a fraction or an int past 64 bits
     is refused. Given a width, an empty array of another rank reads as (0, ..., 0, width). A
-    new array if copy, else values itself if already such an array: no argument is copied.
+    new writable array if copy. Else values itself if it is already such an array, and an
+    array made anew from a list, tuple or array is read-only, so _read_only keeps it rather
+    than copy it again.
     """
     def read(index, value):
         name = f"{what}{list(index)}" if len(index) else what
@@ -167,7 +169,8 @@ def _array(values, what: str, ndim: int, integer: bool = False, copy: bool = Fal
         arr = np.array([read(k, reduce(getitem, k, values))
                         for k in np.ndindex(arr.shape)]).reshape(arr.shape)
     elif listed:
-        for k in np.argwhere((arr == 0) | (arr == 1)).tolist():
+        # one comparison at a time, so a single mask is alive beside arr
+        for k in sorted(k for v in (0, 1) for k in np.argwhere(arr == v).tolist()):
             read(k, reduce(getitem, k, values))
     if integer and arr.dtype.kind in "fuO":
         # NaN compares False here, so it is read, and refused, with the fractions
@@ -178,6 +181,9 @@ def _array(values, what: str, ndim: int, integer: bool = False, copy: bool = Fal
             read(k, arr.item(tuple(k)))
             raise error(f"{what}{k} must fit in 64 bits, got {arr.item(tuple(k))}")
     arr = arr.astype(np.intp if integer else np.float64, copy=False)
+    if not copy and (isinstance(values, (list, tuple)) or isinstance(values, np.ndarray)
+                     and not np.may_share_memory(arr, values)):
+        arr.setflags(write=False)
     if arr.ndim != ndim:
         if arr.size or width is None:
             raise error(f"{what} must form a {ndim}-d array, got shape {arr.shape}")
@@ -314,13 +320,13 @@ class SimilarityBlocks:
 
     Detections of the earlier frame are reordered so the ones that stay come
     first; detections of the later frame so the ones already present come
-    first. full is that block-ordered (n_i, n_j) matrix, stored once and
-    read-only (a writable matrix passed in is copied; a read-only one is
-    kept as is), and m the shared count. The blocks are views of full: the
-    top-left s0 holds similarities among shared individuals and the
-    bottom-right s3 compares outflow against inflow, while s1/s2 mix the
-    two groups. perm_i/perm_j map block positions back to the original
-    detection order of each frame.
+    first. full is that block-ordered (n_i, n_j) matrix of finite entries,
+    stored once and read-only (a writable matrix passed in is copied; a
+    read-only one is kept as is), and m the shared count. The blocks are
+    views of full: the top-left s0 holds similarities among shared
+    individuals and the bottom-right s3 compares outflow against inflow,
+    while s1/s2 mix the two groups. perm_i/perm_j map block positions back
+    to the original detection order of each frame.
     """
 
     full: np.ndarray
@@ -330,6 +336,9 @@ class SimilarityBlocks:
 
     def __post_init__(self):
         s = _read_only(_array(self.full, "full", 2))
+        if not np.isfinite(s).all():
+            i, j = np.argwhere(~np.isfinite(s))[0].tolist()
+            raise DataError(f"full[{i}, {j}] must be finite, got {s[i, j]}")
         m = _as_int(self.m, "m", 0)
         if m > min(s.shape):
             raise DataError(f"shared count {m} out of range for shape {s.shape}")

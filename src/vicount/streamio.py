@@ -11,7 +11,7 @@ float form), and write followed by parse reproduces the stream exactly.
 import json
 
 from .errors import DataError, StreamFormatError
-from .stream import DetectionStream, FrameRecord, _finite
+from .stream import DetectionStream, FrameRecord, _as_int, _finite
 
 SCHEMA_VERSION = 1
 
@@ -90,11 +90,18 @@ def parse_stream(path) -> DetectionStream:
             _fail(path, 1, f"malformed header: {exc.msg}")
         if not isinstance(header, dict):
             _fail(path, 1, "header must be a JSON object")
+        # read as frame and id are: a float with no fractional part is an integer
         schema = _need(header, "schema", path, 1)
-        if type(schema) is not int or schema != SCHEMA_VERSION:
+        try:
+            known = _as_int(schema, "schema") == SCHEMA_VERSION
+        except DataError:
+            known = False
+        if not known:
             _fail(path, 1, f"unknown schema version {schema!r}, expected {SCHEMA_VERSION}")
         dim = _need(header, "dim", path, 1)
-        if type(dim) is not int or dim < 0:
+        try:
+            dim = _as_int(dim, "dim", 0)
+        except DataError:
             _fail(path, 1, f"dim must be a non-negative integer, got {dim!r}")
         delta = _need(header, "delta", path, 1)
         try:

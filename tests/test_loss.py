@@ -1,6 +1,7 @@
 """Loss-side tests: contrastive similarity, transport solver, pair losses."""
 
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -408,6 +409,11 @@ class TestSoftContrastiveLoss:
             assert out.raw == pytest.approx(out.loss * m)
             assert out.plan.omega.shape == (m, m)
 
+    def test_non_finite_similarity_is_a_data_error(self):
+        # refused where the blocks are built, not blamed on the temperature
+        with pytest.raises(DataError, match=r"full\[0, 0\] must be finite, got nan"):
+            soft_contrastive_loss(SimilarityBlocks([[np.nan, 0], [0, 1]], 1), LossConfig())
+
     def test_empty_shared_contributes_zero(self):
         blocks = SimilarityBlocks(np.ones((2, 3)), 0)
         out = soft_contrastive_loss(blocks, LossConfig())
@@ -540,6 +546,24 @@ class TestPairObjective:
         assert obj.loss == sc.loss and obj.hinge > 0
         assert obj.hinge == hinge_loss(blocks.s3, cfg.hinge_threshold)
         assert np.array_equal(obj.plan.omega, sc.plan.omega)
+
+    def test_pair_allocates_only_what_it_keeps(self):
+        # the pair of test_newton_steps_are_matrix_free: m = 435 of 659 x 676
+        stream = generate_scene(
+            SimConfig(num_identities=900, num_frames=2, feature_dim=64,
+                      feature_noise_sigma=0.1, seed=0)
+        )
+        (blocks,) = pair_blocks(stream)
+        assert blocks.m == 435 and blocks.full.shape == (659, 676)
+        tracemalloc.start()
+        try:
+            pair_objective(blocks, LossConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 3.4 MiB of exponentials with a 1.45 MiB denominator and contrast beside them,
+        # then four m x m arrays in the solve: contrast, log-kernel, plan and trial plan
+        assert peak <= 6.5 * 2**20
 
 
 class TestLossConfigValidation:

@@ -17,10 +17,14 @@ from hypothesis.extra.numpy import arrays
 from vicount import (
     DetectionStream,
     FrameRecord,
+    LossConfig,
     McpConfig,
     MemoryState,
+    NumericalError,
     SimConfig,
+    SimilarityBlocks,
     brute_force_assignment,
+    contrastive_similarity,
     count_video,
     generate_scene,
     gt_unique_count,
@@ -28,6 +32,7 @@ from vicount import (
     parse_stream,
     round_to_permutation,
     sinkhorn,
+    soft_contrastive_loss,
     step,
     write_stream,
 )
@@ -266,6 +271,40 @@ class TestSinkhornProperties:
         assert plan.converged and shifted.converged
         assert list(round_to_permutation(shifted.omega)) == list(perm)
         assert list(round_to_permutation(plan.omega)) == list(perm)
+
+    @_SETTINGS
+    @given(
+        st.tuples(st.integers(1, 12), st.integers(1, 12), st.integers(1, 12)).flatmap(
+            lambda s: st.tuples(
+                arrays(np.float64, s[:2], elements=st.floats(-1, 1, allow_nan=False)),
+                st.just(min(s)),
+            )
+        ),
+        st.sampled_from([1.0, 10.0, 30.0]),
+        st.sampled_from([0.5, 0.05, 0.01]),
+        st.sampled_from([1, 5, 500]),
+        st.sampled_from([1e-3, 1e-6, 1e-9]),
+    )
+    def test_loss_path_solves_as_the_public_route(self, full_and_m, temperature, reg,
+                                                  max_iters, tol):
+        # the loss solves from the contrast directly; it must equal sinkhorn on
+        # the cost 1 - c to the bit
+        full, m = full_and_m
+        blocks = SimilarityBlocks(full, m)
+        cfg = LossConfig(temperature=temperature, sinkhorn_reg=reg,
+                         sinkhorn_max_iters=max_iters, sinkhorn_tol=tol)
+        c = contrastive_similarity(blocks, temperature)
+        public = sinkhorn(1.0 - c, reg, max_iters, tol)
+        if not public.converged:
+            with pytest.raises(NumericalError, match="did not converge"):
+                soft_contrastive_loss(blocks, cfg)
+            return
+        got = soft_contrastive_loss(blocks, cfg)
+        assert got.plan.omega.tobytes() == public.omega.tobytes()
+        assert got.plan.iterations_used == public.iterations_used
+        raw = -float(np.sum(public.omega * c))
+        assert np.float64(got.raw).tobytes() == np.float64(raw).tobytes()
+        assert got.loss == raw / m
 
     @_SETTINGS
     @given(st.integers(1, 7).flatmap(lambda n: st.tuples(

@@ -1,5 +1,7 @@
 """Data model and similarity partitioning tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -293,6 +295,34 @@ class TestSimilarityBlocks:
         s = np.zeros((2, 2))
         with pytest.raises(DataError, match="permutation"):
             SimilarityBlocks(s, 1, perm_i=[0, 0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        full = np.zeros((2, 3))
+        full[1, 2] = bad
+        with pytest.raises(DataError, match=rf"full\[1, 2\] must be finite, got {bad}"):
+            SimilarityBlocks(full, 1)
+
+    def test_writable_array_copied_read_only_kept(self):
+        given = np.zeros((2, 3))
+        blocks = SimilarityBlocks(given, 1)
+        assert not np.shares_memory(blocks.full, given)
+        assert not blocks.full.flags.writeable
+        given.setflags(write=False)
+        assert SimilarityBlocks(given, 1).full is given
+
+    def test_list_is_read_into_one_array(self):
+        rows = np.random.default_rng(8).uniform(-1, 1, (1000, 1000)).tolist()
+        tracemalloc.start()
+        try:
+            blocks = SimilarityBlocks(rows, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the 8 MB matrix kept, one boolean mask of 1 MB beside it, and no second copy
+        assert peak <= 8.7 * 2**20
+        assert not blocks.full.flags.writeable
+        assert blocks.full.tolist() == rows
 
 
 def test_pair_blocks_covers_adjacent_pairs():

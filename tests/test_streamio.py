@@ -217,14 +217,24 @@ class TestParseErrors:
 
     @pytest.mark.parametrize("header, message", [
         ('{"schema":true,"dim":2,"delta":1.0}', "unknown schema version True"),
-        ('{"schema":1.0,"dim":2,"delta":1.0}', "unknown schema version 1.0"),
+        ('{"schema":2.5,"dim":2,"delta":1.0}', "unknown schema version 2.5"),
         ('{"schema":1,"dim":true,"delta":1.0}', "dim must be a non-negative integer"),
+        ('{"schema":1,"dim":2.5,"delta":1.0}', "dim must be a non-negative integer, got 2.5"),
         ('{"schema":1,"dim":2,"delta":true}', "delta must be a positive number, got True"),
     ])
     def test_non_integer_header_fields_rejected(self, tmp_path, header, message):
         path = _write_lines(tmp_path, [header])
         with pytest.raises(StreamFormatError, match=":1: " + message):
             parse_stream(path)
+
+    def test_integral_floats_read_as_integers_on_every_line(self, tmp_path):
+        path = _write_lines(tmp_path, [
+            '{"schema":1.0,"dim":2.0,"delta":1.0}',
+            '{"frame":1.0,"t":0.0,"det":[{"x":0,"y":0,"f":[1.0,0.0],"id":3.0}],"in":[1],"out":[1]}',
+        ])
+        (frame,) = parse_stream(path).frames
+        assert frame.frame_index == 1 and frame.gt_ids == (3,)
+        assert frame.features.shape == (1, 2)
 
     def test_timestamp_spacing_enforced(self, tmp_path):
         path = _write_lines(
