@@ -112,6 +112,21 @@ def _solve_rectangular(cost: np.ndarray) -> np.ndarray:
     return row_to_col
 
 
+def _assign(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """hungarian's matching of a checked cost matrix, as index arrays (rows, cols).
+
+    Row rows[k] is matched to column cols[k], and rows increase.
+    """
+    r, c = arr.shape
+    if r == 0 or c == 0:
+        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
+    if r <= c:
+        return np.arange(r), _solve_rectangular(arr)
+    col_to_row = _solve_rectangular(arr.T)
+    cols = np.argsort(col_to_row)
+    return col_to_row[cols], cols
+
+
 def hungarian(cost) -> Assignment:
     """Minimum-cost assignment of rows to columns.
 
@@ -120,17 +135,9 @@ def hungarian(cost) -> Assignment:
     the one of minimum total cost. Entries must be finite.
     """
     arr = _check_cost(cost)
-    r, c = arr.shape
-    if r == 0 or c == 0:
-        return Assignment((), 0.0, tuple(range(r)))
-    if r <= c:
-        rows, cols = np.arange(r), _solve_rectangular(arr)
-    else:
-        col_to_row = _solve_rectangular(arr.T)
-        cols = np.argsort(col_to_row)
-        rows = col_to_row[cols]
+    rows, cols = _assign(arr)
     # A mask, not np.setdiff1d, which imports numpy.ma (about 2 MB resident).
-    unmatched = np.ones(r, dtype=bool)
+    unmatched = np.ones(arr.shape[0], dtype=bool)
     unmatched[rows] = False
     return Assignment(
         tuple(zip(rows.tolist(), cols.tolist())),

@@ -14,7 +14,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .assignment import hungarian
+# step matches through _assign; hungarian stays importable from here, where the
+# benchmark's tracer (perfbench/tracer.py) looks for it.
+from .assignment import _assign, hungarian  # noqa: F401
 from .errors import DataError
 from .stream import (Detection, DetectionStream, _array, _as_int, _BuiltOnAccess, _finite,
                      _read_only)
@@ -154,11 +156,18 @@ def _cost_matrix(features: np.ndarray, memory: MemoryState, aggregator: str) -> 
     # In place, as this (detections, templates) block is the largest array a step makes.
     np.subtract(1.0, costs, out=costs)
     starts = np.cumsum(fill) - fill
-    if aggregator == "max":
-        return np.maximum.reduceat(costs, starts, axis=1)
-    if aggregator == "min":
-        return np.minimum.reduceat(costs, starts, axis=1)
-    return np.add.reduceat(costs, starts, axis=1) / fill
+    if aggregator == "mean":
+        # add.reduceat does not sum a segment in slot order, so no slot-wise sum
+        # would give its bits.
+        return np.add.reduceat(costs, starts, axis=1) / fill
+    # Max and min do not depend on order, so they are taken slot by slot for all
+    # entries at once; an entry past its last filled slot repeats that slot.
+    combine = np.maximum if aggregator == "max" else np.minimum
+    out = costs[:, starts]
+    last = starts + fill - 1
+    for w in range(1, int(fill.max())):
+        combine(out, costs[:, np.minimum(starts + w, last)], out=out)
+    return out
 
 
 def template_cost(detection: Detection, entry: TemplateEntry, aggregator: str = "max") -> float:
@@ -207,9 +216,9 @@ def step(memory: MemoryState, features, cfg: McpConfig) -> tuple[MemoryState, St
     det_idx = entry_idx = np.zeros(0, dtype=np.intp)
     if n and size:
         cost = _cost_matrix(features, memory, cfg.template_aggregator)
-        pairs = np.array(hungarian(cost).pairs, dtype=np.intp).reshape(-1, 2)
-        ok = cost[pairs[:, 0], pairs[:, 1]] <= cfg.zeta
-        det_idx, entry_idx = pairs[ok, 0], pairs[ok, 1]
+        rows, cols = _assign(cost)
+        ok = cost[rows, cols] <= cfg.zeta
+        det_idx, entry_idx = rows[ok], cols[ok]
     matched = np.zeros(size, dtype=bool)
     matched[entry_idx] = True
     fresh = np.ones(n, dtype=bool)

@@ -29,10 +29,14 @@ def _unit_rows(rows: np.ndarray, row_label: str | None = None) -> np.ndarray:
     A row whose squared norm is 0, subnormal or infinite is first divided by its largest
     absolute entry. A zero or non-finite row raises DataError, naming row_label[k] if given.
     """
-    finite = np.isfinite(rows).all(axis=1)
     # Batched matmul gives every row's squared norm bit-for-bit as np.dot does.
     with np.errstate(over="ignore", under="ignore"):
         sq = (rows[:, None, :] @ rows[:, :, None]).reshape(-1)
+    # Rows all unit already, the common case, are kept as they are. A zero, subnormal,
+    # huge or non-finite row has a squared norm far from 1, or NaN, and fails this test.
+    if (np.abs(sq - 1.0) <= _UNIT_NORM_TOL).all():
+        return rows
+    finite = np.isfinite(rows).all(axis=1)
     off = np.flatnonzero(finite & ((sq < np.finfo(np.float64).tiny) | (sq == np.inf)))
     if len(off):
         # initial, the least positive float, keeps a zero row's divisor above 0
@@ -168,7 +172,7 @@ def _array(values, what: str, ndim: int, integer: bool = False, copy: bool = Fal
             raise error(f"{what} must be numbers, got dtype {arr.dtype}")
         arr = np.array([read(k, reduce(getitem, k, values))
                         for k in np.ndindex(arr.shape)]).reshape(arr.shape)
-    elif listed:
+    elif listed and (np.count_nonzero(arr == 0) or np.count_nonzero(arr == 1)):
         # one comparison at a time, so a single mask is alive beside arr
         for k in sorted(k for v in (0, 1) for k in np.argwhere(arr == v).tolist()):
             read(k, reduce(getitem, k, values))
@@ -207,9 +211,20 @@ def _as_bits(values, n: int, name: str) -> tuple[int, ...]:
 
 
 def _as_ids(values, n: int) -> tuple[int | None, ...]:
-    ids = (None,) * n if values is None else tuple(values)
+    """values as n ids, each a non-negative int or None; any other id raises DataError."""
+    if values is None:
+        return (None,) * n
+    ids = tuple(values)
     if len(ids) != n:
         raise DataError(f"gt_ids has {len(ids)} entries for {n} detections")
+    try:
+        # all ints in one read; a None or a bad id sends every id through _as_int below
+        arr = _array(ids, "gt_ids", 1, integer=True)
+    except DataError:
+        pass
+    else:
+        if not np.count_nonzero(arr < 0):
+            return tuple(arr.tolist())
     return tuple(None if g is None else _as_int(g, f"det[{k}]: gt_id", 0)
                  for k, g in enumerate(ids))
 

@@ -1,5 +1,6 @@
 """Property-based tests: the assignment solver against the enumeration oracle,
-the counting step against a nested-loop reference of the template memory,
+the counting step against a nested-loop reference of the template memory, the
+cost matrix against numpy's segment reductions,
 counts under renumbered ground-truth ids, transport marginals at convergence,
 and stream files through write and parse."""
 
@@ -36,6 +37,8 @@ from vicount import (
     step,
     write_stream,
 )
+from vicount.assignment import _assign
+from vicount.counting import _cost_matrix
 from vicount.stream import _unit_rows
 
 # Derandomized and without an example database, so every run checks the same
@@ -86,6 +89,16 @@ class TestHungarianProperties:
     @given(_tied_costs())
     def test_integer_ties_match_oracle(self, cost):
         _check_against_oracle(cost, exact=True)
+
+    @_SETTINGS
+    @given(st.tuples(st.integers(0, 12), st.integers(0, 12)).flatmap(
+        lambda s: arrays(np.float64, s, elements=st.integers(-3, 3))))
+    def test_core_pairs_equal_the_public_route(self, cost):
+        # step matches through the core; with ties about, it must still pick
+        # hungarian's pairs, with more rows than columns and with fewer
+        for arr in (cost, cost.T):
+            rows, cols = _assign(arr)
+            assert tuple(zip(rows.tolist(), cols.tolist())) == hungarian(arr).pairs
 
 
 # ---- counting ----------------------------------------------------------------
@@ -188,6 +201,30 @@ class TestCountingProperties:
         report = count_video(_stream(frames), cfg)
         assert report.total == sum(r.inflow for r in report.per_step)
         assert report.total >= max(len(rows) for rows in frames)
+
+
+class TestCostMatrixProperties:
+    @_SETTINGS
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(1, 8), st.integers(1, 6),
+           st.integers(1, 5))
+    def test_cost_matrix_equals_the_reduceat_oracle(self, seed, width, size, n, dim):
+        # Widths past 8 reach past numpy's 8-wide pairwise summation block.
+        rng = np.random.default_rng(seed)
+        fill = rng.integers(1, width + 1, size)
+        # every slot holds a row, so one read past an entry's fill would show
+        templates = rng.standard_normal((size, width, dim))
+        memory = MemoryState(templates, fill, np.ones(size, dtype=np.intp),
+                             np.arange(size), size)
+        features = rng.standard_normal((n, dim))
+        costs = 1.0 - features @ templates[np.arange(width) < fill[:, None]].T
+        starts = np.cumsum(fill) - fill
+        want = {
+            "max": np.maximum.reduceat(costs, starts, axis=1),
+            "min": np.minimum.reduceat(costs, starts, axis=1),
+            "mean": np.add.reduceat(costs, starts, axis=1) / fill,
+        }
+        for aggregator, cost in want.items():
+            assert _cost_matrix(features, memory, aggregator).tobytes() == cost.tobytes()
 
 
 @st.composite

@@ -1,5 +1,8 @@
 """One policy for every number the library is handed: stream.py's readers read it.
 
+The readers' shortcuts for the common case (a frame's ids read as one array, a
+block of rows already unit kept as it is) give what the full read gives.
+
 A string, a truth value, a fraction where an integer is due and, for a scalar or
 a cost matrix, a NaN are refused with the entry point's documented exception,
 and the message names the argument. A guard keeps every other module from
@@ -14,6 +17,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vicount import (DataError, Detection, DetectionStream, FrameRecord, LossConfig, McpConfig,
                      MemoryState, NumericalError, SimConfig, SimilarityBlocks, TemplateEntry,
@@ -21,6 +26,7 @@ from vicount import (DataError, Detection, DetectionStream, FrameRecord, LossCon
                      frozen_plan_loss, hinge_loss, hungarian, loss_gradient,
                      random_similarity_blocks, round_to_permutation, shared_count, sinkhorn,
                      step, supervised_contrastive_loss, template_cost)
+from vicount.stream import _unit_rows
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "vicount"
 
@@ -68,6 +74,8 @@ ENTRY_POINTS = [
      lambda v: FrameRecord(1, 0.0, [[v, 0]], [[1.0, 0.0]], (1,), (1,))),
     ("FrameRecord", "features", DataError, ROWS,
      lambda v: FrameRecord(1, 0.0, [[0, 0]], [[v, 1.0]], (1,), (1,))),
+    ("FrameRecord", "gt_id", DataError, INTEGER,
+     lambda v: FrameRecord(1, 0.0, [[0, 0]], [[1.0, 0.0]], (1,), (1,), [v])),
     ("DetectionStream", "delta", DataError, REAL, lambda v: DetectionStream((), v)),
     ("SimilarityBlocks", "full", DataError, ROWS,
      lambda v: SimilarityBlocks([[v, 0.0], [0.0, 1.0]], 1)),
@@ -196,3 +204,68 @@ def test_the_guard_sees_a_cast_of_a_parameter():
                      "    b = np.array(entry.templates[0], dtype=float)\n"
                      "    c = np.asarray(np.zeros(2), dtype=float)\n")
     assert [line for line, _ in _dtype_casts_of_parameters(tree)] == [3, 4]
+
+
+def _frame_with_ids(ids):
+    n = len(ids)
+    return FrameRecord(1, 0.0, [[0, 0]] * n, [[1.0, 0.0]] * n, (1,) * n, (1,) * n, ids)
+
+
+@pytest.mark.parametrize("ids, message", [
+    pytest.param([None, 0.5], "det[1]: gt_id must be an integer, got 0.5", id="none-and-fraction"),
+    pytest.param([4, -1], "det[1]: gt_id must be at least 0, got -1", id="negative"),
+    pytest.param([0, 2.5], "det[1]: gt_id must be an integer, got 2.5", id="fraction"),
+    pytest.param([1, True], "det[1]: gt_id must be an integer, got True", id="bool"),
+    pytest.param([3, -2**64], f"det[1]: gt_id must be at least 0, got {-2**64}",
+                 id="negative-past-64-bits"),
+])
+def test_a_bad_gt_id_is_named_by_its_detection(ids, message):
+    with pytest.raises(DataError) as caught:
+        _frame_with_ids(ids)
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("ids, want", [
+    pytest.param([None, 3], (None, 3), id="none"),
+    pytest.param([2**64, 0], (2**64, 0), id="past-64-bits"),
+    pytest.param([np.int64(5), 7.0, 1], (5, 7, 1), id="numpy-and-whole-float"),
+    pytest.param([], (), id="empty"),
+])
+def test_gt_ids_are_kept_as_python_ints(ids, want):
+    got = _frame_with_ids(ids).gt_ids
+    assert got == want
+    assert [type(g) for g in got] == [type(g) for g in want]
+
+
+_ROW_KINDS = ("unit", "scaled", "subnormal", "huge", "zero", "nan", "inf")
+
+
+def _row(kind: str, rng: np.random.Generator, d: int) -> np.ndarray:
+    row = rng.standard_normal(d)
+    if kind == "unit":
+        return row / np.sqrt(row @ row)
+    if kind in ("nan", "inf"):
+        row[rng.integers(d)] = math.nan if kind == "nan" else -math.inf
+        return row
+    return row * {"scaled": 3.0, "subnormal": 1e-310, "huge": 1e300, "zero": 0.0}[kind]
+
+
+def _normalized(rows: np.ndarray):
+    """_unit_rows's bytes for rows, or its message."""
+    try:
+        return _unit_rows(rows.copy(), "det").tobytes()
+    except DataError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8),
+       st.lists(st.sampled_from(_ROW_KINDS), max_size=6))
+def test_unit_rows_gives_the_same_bytes_with_and_without_the_early_return(seed, d, kinds):
+    rng = np.random.default_rng(seed)
+    rows = np.array([_row(kind, rng, d) for kind in kinds]).reshape(len(kinds), d)
+    # A last row of norm 2 sends the block through the full pass; it raises
+    # for the same first bad row, or keeps every other row's bytes.
+    forced = np.vstack([rows, np.full((1, d), 2.0 / math.sqrt(d))])
+    fast, full = _normalized(rows), _normalized(forced)
+    assert fast == (full if isinstance(full, str) else full[: rows.nbytes])
