@@ -6,9 +6,20 @@ following line is one frame: {"frame": k, "t": seconds, "det": [...],
 "f" (the feature vector), and optionally "id" (ground-truth identity).
 Serialization is deterministic (fixed key order, shortest round-tripping
 float form), and write followed by parse reproduces the stream exactly.
+
+The parser decodes each line with orjson, about five times faster than json
+on feature-heavy lines and correctly rounded like it. json, whose values and
+error messages the parser has always had, re-reads a line in two cases: when
+orjson refuses it (NaN and Infinity literals, a number past float range, a
+lone surrogate escape, malformed JSON), and when a field the parser reads
+holds a type a valid line never gives it. The second case covers the one
+kind of value on which the two disagree: orjson reads an integer literal
+outside [-2**63, 2**64) as a float, where json keeps the exact int.
 """
 
 import json
+
+import orjson
 
 from .errors import DataError, StreamFormatError
 from .stream import DetectionStream, FrameRecord, _as_int, _finite
@@ -71,6 +82,41 @@ def _bad_detection(raw_dets: list, dim: int) -> str | None:
     return None
 
 
+_NUMBER = (int, float)
+_DET_TYPES = {(x, y, g) for x in _NUMBER for y in _NUMBER for g in (int, type(None))}
+
+
+def _typed(obj) -> bool:
+    """Whether each field parse_stream reads from the decoded line obj has a valid line's type.
+
+    Integer fields (schema, dim, frame, in, out and a detection's id) must hold ints and real
+    fields (delta, t and a detection's x and y) ints or floats, so an integer that orjson made
+    a float fails, and so does a container in a field whose error message would print it. A
+    missing key passes, as its message prints no value, and so do the entries of f, as a
+    container among them is reported without its value.
+    """
+    if type(obj) is not dict:
+        return True
+    get = obj.get
+    dets = get("det", [])
+    return (all(type(get(key, 0)) is int for key in ("schema", "dim", "frame"))
+            and type(get("delta", 0)) in _NUMBER and type(get("t", 0)) in _NUMBER
+            and all(type(bits) is list and set(map(type, bits)) <= {int}
+                    for bits in (get("in", []), get("out", [])))
+            and type(dets) is list and set(map(type, dets)) <= {dict}
+            and {(type(d.get("x", 0)), type(d.get("y", 0)), type(d.get("id"))) for d in dets}
+            <= _DET_TYPES)
+
+
+def _decode(line: str):
+    """line decoded by orjson if it takes the line and the result is _typed, else by json."""
+    try:
+        obj = orjson.loads(line)
+    except orjson.JSONDecodeError:
+        return json.loads(line)
+    return obj if _typed(obj) else json.loads(line)
+
+
 def parse_stream(path) -> DetectionStream:
     """Parse a stream file written by write_stream, validating as it goes.
 
@@ -85,7 +131,7 @@ def parse_stream(path) -> DetectionStream:
         if header_line is None:
             _fail(path, 1, "empty file, expected a header line")
         try:
-            header = json.loads(header_line)
+            header = _decode(header_line)
         except json.JSONDecodeError as exc:
             _fail(path, 1, f"malformed header: {exc.msg}")
         if not isinstance(header, dict):
@@ -110,10 +156,10 @@ def parse_stream(path) -> DetectionStream:
             _fail(path, 1, f"{exc}")
         frames = []
         for lineno, line in lines:
-            if not line.strip():
+            if not line or line.isspace():
                 _fail(path, lineno, "blank line in frame section")
             try:
-                obj = json.loads(line)
+                obj = _decode(line)
             except json.JSONDecodeError as exc:
                 _fail(path, lineno, f"malformed frame: {exc.msg}")
             if not isinstance(obj, dict):

@@ -2,12 +2,14 @@
 the counting step against a nested-loop reference of the template memory, the
 cost matrix against numpy's segment reductions,
 counts under renumbered ground-truth ids, transport marginals at convergence,
-and stream files through write and parse."""
+stream files through write and parse, and the stream parser's orjson decoding
+against json's on edge literals."""
 
 import json
 import math
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -37,6 +39,7 @@ from vicount import (
     step,
     write_stream,
 )
+from vicount import streamio
 from vicount.assignment import _assign
 from vicount.counting import _cost_matrix
 from vicount.stream import _unit_rows
@@ -503,3 +506,155 @@ class TestStreamFileProperties:
             write_stream(stream, got)
             _reference_write(stream, want)
             assert got.read_bytes() == want.read_bytes()
+
+    def test_extreme_exponents_round_trip_bit_for_bit(self, tmp_path):
+        # Finite floats drawn uniformly over the binary exponent, subnormals
+        # included, so the decoder's rounding is checked at every scale. Each
+        # feature row is a leading +-1 and entries below 2**-30, whose squares
+        # vanish beside 1, so the rows are unit as they are.
+        rng = np.random.default_rng(20231)
+
+        def floats(shape, top):
+            sign = rng.integers(0, 2, size=shape, dtype=np.uint64) << np.uint64(63)
+            exponent = rng.integers(0, top, size=shape, dtype=np.uint64)
+            exponent[rng.random(shape) < 0.1] = 0
+            mantissa = rng.integers(0, 2**52, size=shape, dtype=np.uint64)
+            return (sign | exponent << np.uint64(52) | mantissa).view(np.float64)
+
+        n, dim = 300, 8
+        frames = []
+        for k in range(3):
+            features = np.hstack([rng.choice([-1.0, 1.0], size=(n, 1)),
+                                  floats((n, dim - 1), 1023 - 30)])
+            frames.append(FrameRecord(k + 1, 0.25 * k, floats((n, 2), 2047), features,
+                                      [1] * n, [1] * n, rng.integers(0, 2**62, size=n).tolist()))
+        stream = DetectionStream(tuple(frames), 0.25)
+        path = tmp_path / "extreme.jsonl"
+        write_stream(stream, path)
+        back = parse_stream(path)
+        for got, want in zip(back.frames, stream.frames, strict=True):
+            assert got.features.tobytes() == want.features.tobytes()
+            assert got.coordinates.tobytes() == want.coordinates.tobytes()
+            assert got.gt_ids == want.gt_ids
+
+
+# ---- orjson against json ----------------------------------------------------
+# A valid three-line stream as JSON values, edited at random and written out;
+# the parser must read it as it does with every line decoded by json.loads.
+
+_EDIT_BASE = [
+    {"schema": 1, "dim": 2, "delta": 0.5},
+    {"frame": 1, "t": 0.0, "det": [{"x": 1.5, "y": -2.0, "f": [0.6, 0.8], "id": 0},
+                                   {"x": 3.0, "y": 4.5, "f": [1.0, 0.0]}],
+     "in": [1, 1], "out": [0, 1]},
+    {"frame": 2, "t": 0.5, "det": [{"x": 1.0, "y": 2.5, "f": [-0.6, 0.8], "id": 7}],
+     "in": [0], "out": [1]},
+]
+_EDGE_INTEGERS = [2**63 - 1, 2**63, 2**64 - 1, 2**64, 2**64 + 1, 10**30,
+                  # the largest integer that rounds to a finite float, and the next one
+                  2**1024 - 2**970 - 1, 2**1024 - 2**970]
+_EDGE_LITERALS = (
+    [str(v) for g in _EDGE_INTEGERS for v in (g, -g)]
+    + ["0", "1", "-0", "-0.0", "NaN", "Infinity", "-Infinity", "1e400", "-1e400", "1e-400",
+       "5e-324", "2.4703282292062328e-324", "2.2250738585072011e-308", "1.7976931348623158e308",
+       '"\\ud800"', '"x\\udfff"', f"[{2**64 + 1}]", f'{{"a":{2**64 + 1}}}', "[]", "{}",
+       "null", "true"]
+)
+
+
+@st.composite
+def _real_literals(draw):
+    """Decimal literals of up to 40 significant digits at exponents past float range both ways."""
+    digits = draw(st.text("0123456789", min_size=1, max_size=40))
+    point = draw(st.integers(0, len(digits) - 1))
+    lead = draw(st.sampled_from("123456789"))
+    return (f"{draw(st.sampled_from(['', '-']))}{lead}{digits[:point]}.{digits[point:] or '0'}"
+            f"e{draw(st.integers(-345, 310))}")
+
+
+_LITERALS = (st.sampled_from(_EDGE_LITERALS) | _real_literals()
+             | st.integers(-10**40, 10**40).map(str)
+             | st.floats(allow_nan=False, allow_infinity=False).map(repr))
+
+
+def _places(value, path=()):
+    """Paths of every value inside a JSON value, the value itself first."""
+    yield path
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        items = ()
+    for key, child in items:
+        yield from _places(child, path + (key,))
+
+
+def _edited_lines(data) -> list[str]:
+    """The base lines after one to three random edits, as text.
+
+    An edit replaces a value with a literal, or repeats a key of an object with
+    a literal value before or after the original, or, under the key "\\ud800",
+    adds one. Last, a comma may be put before a closing bracket. Markers stand
+    in for the literals until the lines are text.
+    """
+    values = json.loads(json.dumps(_EDIT_BASE))
+    literals = {}
+    for _ in range(data.draw(st.integers(1, 3))):
+        line = data.draw(st.integers(0, len(values) - 1))
+        marker = f"@{len(literals)}@"
+        literals[json.dumps(marker)] = data.draw(_LITERALS)
+        path = data.draw(st.sampled_from(list(_places(values[line]))))
+        parent = values[line]
+        for key in path[:-1]:
+            parent = parent[key]
+        target = parent[path[-1]] if path else parent
+        if isinstance(target, dict) and data.draw(st.booleans()):
+            key = data.draw(st.sampled_from(sorted(target) + ["\ud800"]))
+            name = f"@key{len(literals)}@"
+            literals[json.dumps(name)] = json.dumps(key)
+            pair = {name: marker}
+            merged = {**pair, **target} if data.draw(st.booleans()) else {**target, **pair}
+            target.clear()
+            target.update(merged)
+        elif path:
+            parent[path[-1]] = marker
+        else:
+            values[line] = marker
+    lines = [json.dumps(v, separators=(",", ":")) for v in values]
+    for marker, literal in literals.items():
+        lines = [line.replace(marker, literal) for line in lines]
+    if data.draw(st.booleans()):
+        line = data.draw(st.integers(0, len(lines) - 1))
+        closes = [k for k, c in enumerate(lines[line]) if c in "]}"]
+        if closes:
+            at = data.draw(st.sampled_from(closes))
+            lines[line] = lines[line][:at] + "," + lines[line][at:]
+    return lines
+
+
+def _outcome(path):
+    """The parsed stream to the bit, or the type and message of what parsing raised."""
+    try:
+        stream = parse_stream(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return repr(stream.delta), [
+        (repr(f.frame_index), repr(f.timestamp), f.inflow, f.outflow, repr(f.gt_ids),
+         f.coordinates.tobytes(), f.features.shape, f.features.tobytes())
+        for f in stream.frames
+    ]
+
+
+class TestDecoderProperties:
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_orjson_decoding_parses_as_json_does(self, data):
+        lines = _edited_lines(data)
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory, "stream.jsonl")
+            path.write_text("\n".join(lines) + "\n", encoding="ascii")
+            got = _outcome(path)
+            with mock.patch.object(streamio, "_decode", json.loads):
+                want = _outcome(path)
+        assert got == want, lines

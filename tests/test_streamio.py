@@ -5,6 +5,7 @@ import io
 import json
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from vicount import (
     parse_stream,
     write_stream,
 )
+from vicount import streamio
 from vicount.cli import main
 
 
@@ -377,3 +379,50 @@ def test_the_unaltered_stream_is_valid(tmp_path, capsys):
     path.write_text("".join(json.dumps(v) + "\n" for v in _VALID), encoding="ascii")
     for argv in (["count"], ["loss"], ["pseudo"]):
         assert main(argv + ["--in", str(path)]) == 0, capsys.readouterr().err
+
+
+# ---- integers past 64 bits --------------------------------------------------
+# orjson reads an integer literal outside [-2**63, 2**64) as a float; the parser
+# must give the exact int json gives, in values and in error messages alike.
+# Each message starts with the 1-based number of the line it names.
+
+_PAST = 2**64 + 1
+_FRAME = '{"frame":1,"t":0.0,"det":[{"x":1.0,"y":2.0,"f":[0.6,0.8],"id":0}],"in":[1],"out":[1]}'
+
+
+def test_integers_past_64_bits_parse_to_the_exact_ints(tmp_path):
+    path = _write_lines(tmp_path, [
+        HEADER,
+        f'{{"frame":{_PAST},"t":0.0,"det":[{{"x":1.0,"y":2.0,"f":[0.6,0.8],"id":{_PAST}}},'
+        f'{{"x":3.0,"y":4.0,"f":[1.0,0.0],"id":{2**63}}}],"in":[1,1],"out":[0,1]}}',
+    ])
+    (frame,) = parse_stream(path).frames
+    assert type(frame.frame_index) is int and frame.frame_index == _PAST
+    assert [type(g) for g in frame.gt_ids] == [int, int]
+    assert frame.gt_ids == (_PAST, 2**63)
+
+
+@pytest.mark.parametrize("line, field, text, message", [
+    (0, '"schema":1', f'"schema":{_PAST}', f"1: unknown schema version {_PAST}, expected 1"),
+    (0, '"dim":2', f'"dim":{_PAST}', f"2: det[0]: feature length 2 != header dim {_PAST}"),
+    (0, '"delta":1.0', f'"delta":[{_PAST}]', f"1: delta must be a positive number, got [{_PAST}]"),
+    (1, '"frame":1', f'"frame":-{_PAST}', f"2: frame_index must be at least 1, got -{_PAST}"),
+    (1, '"in":[1]', f'"in":[{_PAST}]', f"2: inflow[0] must be an integer 0 or 1, got {_PAST}"),
+    (1, '"id":0', f'"id":-{_PAST}', f"2: det[0]: gt_id must be at least 0, got -{_PAST}"),
+    # a container in a real field reaches the message by its repr
+    (1, '"t":0.0', f'"t":[{_PAST}]', f"2: timestamp must be a number, got [{_PAST}]"),
+    (1, '"x":1.0', f'"x":{{"a":{_PAST}}}',
+     f"2: coordinates[0, 0] must be a number, got {{'a': {_PAST}}}"),
+])
+def test_an_integer_past_64_bits_is_reported_as_json_reads_it(tmp_path, line, field, text,
+                                                              message):
+    lines = [HEADER, _FRAME]
+    lines[line] = lines[line].replace(field, text)
+    path = _write_lines(tmp_path, lines)
+    with pytest.raises(StreamFormatError) as got:
+        parse_stream(path)
+    assert str(got.value) == f"{path}:{message}"
+    with mock.patch.object(streamio, "_decode", json.loads), \
+            pytest.raises(StreamFormatError) as want:
+        parse_stream(path)
+    assert str(got.value) == str(want.value)
