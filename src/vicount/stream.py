@@ -23,7 +23,7 @@ _UNIT_NORM_TOL = 1e-12
 
 
 def _unit_rows(rows: np.ndarray, row_label: str | None = None) -> np.ndarray:
-    """Scale every row of a float (n, D) array to unit Euclidean norm in place; return rows.
+    """A float (n, D) array's rows at unit Euclidean norm, in a copy unless all are already.
 
     A row already unit-length within tolerance is kept, so this is idempotent bit-for-bit.
     A row whose squared norm is 0, subnormal or infinite is first divided by its largest
@@ -36,6 +36,7 @@ def _unit_rows(rows: np.ndarray, row_label: str | None = None) -> np.ndarray:
     # huge or non-finite row has a squared norm far from 1, or NaN, and fails this test.
     if (np.abs(sq - 1.0) <= _UNIT_NORM_TOL).all():
         return rows
+    rows = rows.copy()
     finite = np.isfinite(rows).all(axis=1)
     off = np.flatnonzero(finite & ((sq < np.finfo(np.float64).tiny) | (sq == np.inf)))
     if len(off):
@@ -145,25 +146,24 @@ def _as_int(value, what: str, least: float = -math.inf, error: type = DataError)
     return whole
 
 
-def _array(values, what: str, ndim: int, integer: bool = False, copy: bool = False,
-           width: int | None = None, error: type = DataError) -> np.ndarray:
+def _array(values, what: str, ndim: int, integer: bool = False, width: int | None = None,
+           error: type = DataError) -> np.ndarray:
     """values as an ndim-d float64 array, or intp if integer, its entries checked before any cast.
 
     Inferred with no dtype, a string, None or an int past 64 bits shows in the dtype: an array
     of such a dtype or of bools is refused, and a list has each entry read by _real (_as_int if
     integer), naming the first bad one as what[i, j]. Of a list, the entries equal to 0 or 1
     are read too, as True and False land there. If integer, a fraction or an int past 64 bits
-    is refused. Given a width, an empty array of another rank reads as (0, ..., 0, width). A
-    new writable array if copy. Else values itself if it is already such an array, and an
-    array made anew from a list, tuple or array is read-only, so _read_only keeps it rather
-    than copy it again.
+    is refused. Given a width, an empty array of another rank reads as (0, ..., 0, width).
+    values itself if it is already such an array; an array made anew from a list, tuple or
+    array is read-only, so _read_only keeps it rather than copy it again.
     """
     def read(index, value):
         name = f"{what}{list(index)}" if len(index) else what
         return (_as_int if integer else _real)(value, name, error=error)
 
     try:
-        arr = (np.array if copy else np.asarray)(values)
+        arr = np.asarray(values)
     except ValueError as exc:
         raise error(f"{what} dimension mismatch: {exc}") from None
     listed = not isinstance(values, np.ndarray)
@@ -185,8 +185,8 @@ def _array(values, what: str, ndim: int, integer: bool = False, copy: bool = Fal
             read(k, arr.item(tuple(k)))
             raise error(f"{what}{k} must fit in 64 bits, got {arr.item(tuple(k))}")
     arr = arr.astype(np.intp if integer else np.float64, copy=False)
-    if not copy and (isinstance(values, (list, tuple)) or isinstance(values, np.ndarray)
-                     and not np.may_share_memory(arr, values)):
+    if isinstance(values, (list, tuple)) or (isinstance(values, np.ndarray)
+                                             and not np.may_share_memory(arr, values)):
         arr.setflags(write=False)
     if arr.ndim != ndim:
         if arr.size or width is None:
@@ -195,8 +195,8 @@ def _array(values, what: str, ndim: int, integer: bool = False, copy: bool = Fal
     return arr
 
 
-def _as_bits(values, n: int, name: str) -> tuple[int, ...]:
-    """values as n ints, each 0 or 1; a bool, float or non-number raises DataError."""
+def _as_bits(values, n: int, name: str) -> np.ndarray:
+    """values as n intp bits, each 0 or 1; a bool, float or non-number raises DataError."""
     # object dtype keeps each entry's own type, which an int array would hide
     arr = np.asarray(values, dtype=object)
     if arr.shape != (n,):
@@ -207,7 +207,7 @@ def _as_bits(values, n: int, name: str) -> tuple[int, ...]:
         for k, b in enumerate(bits):
             if isinstance(b, bool) or not isinstance(b, (int, np.integer)) or b not in (0, 1):
                 raise DataError(f"{name}[{k}] must be an integer 0 or 1, got {b!r}")
-    return tuple(map(int, bits))
+    return np.array(bits, dtype=np.intp)
 
 
 def _as_ids(values, n: int) -> tuple[int | None, ...]:
@@ -233,9 +233,10 @@ def _as_ids(values, n: int) -> tuple[int | None, ...]:
 class FrameRecord:
     """A sampled frame held as arrays, one row per detection, with inflow/outflow bits.
 
-    coordinates is a read-only (n, 2) array of image positions and features a read-only
-    (n, D) array of unit rows, all normalized in one pass at construction. The timestamp,
-    coordinates and feature entries must be numbers, never bools or strings, and finite.
+    coordinates is a read-only (n, 2) array of image positions, features a read-only (n, D)
+    array of unit rows, normalized in one pass, and inflow and outflow read-only intp arrays
+    of n bits. Read-only coordinates or features are kept, a writable array copied and a list
+    read once. Timestamp, coordinate and feature entries are finite numbers, not bools or strings.
     gt_ids holds each detection's ground-truth identity, an int or None; left out, no
     detection has one. detections views the rows as Detection records, built on access.
     """
@@ -244,27 +245,27 @@ class FrameRecord:
     timestamp: float
     coordinates: np.ndarray
     features: np.ndarray
-    inflow: tuple[int, ...]
-    outflow: tuple[int, ...]
+    inflow: np.ndarray
+    outflow: np.ndarray
     gt_ids: tuple[int | None, ...] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "frame_index", _as_int(self.frame_index, "frame_index", 1))
         object.__setattr__(self, "timestamp", _finite(self.timestamp, "timestamp"))
-        features = _unit_rows(_array(self.features, "features", 2, copy=True, width=0), "det")
+        features = _unit_rows(_read_only(_array(self.features, "features", 2, width=0)), "det")
         n = len(features)
-        coordinates = _array(self.coordinates, "coordinates", 2, copy=True, width=2)
+        coordinates = _read_only(_array(self.coordinates, "coordinates", 2, width=2))
         if coordinates.shape != (n, 2):
             raise DataError(f"coordinates have shape {coordinates.shape}, expected ({n}, 2)")
         finite = np.isfinite(coordinates).all(axis=1)
         if not finite.all():
             k = int(np.argmin(finite))
             raise DataError(f"det[{k}]: non-finite coordinate {tuple(coordinates[k].tolist())}")
-        for name, arr in (("coordinates", coordinates), ("features", features)):
+        for name, arr in (("coordinates", coordinates), ("features", features),
+                          ("inflow", _as_bits(self.inflow, n, "inflow")),
+                          ("outflow", _as_bits(self.outflow, n, "outflow"))):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "inflow", _as_bits(self.inflow, n, "inflow"))
-        object.__setattr__(self, "outflow", _as_bits(self.outflow, n, "outflow"))
         object.__setattr__(self, "gt_ids", _as_ids(self.gt_ids, n))
 
     @property
@@ -286,8 +287,8 @@ class FrameRecord:
         return (
             self.frame_index == other.frame_index
             and self.timestamp == other.timestamp
-            and self.inflow == other.inflow
-            and self.outflow == other.outflow
+            and np.array_equal(self.inflow, other.inflow)
+            and np.array_equal(self.outflow, other.outflow)
             and self.gt_ids == other.gt_ids
             and np.array_equal(self.coordinates, other.coordinates)
             and (not len(self) or np.array_equal(self.features, other.features))
@@ -382,11 +383,9 @@ def partition_similarity(frame_i: FrameRecord, frame_j: FrameRecord) -> Similari
     one (its inflow bits apply). The reorderings are stable: within the
     shared and non-shared groups, original detection order is preserved.
     """
-    outflow = np.asarray(frame_i.outflow, dtype=np.int64)
-    inflow = np.asarray(frame_j.inflow, dtype=np.int64)
-    m = shared_count(outflow, inflow)
-    order_i = np.argsort(outflow, kind="stable")
-    order_j = np.argsort(inflow, kind="stable")
+    m = shared_count(frame_i.outflow, frame_j.inflow)
+    order_i = np.argsort(frame_i.outflow, kind="stable")
+    order_j = np.argsort(frame_j.inflow, kind="stable")
     if len(frame_i) and len(frame_j):
         s = frame_i.features[order_i] @ frame_j.features[order_j].T
         np.clip(s, -1.0, 1.0, out=s)

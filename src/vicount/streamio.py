@@ -56,8 +56,9 @@ def write_stream(stream: DetectionStream, path) -> None:
                 tail = "" if g is None else f',"id":{g!r}'
                 dets.append(f'{{"x":{x!r},"y":{y!r},"f":[{f}]{tail}}}')
             fh.write(f'{{"frame":{frame.frame_index!r},"t":{frame.timestamp!r},'
-                     f'"det":[{",".join(dets)}],"in":[{",".join(map(repr, frame.inflow))}],'
-                     f'"out":[{",".join(map(repr, frame.outflow))}]}}\n')
+                     f'"det":[{",".join(dets)}],'
+                     f'"in":[{",".join(map(repr, frame.inflow.tolist()))}],'
+                     f'"out":[{",".join(map(repr, frame.outflow.tolist()))}]}}\n')
             previous = texts
 
 

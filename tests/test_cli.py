@@ -9,7 +9,7 @@ import pytest
 
 import vicount.loss
 import vicount.stream
-from vicount import Detection, TemplateEntry
+from vicount import Detection, DetectionStream, FrameRecord, TemplateEntry, write_stream
 from vicount.cli import main
 from vicount.stream import _BuiltOnAccess
 
@@ -138,6 +138,15 @@ class TestPipeline:
         rc = main(["gradcheck", "--in", str(stream_path)])
         assert rc == 0
         assert "max relative error" in capsys.readouterr().out
+
+    def test_count_report_without_ids_has_null_gt_total(self, tmp_path, capsys):
+        stream_path = tmp_path / "anonymous.jsonl"
+        frame = FrameRecord(1, 0.0, [(0.0, 0.0)], [[1.0, 0.0]], (1,), (1,))
+        write_stream(DetectionStream((frame,), 1.0), stream_path)
+        report_path = tmp_path / "report.json"
+        rc = main(["count", "--in", str(stream_path), "--report", str(report_path)])
+        assert rc == 0
+        assert '"total":1,"gt_total":null,' in report_path.read_text()
 
 
 class TestDeterminism:
@@ -344,6 +353,31 @@ class TestExitCodes:
         assert captured.err == (
             f"vicount: data error: {bad}: length must be a positive number, got '12'\n"
         )
+
+    @pytest.mark.parametrize("report, gt, message", [
+        ({"video": "v", "frames": 3, "total": 2}, [2],
+         "{gt}: ground-truth file must be a JSON object"),
+        ({"video": "v", "frames": 3}, None, "{report}: report missing key 'total'"),
+        ({"video": "v", "frames": 3, "total": 2, "gt_total": None}, None,
+         "{report}: no ground-truth count for video 'v'"),
+    ])
+    def test_bad_eval_input_is_two(self, tmp_path, capsys, report, gt, message):
+        paths = {"report": tmp_path / "r.json", "gt": tmp_path / "gt.json"}
+        paths["report"].write_text(json.dumps(report))
+        argv = ["eval", str(paths["report"])]
+        if gt is not None:
+            paths["gt"].write_text(json.dumps(gt))
+            argv += ["--gt", str(paths["gt"])]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"vicount: data error: {message.format(**paths)}\n"
+
+    def test_gradcheck_on_stream_without_shared_pair_is_two(self, tmp_path, capsys):
+        stream_path = _simulate(tmp_path, frames=1)
+        assert main(["gradcheck", "--in", str(stream_path)]) == 2
+        assert capsys.readouterr().err == (
+            "vicount: data error: stream has no adjacent pair with shared individuals\n")
 
     def test_invalid_config_is_two(self, tmp_path, capsys):
         stream_path = _simulate(tmp_path)

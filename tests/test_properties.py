@@ -482,7 +482,7 @@ def _reference_write(stream, path):
                 for (x, y), f, g in rows
             ]
             line = {"frame": frame.frame_index, "t": frame.timestamp, "det": dets,
-                    "in": list(frame.inflow), "out": list(frame.outflow)}
+                    "in": frame.inflow.tolist(), "out": frame.outflow.tolist()}
             fh.write(dump(line) + "\n")
 
 
@@ -640,8 +640,8 @@ def _outcome(path):
     except Exception as exc:
         return type(exc), str(exc)
     return repr(stream.delta), [
-        (repr(f.frame_index), repr(f.timestamp), f.inflow, f.outflow, repr(f.gt_ids),
-         f.coordinates.tobytes(), f.features.shape, f.features.tobytes())
+        (repr(f.frame_index), repr(f.timestamp), f.inflow.tolist(), f.outflow.tolist(),
+         repr(f.gt_ids), f.coordinates.tobytes(), f.features.shape, f.features.tobytes())
         for f in stream.frames
     ]
 

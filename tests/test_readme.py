@@ -1,12 +1,13 @@
 """The README run as written: its Quick start commands must print its output, its
-Library use block must run, and its command reference must name every flag of each
-subcommand and no other."""
+Library use block must run, its command reference must name every flag of each
+subcommand and no other, and it must name every name the package exports."""
 
 import argparse
 import re
 import shlex
 from pathlib import Path
 
+import vicount
 from vicount.cli import build_parser, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -54,3 +55,11 @@ def test_command_reference_documents_exactly_the_parser_flags():
         for name, sub in parsers.items()
     }
     assert documented == defined
+
+
+def test_every_exported_name_is_in_the_readme():
+    text = README.read_text(encoding="utf-8")
+    (code,) = [b for b in _fenced_blocks(_section("Library use")) if "import" in b]
+    missing = [name for name in vicount.__all__
+               if not re.search(rf"`{name}\b", text) and not re.search(rf"\b{name}\b", code)]
+    assert missing == []

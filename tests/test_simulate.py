@@ -35,20 +35,20 @@ class TestDeriveWeakLabels:
         # identities 0, 1, 2 in the first frame, then 1, 2, 3
         cfg = SimConfig(num_identities=4, num_frames=2, seed=0)
         frames = scene_from_lifespans(cfg, [[(0, 0)], [(0, 1)], [(0, 1)], [(1, 1)]]).frames
-        assert frames[1].inflow == (0, 0, 1)
-        assert frames[0].outflow == (1, 0, 0)
+        assert frames[1].inflow.tolist() == [0, 0, 1]
+        assert frames[0].outflow.tolist() == [1, 0, 0]
 
     def test_stream_boundaries(self):
         cfg = SimConfig(num_identities=2, num_frames=2, seed=0)
         frames = scene_from_lifespans(cfg, [[(0, 1)], [(0, 1)]]).frames
-        assert frames[0].inflow == (1, 1)
-        assert frames[1].outflow == (1, 1)
+        assert frames[0].inflow.tolist() == [1, 1]
+        assert frames[1].outflow.tolist() == [1, 1]
 
     def test_no_change(self):
         cfg = SimConfig(num_identities=2, num_frames=2, seed=0)
         frames = scene_from_lifespans(cfg, [[(0, 1)], [(0, 1)]]).frames
-        assert frames[1].inflow == (0, 0)
-        assert frames[0].outflow == (0, 0)
+        assert frames[1].inflow.tolist() == [0, 0]
+        assert frames[0].outflow.tolist() == [0, 0]
 
 
 class TestGenerateScene:
@@ -74,8 +74,8 @@ class TestGenerateScene:
                 next_ids = frames[k + 1].gt_ids if k + 1 < len(frames) else ()
                 inflow, _ = _weak_labels(prev_ids, ids)
                 _, outflow = _weak_labels(ids, next_ids)
-                assert frame.inflow == inflow
-                assert frame.outflow == outflow
+                assert tuple(frame.inflow.tolist()) == inflow
+                assert tuple(frame.outflow.tolist()) == outflow
 
     def test_every_identity_appears(self):
         stream = generate_scene(SimConfig(num_identities=9, num_frames=7, seed=4))
@@ -137,10 +137,10 @@ class TestSceneFromLifespans:
         stream = scene_from_lifespans(cfg, [[(0, 4)], [(0, 1), (3, 4)]])
         frames = stream.frames
         # identity 1 leaves after frame 1 and comes back at frame 3
-        assert frames[1].outflow == (0, 1)
-        assert frames[3].inflow == (0, 1)
-        assert frames[0].inflow == (1, 1)
-        assert frames[4].outflow == (1, 1)
+        assert frames[1].outflow.tolist() == [0, 1]
+        assert frames[3].inflow.tolist() == [0, 1]
+        assert frames[0].inflow.tolist() == [1, 1]
+        assert frames[4].outflow.tolist() == [1, 1]
 
     def test_reentry_reuses_base_feature(self):
         cfg = SimConfig(num_identities=2, num_frames=6, seed=5)

@@ -132,8 +132,8 @@ class TestFrameRecord:
     def test_integer_bits_kept(self):
         frame = _frame(1, np.eye(3), inflow=np.array([1, 1, 1], dtype=np.uint8),
                        outflow=[np.int64(0), 1, 0])
-        assert frame.inflow == (1, 1, 1) and frame.outflow == (0, 1, 0)
-        assert all(type(b) is int for b in frame.inflow + frame.outflow)
+        assert frame.inflow.tolist() == [1, 1, 1] and frame.outflow.tolist() == [0, 1, 0]
+        assert frame.inflow.dtype == frame.outflow.dtype == np.intp
 
     def test_frame_index_positive(self):
         with pytest.raises(DataError, match="frame_index"):
@@ -142,6 +142,19 @@ class TestFrameRecord:
     def test_mixed_dims(self):
         with pytest.raises(DataError, match="dimension"):
             FrameRecord(1, 0.0, np.zeros((2, 2)), [[1.0, 0.0], [1.0, 0.0, 0.0]], (1, 1), (0, 0))
+
+    @pytest.mark.parametrize("coordinates, gt_ids, message", [
+        (np.zeros((2, 2)), [0], "gt_ids has 1 entries for 2 detections"),
+        (np.zeros((2, 3)), None, r"coordinates have shape \(2, 3\), expected \(2, 2\)"),
+    ])
+    def test_per_detection_lengths_must_agree(self, coordinates, gt_ids, message):
+        with pytest.raises(DataError, match=message):
+            FrameRecord(1, 0.0, coordinates, np.eye(2), (1, 1), (1, 1), gt_ids)
+
+    def test_not_equal_to_another_type(self):
+        frame = _frame(1, [[1.0, 0.0]], (1,), (1,))
+        assert frame.__eq__(object()) is NotImplemented
+        assert (frame == object()) is False
 
     def test_equal_after_normalization(self):
         def frame(feature, gt_id):
@@ -222,6 +235,12 @@ class TestDetectionStream:
         assert s.feature_dim == 3
         assert DetectionStream((f1,), 3.0).feature_dim is None
 
+    def test_mixed_dims_across_frames(self):
+        f1 = _frame(1, [[1.0, 0.0]], (1,), (0,))
+        f2 = _frame(2, [[1.0, 0.0, 0.0]], (0,), (1,))
+        with pytest.raises(DataError, match=r"mixed feature dimensions in stream: \[2, 3\]"):
+            DetectionStream((f1, f2), 3.0)
+
     def test_empty_stream(self):
         s = DetectionStream((), 2.0)
         assert len(s) == 0
@@ -296,6 +315,10 @@ class TestSimilarityBlocks:
         with pytest.raises(DataError, match="permutation"):
             SimilarityBlocks(s, 1, perm_i=[0, 0])
 
+    def test_shared_count_past_a_side(self):
+        with pytest.raises(DataError, match=r"shared count 3 out of range for shape \(2, 4\)"):
+            SimilarityBlocks(np.zeros((2, 4)), 3)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_entry_rejected(self, bad):
         full = np.zeros((2, 3))
@@ -323,6 +346,37 @@ class TestSimilarityBlocks:
         assert peak <= 8.7 * 2**20
         assert not blocks.full.flags.writeable
         assert blocks.full.tolist() == rows
+
+
+class TestFrameRecordOwnership:
+    """A frame keeps its arrays as SimilarityBlocks does: read-only kept, writable copied."""
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0], ids=["unit", "scaled"])
+    def test_writable_features_neither_aliased_nor_written(self, scale):
+        given = scale * np.eye(3)
+        frame = FrameRecord(1, 0.0, np.zeros((3, 2)), given, (1, 1, 1), (1, 1, 1))
+        assert not np.shares_memory(frame.features, given)
+        assert given.flags.writeable and given.tobytes() == (scale * np.eye(3)).tobytes()
+        assert not frame.features.flags.writeable
+        np.testing.assert_array_equal(frame.features, np.eye(3))
+
+    def test_read_only_arrays_kept(self):
+        coordinates, features, scaled = np.zeros((3, 2)), np.eye(3), 2.0 * np.eye(3)
+        for arr in (coordinates, features, scaled):
+            arr.setflags(write=False)
+        frame = FrameRecord(1, 0.0, coordinates, features, (1, 1, 1), (1, 1, 1))
+        assert frame.features is features and frame.coordinates is coordinates
+        # rows that are not unit yet are normalized into a new array, never in place
+        frame = FrameRecord(1, 0.0, coordinates, scaled, (1, 1, 1), (1, 1, 1))
+        assert frame.features is not scaled and scaled.tobytes() == (2.0 * np.eye(3)).tobytes()
+
+    def test_bits_are_read_only_intp_arrays(self):
+        given = np.array([1, 0])
+        frame = FrameRecord(1, 0.0, np.zeros((2, 2)), np.eye(2), given, [1, 1])
+        for bits in (frame.inflow, frame.outflow):
+            assert type(bits) is np.ndarray and bits.dtype == np.intp
+            assert not bits.flags.writeable
+        assert not np.shares_memory(frame.inflow, given)
 
 
 def test_pair_blocks_covers_adjacent_pairs():
