@@ -2,7 +2,9 @@
 
 On a matrix with no more rows than columns the solver gives every row a
 column: a row-reduction warm start matches the rows whose minima do not
-collide, and the rest are inserted one at a time. A matrix with more rows than columns
+collide, and the rest are inserted one at a time, each by a shortest-path
+search that updates the dual potentials once, after it reaches a free column
+(Crouse, IEEE TAES 2016). A matrix with more rows than columns
 is solved transposed: each column picks a row, and rows no column picked
 are reported as unmatched, which is how partial matchings come out.
 """
@@ -38,14 +40,19 @@ def _check_cost(cost, what: str = "cost", square: bool = False) -> np.ndarray:
 def _solve_rectangular(cost: np.ndarray) -> np.ndarray:
     """Column index assigned to each row of an r x c cost matrix with r <= c.
 
-    Jonker-Volgenant style shortest augmenting paths with dual potentials u
-    (rows) and v (columns). A row-reduction warm start (Jonker & Volgenant
-    1987) first gives each column to the earliest row whose row minimum it
-    is, taking each row's smallest-index minimum, with u set to the row
-    minima and v to zero: a dual-feasible partial matching on tight edges.
-    The rows it leaves unmatched are then inserted one at a time, in order,
-    each by a shortest-path search whose ties break toward the smallest
-    column index, so the result is deterministic.
+    Shortest augmenting paths with dual potentials u (rows) and v (columns),
+    in the form of Crouse, "On implementing 2D rectangular assignment
+    algorithms" (IEEE TAES 2016). A row-reduction warm start (Jonker &
+    Volgenant 1987) first gives each column to the earliest row whose row
+    minimum it is, taking each row's smallest-index minimum, with u set to
+    the row minima and v to zero: a dual-feasible partial matching on tight
+    edges. The rows it leaves unmatched are then inserted one at a time, in
+    order, each by a Dijkstra search over reduced costs whose ties break
+    toward the smallest column index, so the result is deterministic. The
+    search keeps each column's absolute tentative path length and updates
+    the duals once, after it reaches a free column: u += min_val - d on the
+    tree rows and v -= min_val - d on the scanned columns, where d is the
+    length at which each joined the tree and min_val that of the path found.
     """
     r, c = cost.shape
     best = cost.argmin(axis=1)
@@ -61,46 +68,40 @@ def _solve_rectangular(cost: np.ndarray) -> np.ndarray:
             owner[j] = i
         else:
             pending.append(i)
-    # Per search: minv is the reduced distance to each column not yet on the
-    # tree (inf once on it) and way its predecessor column (-1: the new row).
-    # Tree rows and columns, in the order they join, keep their potentials in
-    # tree_u and tree_v while the search adds each step's delta to them; v is
-    # -inf on tree columns meanwhile, so no tree column is scanned again.
-    minv = np.empty(c)
+    # Per search: shortest is the tentative path length to each column not
+    # yet scanned (inf once scanned) and way its predecessor column (-1: the
+    # new row). rows and cols list the tree's rows and scanned columns in the
+    # order they join, and joined the length at which each row joined (0 for
+    # the new row). v is -inf on scanned columns meanwhile, so that no later
+    # row lowers their lengths; cols_v keeps their own v.
+    shortest = np.empty(c)
     way = np.empty(c, dtype=np.intp)
     cur = np.empty(c)
-    tree_rows = np.empty(r, dtype=np.intp)
-    tree_cols = np.empty(r, dtype=np.intp)
-    tree_u = np.empty(r)
-    tree_v = np.empty(r)
+    better = np.empty(c, dtype=bool)
     for i in pending:
-        minv.fill(np.inf)
-        i0, j0, k = i, -1, 0
-        tree_rows[0] = i
-        tree_u[0] = u[i]
+        shortest.fill(np.inf)
+        i0, j0, min_val = i, -1, 0.0
+        rows, cols, cols_v, joined = [i], [], [], [0.0]
         while True:
-            np.subtract(cost[i0], tree_u[k], out=cur)
+            np.subtract(cost[i0], u[i0] - min_val, out=cur)
             cur -= v
-            better = cur < minv
-            np.copyto(minv, cur, where=better)
-            np.copyto(way, j0, where=better)
-            j1 = int(minv.argmin())
-            delta = minv[j1]
-            tree_u[: k + 1] += delta
-            tree_v[:k] -= delta
-            minv -= delta
+            np.less(cur, shortest, out=better)
+            np.copyto(shortest, cur, where=better)
+            np.putmask(way, better, j0)
+            j1 = int(shortest.argmin())
+            min_val = shortest[j1]
             if owner[j1] < 0:
                 break
             j0, i0 = j1, owner[j1]
-            tree_cols[k] = j1
-            tree_v[k] = v[j1]
+            rows.append(i0)
+            cols.append(j1)
+            cols_v.append(v[j1])
+            joined.append(min_val)
             v[j1] = -np.inf
-            minv[j1] = np.inf
-            k += 1
-            tree_rows[k] = i0
-            tree_u[k] = u[i0]
-        u[tree_rows[: k + 1]] = tree_u[: k + 1]
-        v[tree_cols[:k]] = tree_v[:k]
+            shortest[j1] = np.inf
+        gain = min_val - np.array(joined)
+        u[rows] += gain
+        v[cols] = np.subtract(cols_v, gain[1:])
         while j1 >= 0:
             j0 = int(way[j1])
             owner[j1] = owner[j0] if j0 >= 0 else i

@@ -198,8 +198,12 @@ def _assemble(cfg: SimConfig, spans, bases: np.ndarray, rng) -> DetectionStream:
         features = bases[ids]
         if cfg.feature_noise_sigma > 0:
             features = features + rng.normal(0, cfg.feature_noise_sigma, size=features.shape)
+        coordinates = walk[at[ids, k + 1]]
+        # Both arrays are fresh; read-only, the frame keeps them instead of copying.
+        features.setflags(write=False)
+        coordinates.setflags(write=False)
         inflow, outflow = (~present[ids, k]).astype(int), (~present[ids, k + 2]).astype(int)
-        frames.append(FrameRecord(k + 1, k * cfg.delta, walk[at[ids, k + 1]], features,
+        frames.append(FrameRecord(k + 1, k * cfg.delta, coordinates, features,
                                   inflow, outflow, ids.tolist()))
     return DetectionStream(tuple(frames), cfg.delta)
 

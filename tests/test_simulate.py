@@ -17,6 +17,7 @@ from vicount import (
     scene_from_lifespans,
     write_stream,
 )
+from vicount import stream as stream_module
 from vicount.simulate import _draw_bases
 from vicount.stream import _unit_rows
 
@@ -88,11 +89,14 @@ class TestGenerateScene:
         assert gt_unique_count(stream) == 0
 
     def test_single_persistent_identity_labels(self):
+        # a second identity enters at frame 1, so a wrong bit in a
+        # two-detection frame fails the comparison instead of raising
         stream = scene_from_lifespans(
-            SimConfig(num_identities=1, num_frames=3, seed=0), [[(0, 2)]]
+            SimConfig(num_identities=2, num_frames=3, seed=0), [[(0, 2)], [(1, 2)]]
         )
-        assert [f.inflow for f in stream.frames] == [(1,), (0,), (0,)]
-        assert [f.outflow for f in stream.frames] == [(0,), (0,), (1,)]
+        assert [f.gt_ids for f in stream.frames] == [(0,), (0, 1), (0, 1)]
+        assert [f.inflow.tolist() for f in stream.frames] == [[1], [0, 1], [0, 0]]
+        assert [f.outflow.tolist() for f in stream.frames] == [[0], [0, 0], [1, 1]]
 
     def test_pairwise_base_similarity_cap(self):
         stream = generate_scene(
@@ -107,6 +111,18 @@ class TestGenerateScene:
         for i in range(len(feats)):
             for j in range(i + 1, len(feats)):
                 assert abs(float(np.dot(feats[i], feats[j]))) < 0.3
+
+    @pytest.mark.parametrize("noise", [0.0, 0.1])
+    def test_frames_keep_the_arrays_they_are_handed(self, monkeypatch, noise):
+        # _assemble hands each frame fresh read-only arrays, which the frame
+        # keeps by the ownership rule instead of copying them
+        handed = []
+        keep = stream_module._read_only
+        monkeypatch.setattr(stream_module, "_read_only",
+                            lambda arr: handed.append(arr.flags.writeable) or keep(arr))
+        generate_scene(SimConfig(num_identities=6, num_frames=3, feature_noise_sigma=noise,
+                                 seed=4))
+        assert len(handed) == 6 and not any(handed)
 
     def test_noisy_features_stay_unit(self):
         stream = generate_scene(
