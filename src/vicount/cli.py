@@ -10,15 +10,16 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical error.
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .counting import McpConfig, count_video
+from .counting import _AGGREGATORS, McpConfig, count_video
 from .errors import DataError, NumericalError
-# perfbench's tracer wraps pair_blocks, soft_contrastive_loss and hinge_loss here (ROADMAP item 1)
+# No command calls hinge_loss: it is imported only for perfbench's tracer to wrap (ROADMAP item 1)
 from .loss import LossConfig, _adjacent_pairs, frozen_plan_loss, hinge_loss, loss_gradient
 from .loss import pair_objective, pseudo_trajectories, soft_contrastive_loss
 from .metrics import VideoResult, mae, mse, wrae
@@ -40,42 +41,30 @@ def _fmt(x: float) -> str:
 
 
 def _add_loss_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--gamma-scale", type=float, default=10.0,
-                   help="similarity scale inside the contrastive exponential (default 10)")
-    p.add_argument("--theta", type=float, default=0.2,
-                   help="hinge threshold on outflow/inflow similarities (default 0.2)")
-    p.add_argument("--reg", type=float, default=0.05,
-                   help="entropic regularization of the transport solver (default 0.05)")
-    p.add_argument("--iters", type=int, default=500,
-                   help="transport solver iteration budget (default 500)")
-    p.add_argument("--tol", type=float, default=1e-6,
-                   help="transport marginal tolerance (default 1e-6)")
+    p.add_argument("--gamma-scale", dest="temperature", type=float,
+                   default=LossConfig.temperature,
+                   help="similarity scale inside the contrastive exponential (default %(default)g)")
+    p.add_argument("--theta", dest="hinge_threshold", type=float,
+                   default=LossConfig.hinge_threshold,
+                   help="hinge threshold on outflow/inflow similarities (default %(default)g)")
+    p.add_argument("--reg", dest="sinkhorn_reg", type=float, default=LossConfig.sinkhorn_reg,
+                   help="entropic regularization of the transport solver (default %(default)g)")
+    p.add_argument("--iters", dest="sinkhorn_max_iters", type=int,
+                   default=LossConfig.sinkhorn_max_iters,
+                   help="transport solver iteration budget (default %(default)g)")
+    p.add_argument("--tol", dest="sinkhorn_tol", type=float, default=LossConfig.sinkhorn_tol,
+                   help="transport marginal tolerance (default %(default)g)")
 
 
-def _loss_config(args) -> LossConfig:
-    return LossConfig(
-        temperature=args.gamma_scale,
-        hinge_threshold=args.theta,
-        sinkhorn_reg=args.reg,
-        sinkhorn_max_iters=args.iters,
-        sinkhorn_tol=args.tol,
-    )
+def _config(cls, args, **given):
+    """cls built from the parsed flags whose dest names one of its fields, and given."""
+    fields = (f.name for f in dataclasses.fields(cls))
+    return cls(**{name: getattr(args, name) for name in fields if hasattr(args, name)}, **given)
 
 
 def _cmd_simulate(args) -> int:
-    cfg = SimConfig(
-        num_identities=args.identities,
-        num_frames=args.frames,
-        delta=args.delta,
-        feature_dim=args.dim,
-        feature_noise_sigma=args.noise_sigma,
-        reentry_probability=args.reentry_prob,
-        scene_size=(args.scene_width, args.scene_height),
-        walk_step_sigma=args.walk_sigma,
-        max_base_similarity=args.max_base_sim,
-        seed=args.seed,
-    )
-    stream = generate_scene(cfg)
+    stream = generate_scene(
+        _config(SimConfig, args, scene_size=(args.scene_width, args.scene_height)))
     write_stream(stream, args.out)
     print(
         f"simulated {len(stream)} frames, {gt_unique_count(stream)} identities -> {args.out}"
@@ -84,12 +73,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    cfg = McpConfig(
-        zeta=args.zeta,
-        ttl_max=args.ttlmax,
-        mem_max=args.memmax,
-        template_aggregator=args.aggregator,
-    )
+    cfg = _config(McpConfig, args)
     stream = parse_stream(args.infile)
     report = count_video(stream, cfg)
     try:
@@ -137,6 +121,8 @@ def _cmd_eval(args) -> int:
     for path in args.reports:
         with open(path, "r", encoding="utf-8") as fh:
             rep = json.load(fh)
+        if not isinstance(rep, dict):
+            raise DataError(f"{path}: report must be a JSON object")
         for key in ("video", "frames", "total"):
             if key not in rep:
                 raise DataError(f"{path}: report missing key {key!r}")
@@ -158,7 +144,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_loss(args) -> int:
-    cfg = _loss_config(args)
+    cfg = _config(LossConfig, args)
     total = 0.0
     for prev, curr, blocks in _adjacent_pairs(parse_stream(args.infile)):
         obj = pair_objective(blocks, cfg)
@@ -192,7 +178,7 @@ def _max_rel_err(analytic: np.ndarray, fd: np.ndarray) -> float:
 
 
 def _cmd_gradcheck(args) -> int:
-    cfg = _loss_config(args)
+    cfg = _config(LossConfig, args)
     h = _finite(args.step, "--step", "(0, inf)")
     if args.fail_above is not None:
         _finite(args.fail_above, "--fail-above", "[0, inf)")
@@ -229,7 +215,7 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_pseudo(args) -> int:
-    cfg = _loss_config(args)
+    cfg = _config(LossConfig, args)
     stream = parse_stream(args.infile)
     result = pseudo_trajectories(stream, cfg)
     records = [{"pair": [pm.frame_prev, pm.frame_curr], "matches": [list(m) for m in pm.matches]}
@@ -255,30 +241,36 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="generate a synthetic labeled stream file")
-    p.add_argument("--identities", type=int, default=20)
-    p.add_argument("--frames", type=int, default=10)
-    p.add_argument("--delta", type=float, default=3.0)
-    p.add_argument("--dim", type=int, default=64)
-    p.add_argument("--noise-sigma", type=float, default=0.0)
-    p.add_argument("--reentry-prob", type=float, default=0.0)
-    p.add_argument("--scene-width", type=float, default=1920.0)
-    p.add_argument("--scene-height", type=float, default=1080.0)
-    p.add_argument("--walk-sigma", type=float, default=5.0)
-    p.add_argument("--max-base-sim", type=float, default=None,
+    p.add_argument("--identities", dest="num_identities", type=int,
+                   default=SimConfig.num_identities)
+    p.add_argument("--frames", dest="num_frames", type=int, default=SimConfig.num_frames)
+    p.add_argument("--delta", type=float, default=SimConfig.delta)
+    p.add_argument("--dim", dest="feature_dim", type=int, default=SimConfig.feature_dim)
+    p.add_argument("--noise-sigma", dest="feature_noise_sigma", type=float,
+                   default=SimConfig.feature_noise_sigma)
+    p.add_argument("--reentry-prob", dest="reentry_probability", type=float,
+                   default=SimConfig.reentry_probability)
+    p.add_argument("--scene-width", type=float, default=SimConfig.scene_size[0])
+    p.add_argument("--scene-height", type=float, default=SimConfig.scene_size[1])
+    p.add_argument("--walk-sigma", dest="walk_step_sigma", type=float,
+                   default=SimConfig.walk_step_sigma)
+    p.add_argument("--max-base-sim", dest="max_base_similarity", type=float,
+                   default=SimConfig.max_base_similarity,
                    help="rejection-sample base features below this pairwise similarity")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=SimConfig.seed)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("count", help="count individuals in a stream with the template memory")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--zeta", type=float, default=0.7,
-                   help="association cost threshold (default 0.7)")
-    p.add_argument("--ttlmax", type=int, default=3,
-                   help="steps an unmatched individual stays matchable (default 3)")
-    p.add_argument("--memmax", type=int, default=5,
-                   help="templates kept per individual (default 5)")
-    p.add_argument("--aggregator", choices=("max", "min", "mean"), default="max")
+    p.add_argument("--zeta", type=float, default=McpConfig.zeta,
+                   help="association cost threshold (default %(default)g)")
+    p.add_argument("--ttlmax", dest="ttl_max", type=int, default=McpConfig.ttl_max,
+                   help="steps an unmatched individual stays matchable (default %(default)g)")
+    p.add_argument("--memmax", dest="mem_max", type=int, default=McpConfig.mem_max,
+                   help="templates kept per individual (default %(default)g)")
+    p.add_argument("--aggregator", dest="template_aggregator", choices=_AGGREGATORS,
+                   default=McpConfig.template_aggregator)
     p.add_argument("--video-id", default=None)
     p.add_argument("--report", default=None, help="write a JSON report here")
     p.set_defaults(func=_cmd_count)

@@ -71,7 +71,8 @@ def _violation(r: np.ndarray, c: np.ndarray) -> float:
     return float(np.maximum(np.max(np.abs(r - 1.0)), np.max(np.abs(c - 1.0))))
 
 
-def sinkhorn(cost, reg: float, max_iters: int = 500, tol: float = 1e-6) -> TransportPlan:
+def sinkhorn(cost, reg: float, max_iters: int = LossConfig.sinkhorn_max_iters,
+             tol: float = LossConfig.sinkhorn_tol) -> TransportPlan:
     """Entropic-regularized balanced transport between uniform unit marginals.
 
     Iterates on the dual potentials of a square cost matrix until the worst

@@ -1,5 +1,7 @@
 """End-to-end command line tests driven through main()."""
 
+import argparse
+import dataclasses
 import hashlib
 import json
 import warnings
@@ -7,10 +9,12 @@ import weakref
 
 import pytest
 
+import vicount.cli
 import vicount.loss
 import vicount.stream
 from vicount import Detection, DetectionStream, FrameRecord, TemplateEntry, write_stream
-from vicount.cli import main
+from vicount import LossConfig, McpConfig, SimConfig
+from vicount.cli import build_parser, main
 from vicount.stream import _BuiltOnAccess
 
 
@@ -360,6 +364,10 @@ class TestExitCodes:
         ({"video": "v", "frames": 3}, None, "{report}: report missing key 'total'"),
         ({"video": "v", "frames": 3, "total": 2, "gt_total": None}, None,
          "{report}: no ground-truth count for video 'v'"),
+        (5, None, "{report}: report must be a JSON object"),
+        (None, None, "{report}: report must be a JSON object"),
+        ("video frames total", None, "{report}: report must be a JSON object"),
+        ([], None, "{report}: report must be a JSON object"),
     ])
     def test_bad_eval_input_is_two(self, tmp_path, capsys, report, gt, message):
         paths = {"report": tmp_path / "r.json", "gt": tmp_path / "gt.json"}
@@ -428,3 +436,85 @@ class TestNoViews:
             ["pseudo", "--in", str(stream), "--out", str(tmp_path / "pseudo.jsonl")],
         ):
             assert main(argv) == 0, capsys.readouterr().err
+
+
+class _Stop(Exception):
+    """Raised by a stubbed consumer once it has been handed the command's config."""
+
+
+_LOSS_FLAGS = [("--gamma-scale", "temperature", "5", 5.0),
+               ("--theta", "hinge_threshold", "0.3", 0.3),
+               ("--reg", "sinkhorn_reg", "0.1", 0.1),
+               ("--iters", "sinkhorn_max_iters", "100", 100),
+               ("--tol", "sinkhorn_tol", "1e-8", 1e-8)]
+# command -> (its required flags, the vicount.cli name it hands its config to,
+#             the config class, and (flag, field, a non-default value typed, parsed))
+_COMMANDS = {
+    "simulate": (["--out", "unused.jsonl"], "generate_scene", SimConfig, [
+        ("--identities", "num_identities", "7", 7),
+        ("--frames", "num_frames", "4", 4),
+        ("--delta", "delta", "2.5", 2.5),
+        ("--dim", "feature_dim", "8", 8),
+        ("--noise-sigma", "feature_noise_sigma", "0.1", 0.1),
+        ("--reentry-prob", "reentry_probability", "0.25", 0.25),
+        ("--walk-sigma", "walk_step_sigma", "2", 2.0),
+        ("--max-base-sim", "max_base_similarity", "0.5", 0.5),
+        ("--seed", "seed", "3", 3),
+    ]),
+    "count": (["--in", "unused.jsonl"], "count_video", McpConfig, [
+        ("--zeta", "zeta", "0.5", 0.5),
+        ("--ttlmax", "ttl_max", "2", 2),
+        ("--memmax", "mem_max", "4", 4),
+        ("--aggregator", "template_aggregator", "mean", "mean"),
+    ]),
+    "loss": (["--in", "unused.jsonl"], "pair_objective", LossConfig, _LOSS_FLAGS),
+    "gradcheck": ([], "soft_contrastive_loss", LossConfig, _LOSS_FLAGS),
+    "pseudo": (["--in", "unused.jsonl"], "pseudo_trajectories", LossConfig, _LOSS_FLAGS),
+}
+
+
+class TestFlagsReachConfigFields:
+    @staticmethod
+    def _config(monkeypatch, command, *flags):
+        """The config the command hands on, with the stream reader stubbed out."""
+        required, consumer, cls, _ = _COMMANDS[command]
+        seen = []
+
+        def stop(*args):
+            seen.extend(a for a in args if isinstance(a, cls))
+            raise _Stop
+
+        monkeypatch.setattr(vicount.cli, "parse_stream", lambda path: None)
+        monkeypatch.setattr(vicount.cli, "_adjacent_pairs", lambda stream: [(None, None, None)])
+        monkeypatch.setattr(vicount.cli, consumer, stop)
+        with pytest.raises(_Stop):
+            main([command, *required, *flags])
+        (cfg,) = seen
+        return cfg
+
+    @pytest.mark.parametrize("command, flag, field, text, value", [
+        (command, *row) for command, (*_, rows) in _COMMANDS.items() for row in rows
+    ])
+    def test_non_default_value_reaches_its_field(self, monkeypatch, command, flag, field,
+                                                 text, value):
+        cls = _COMMANDS[command][2]
+        assert getattr(cls(), field) != value
+        cfg = self._config(monkeypatch, command, flag, text)
+        assert cfg == dataclasses.replace(cls(), **{field: value})
+
+    @pytest.mark.parametrize("command", _COMMANDS)
+    def test_required_flags_alone_give_the_default_config(self, monkeypatch, command):
+        assert self._config(monkeypatch, command) == _COMMANDS[command][2]()
+
+    def test_scene_flags_reach_scene_size(self, monkeypatch):
+        cfg = self._config(monkeypatch, "simulate", "--scene-width", "640", "--scene-height", "480")
+        assert cfg == SimConfig(scene_size=(640.0, 480.0))
+
+    def test_every_config_backed_flag_is_checked(self):
+        (subparsers,) = [a.choices for a in build_parser()._actions
+                         if isinstance(a, argparse._SubParsersAction)]
+        for command, (*_, cls, rows) in _COMMANDS.items():
+            fields = {f.name for f in dataclasses.fields(cls)}
+            backed = {flag for a in subparsers[command]._actions if a.dest in fields
+                      for flag in a.option_strings}
+            assert backed == {flag for flag, *_ in rows}

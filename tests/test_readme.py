@@ -1,13 +1,16 @@
 """The README run as written: its Quick start commands must print its output, its
 Library use block must run, its command reference must name every flag of each
-subcommand and no other, and it must name every name the package exports."""
+subcommand and no other, its flag table must map each config-backed flag to the
+field the parser stores it in, and it must name every name the package exports."""
 
 import argparse
+import dataclasses
 import re
 import shlex
 from pathlib import Path
 
 import vicount
+from vicount import LossConfig, McpConfig, SimConfig
 from vicount.cli import build_parser, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -55,6 +58,33 @@ def test_command_reference_documents_exactly_the_parser_flags():
         for name, sub in parsers.items()
     }
     assert documented == defined
+
+
+_CONFIGS = {"simulate": SimConfig, "count": McpConfig, "loss": LossConfig,
+            "gradcheck": LossConfig, "pseudo": LossConfig}
+# cli.py passes these two dests to SimConfig as the one pair scene_size
+_PAIRED = {"scene_width": "scene_size", "scene_height": "scene_size"}
+
+
+def test_flag_table_maps_each_config_backed_flag_to_its_dest():
+    rows = re.findall(r"^\| `(--[a-z-]+)` \| `(\w+\.\w+)` \| ([a-z, ]+) \|$",
+                      _section("Command line reference"), flags=re.M)
+    documented = {flag: (field, set(commands.split(", "))) for flag, field, commands in rows}
+    assert len(documented) == len(rows)
+    parser = build_parser()
+    (parsers,) = [a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    defined = {}
+    for name, cls in _CONFIGS.items():
+        fields = {f.name for f in dataclasses.fields(cls)}
+        for action in parsers[name]._actions:
+            field = _PAIRED.get(action.dest, action.dest)
+            if field in fields:
+                (flag,) = action.option_strings
+                defined.setdefault(flag, (f"{cls.__name__}.{field}", set()))[1].add(name)
+    assert documented == defined
+    every_field = {f"{cls.__name__}.{f.name}" for cls in _CONFIGS.values()
+                   for f in dataclasses.fields(cls)}
+    assert {field for field, _ in documented.values()} == every_field
 
 
 def test_every_exported_name_is_in_the_readme():
