@@ -10,7 +10,9 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical error.
 """
 
 import argparse
+import ctypes
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -34,6 +36,34 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+# glibc's mallopt parameter numbers, from malloc.h
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+@functools.cache
+def _keep_freed_heap() -> None:
+    """Have glibc keep freed heap mapped for reuse instead of returning it to the OS.
+
+    Each transport pair allocates and frees a few MB of arrays. Under glibc's
+    dynamic thresholds the freed top of the heap is trimmed after every pair,
+    and the next pair faults every page back in, zero-filled. With the mmap
+    threshold at 4 MiB (pair arrays stay under 3 MB) and the trim threshold at
+    16 MiB, the next pair reuses the same pages; blocks of 4 MiB and up are
+    still mmapped and unmapped when freed. glibc cannot go back to its dynamic
+    thresholds once mallopt has set them, so nothing is restored on exit.
+    Where there is no mallopt (musl, macOS, Windows) this does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+        mallopt.restype = ctypes.c_int
+        mallopt(_M_MMAP_THRESHOLD, 4 << 20)
+        mallopt(_M_TRIM_THRESHOLD, 16 << 20)
+    except (OSError, AttributeError, TypeError):
+        pass
 
 
 def _fmt(x: float) -> str:
@@ -81,7 +111,8 @@ def _cmd_count(args) -> int:
     except DataError:
         gt_total = None
     video_id = args.video_id if args.video_id else Path(args.infile).stem
-    print(f"total {report.total}")
+    # Written before anything is printed, so a report that cannot be written leaves no
+    # success-looking line on stdout.
     if args.report:
         payload = {
             "video": video_id,
@@ -102,6 +133,8 @@ def _cmd_count(args) -> int:
         # dumps runs the C encoder; dump would stream through the Python one.
         with open(args.report, "w", encoding="ascii") as fh:
             fh.write(json.dumps(payload, separators=(",", ":")) + "\n")
+    print(f"total {report.total}")
+    if args.report:
         print(f"report -> {args.report}")
     return 0
 
@@ -126,7 +159,9 @@ def _cmd_eval(args) -> int:
         for key in ("video", "frames", "total"):
             if key not in rep:
                 raise DataError(f"{path}: report missing key {key!r}")
-        video = str(rep["video"])
+        video = rep["video"]
+        if not isinstance(video, str):
+            raise DataError(f"{path}: video must be a string, got {video!r}")
         gt = gt_map.get(video, rep.get("gt_total"))
         if gt is None:
             raise DataError(f"{path}: no ground-truth count for video {video!r}")
@@ -309,6 +344,7 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    _keep_freed_heap()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -65,7 +65,7 @@ class SimConfig:
             object.__setattr__(self, "max_base_similarity", cap)
 
 
-def _draw_bases(rng: np.random.Generator, cfg: SimConfig) -> np.ndarray:
+def _draw_bases(rng: "np.random.Generator", cfg: SimConfig) -> np.ndarray:
     """Unit base features, one row per identity, drawn from rng.
 
     Candidates are standard normal draws of feature_dim values, normalized.
@@ -127,7 +127,7 @@ def _draw_bases(rng: np.random.Generator, cfg: SimConfig) -> np.ndarray:
     return bases
 
 
-def _draw_lifespans(rng: np.random.Generator, cfg: SimConfig) -> list[list[tuple[int, int]]]:
+def _draw_lifespans(rng: "np.random.Generator", cfg: SimConfig) -> list[list[tuple[int, int]]]:
     spans: list[list[tuple[int, int]]] = []
     t = cfg.num_frames
     for _ in range(cfg.num_identities):

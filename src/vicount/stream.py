@@ -401,7 +401,7 @@ def pair_blocks(stream: DetectionStream) -> list[SimilarityBlocks]:
     return [partition_similarity(a, b) for a, b in zip(stream.frames, stream.frames[1:])]
 
 
-def random_similarity_blocks(rng: np.random.Generator, n_i: int, n_j: int,
+def random_similarity_blocks(rng: "np.random.Generator", n_i: int, n_j: int,
                              m: int) -> SimilarityBlocks:
     """Random blocks with entries in [-1, 1], for diagnostics and gradient checks."""
     size = (_as_int(n_i, "n_i", 0), _as_int(n_j, "n_j", 0))
