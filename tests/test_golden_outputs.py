@@ -1,0 +1,118 @@
+"""The count path's outputs on the benchmark's crowd and census seeds, pinned by digest.
+
+golden_outputs.json holds the sha256 of every output of the count path on
+seeds 0-9 of the two count workloads: each stream file, `count` stdout and
+`--report` under every aggregator, and one `eval` table per workload and seed
+over its default-aggregator reports. Paths are masked. The file also records
+the numpy and BLAS builds it was made with, because the digests depend on
+matmul rounding; a mismatch names the first differing output and both builds.
+
+A change that alters an output on purpose re-records the file and says why.
+Run this file as a script to re-record golden_outputs.json.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from vicount import SimConfig, generate_scene, write_stream
+from vicount.cli import main
+
+GOLDEN = Path(__file__).with_name("golden_outputs.json")
+SEEDS = range(10)
+AGGREGATORS = ("max", "min", "mean")
+# The scene settings of the benchmark's count workloads: (scene, videos, identities).
+# Stream i of seed S uses the simulator seed S + i and, when identities is given,
+# identities[i % len(identities)] individuals.
+WORKLOADS = {
+    "crowd": (dict(num_identities=300, num_frames=12, feature_dim=64,
+                   feature_noise_sigma=0.05, max_base_similarity=0.3), 2, ()),
+    "census": (dict(num_frames=15, feature_dim=64, max_base_similarity=0.3), 10,
+               (30, 40, 55, 70, 85, 100, 120, 145, 170, 200)),
+}
+
+
+def _streams(workload: str, seed: int) -> list[tuple[str, SimConfig]]:
+    """(name, config) of each stream of one workload and seed; equal scenes share a name."""
+    scene, videos, identities = WORKLOADS[workload]
+    out = []
+    for i in range(videos):
+        kw = dict(scene, seed=seed + i)
+        name = f"{workload}-s{seed + i}"
+        if identities:
+            kw["num_identities"] = identities[i % len(identities)]
+            name += f"-n{kw['num_identities']}"
+        out.append((name, SimConfig(**kw)))
+    return out
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _run(argv: list[str], directory: Path) -> bytes:
+    """stdout of one in-process CLI call, with the directory's path masked."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    assert code == 0, argv
+    return out.getvalue().replace(str(directory), "<dir>").encode()
+
+
+def _record(workload: str, directory: Path) -> dict[str, str]:
+    """Digest of every output of one workload over SEEDS, in the order they are made."""
+    digests = {}
+    for seed in SEEDS:
+        reports = []
+        for name, cfg in _streams(workload, seed):
+            path = directory / f"{name}.jsonl"
+            reports.append(str(directory / f"{name}-max.json"))
+            if f"stream {name}" in digests:
+                continue
+            write_stream(generate_scene(cfg), path)
+            digests[f"stream {name}"] = _sha256(path.read_bytes())
+            for aggregator in AGGREGATORS:
+                report = directory / f"{name}-{aggregator}.json"
+                stdout = _run(["count", "--in", str(path), "--video-id", name, "--report",
+                               str(report), "--aggregator", aggregator], directory)
+                digests[f"count {name} {aggregator} stdout"] = _sha256(stdout)
+                digests[f"count {name} {aggregator} report"] = _sha256(report.read_bytes())
+        digests[f"eval {workload} seed {seed}"] = _sha256(_run(["eval", *reports], directory))
+    return digests
+
+
+def _provenance() -> dict[str, str]:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):  # numpy before 1.26 prints its config only
+        blas = "unknown"
+    return {"numpy": np.__version__, "blas": blas}
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text())
+
+
+@pytest.mark.parametrize("workload", list(WORKLOADS))
+def test_outputs_are_the_recorded_ones(golden, workload, tmp_path):
+    want, got = golden["outputs"][workload], _record(workload, tmp_path)
+    assert list(got) == list(want), "the set of outputs changed"
+    first = next((name for name in want if got[name] != want[name]), None)
+    assert first is None, (f"{first} differs from its recorded digest; recorded under "
+                           f"{golden['provenance']}, running under {_provenance()}")
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as directory:
+        outputs = {workload: _record(workload, Path(directory)) for workload in WORKLOADS}
+    GOLDEN.write_text(json.dumps({"provenance": _provenance(), "outputs": outputs}, indent=1)
+                      + "\n")
+    print(f"{sum(map(len, outputs.values()))} digests -> {GOLDEN}")

@@ -8,6 +8,7 @@ against json's on edge literals."""
 import json
 import math
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -141,10 +142,12 @@ def _reference_step(entries, next_id, features, cfg):
 
 @st.composite
 def _scenes(draw):
-    """Frames of detections drawn around a small pool of identities, plus a config.
+    """Frames of detections drawn around a small pool of identities, a config and caps.
 
     Identities come and go at random, so memories see matches, rejections,
-    template eviction past mem_max and expiry past ttl_max.
+    template eviction past mem_max and expiry past ttl_max. caps holds a
+    mem_max per frame, so a memory can hold more templates than the cap of
+    the step it meets.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     pool = draw(st.integers(1, 6))
@@ -161,7 +164,7 @@ def _scenes(draw):
         mem_max=draw(st.integers(1, 3)),
         template_aggregator=draw(st.sampled_from(["max", "min", "mean"])),
     )
-    return frames, cfg
+    return frames, cfg, [draw(st.integers(1, 3)) for _ in frames]
 
 
 def _stream(frames) -> DetectionStream:
@@ -179,10 +182,11 @@ class TestCountingProperties:
     @_SETTINGS
     @given(_scenes())
     def test_step_matches_nested_loop_reference(self, scene):
-        frames, cfg = scene
+        frames, cfg, caps = scene
         memory = MemoryState.empty()
         entries, next_id = [], 0
-        for rows in frames:
+        for rows, cap in zip(frames, caps):
+            cfg = replace(cfg, mem_max=cap)
             memory, record = step(memory, rows, cfg)
             entries, next_id, associations, new_ids = _reference_step(
                 entries, next_id, list(rows), cfg
@@ -193,14 +197,13 @@ class TestCountingProperties:
             assert memory.next_entry_id == next_id
             assert memory.entry_id.tolist() == [entry_id for entry_id, _, _ in entries]
             assert memory.ttl.tolist() == [ttl for _, _, ttl in entries]
-            for k, (_, templates, _) in enumerate(entries):
-                got = memory.templates[k, : memory.fill[k]]
-                assert np.array_equal(got, np.array(templates))
+            for got, (_, templates, _) in zip(memory.entries, entries, strict=True):
+                assert np.array_equal(got.templates, np.array(templates))
 
     @_SETTINGS
     @given(_scenes())
     def test_total_is_inflow_sum_and_at_least_largest_frame(self, scene):
-        frames, cfg = scene
+        frames, cfg, _ = scene
         report = count_video(_stream(frames), cfg)
         assert report.total == sum(r.inflow for r in report.per_step)
         assert report.total >= max(len(rows) for rows in frames)
