@@ -69,11 +69,12 @@ class TemplateEntry:
 class MemoryState:
     """The template memory between steps, held as arrays. Updates come as new instances.
 
-    Row k of the (N, W, D) templates store holds remembered individual k's
-    templates, oldest first, in its first fill[k] slots; fill, ttl and
-    entry_id are (N,) integer arrays in the same order. Every array is
-    read-only: a writable array passed in is copied, a read-only one is
-    kept as is. entries views the rows as TemplateEntry records.
+    The (T, D) templates array holds remembered individual k's fill[k]
+    templates, oldest first, after those of the individuals before it, so
+    T == fill.sum(); fill, ttl and entry_id are (N,) integer arrays in the
+    same order, and entry ids increase strictly below next_entry_id. Every
+    array is read-only: a writable array passed in is copied, a read-only
+    one is kept as is. entries views the rows as TemplateEntry records.
     """
 
     templates: np.ndarray
@@ -83,24 +84,28 @@ class MemoryState:
     next_entry_id: int
 
     def __post_init__(self):
-        templates = _read_only(_array(self.templates, "templates", 3))
-        size, width = templates.shape[:2]
-        object.__setattr__(self, "templates", templates)
+        object.__setattr__(self, "templates", _read_only(_array(self.templates, "templates", 2)))
+        rows = len(self.templates)
         for name in ("fill", "ttl", "entry_id"):
             arr = _read_only(_array(getattr(self, name), name, 1, integer=True))
-            if arr.shape != (size,):
-                raise DataError(f"{name} has shape {arr.shape}, expected ({size},)")
             object.__setattr__(self, name, arr)
-        if ((self.fill < 1) | (self.fill > width)).any():
-            raise DataError(f"every fill must lie in [1, {width}]")
+            if name == "fill" and ((arr < 1).any() or arr.sum() != rows):
+                raise DataError(f"fill must be at least 1 and sum to the {rows} template rows")
+            if arr.shape != self.fill.shape:
+                raise DataError(f"{name} has shape {arr.shape}, expected {self.fill.shape}")
         if (self.ttl < 0).any():
             raise DataError("every ttl must be non-negative")
         object.__setattr__(self, "next_entry_id", _as_int(self.next_entry_id, "next_entry_id", 0))
+        # So no id is handed out twice; every memory step builds meets it, as kept
+        # entries keep their order and fresh ids count up from next_entry_id.
+        ids = self.entry_id
+        if (ids[1:] <= ids[:-1]).any() or (ids[-1:] >= self.next_entry_id).any():
+            raise DataError("entry_id must increase strictly and stay below next_entry_id")
 
     @classmethod
     def empty(cls) -> "MemoryState":
         none = np.zeros(0, dtype=np.intp)
-        return cls(np.zeros((0, 0, 0)), none, none, none, 0)
+        return cls(np.zeros((0, 0)), none, none, none, 0)
 
     @property
     def entries(self) -> Sequence:
@@ -111,7 +116,8 @@ class MemoryState:
         return _BuiltOnAccess(len(self.ttl), self._entry)
 
     def _entry(self, k: int) -> TemplateEntry:
-        return TemplateEntry(int(self.entry_id[k]), self.templates[k, : self.fill[k]],
+        start = int(self.fill[:k].sum())
+        return TemplateEntry(int(self.entry_id[k]), self.templates[start:start + self.fill[k]],
                              int(self.ttl[k]))
 
 
@@ -136,7 +142,7 @@ class CountReport:
 def _features(features, memory: MemoryState) -> np.ndarray:
     """Feature rows as an (n, D) array, checked against the memory's dimension."""
     rows = _array(features, "features", 2, width=0)
-    dim = memory.templates.shape[2]
+    dim = memory.templates.shape[1]
     if len(rows) and len(memory.ttl) and rows.shape[1] != dim:
         raise DataError(
             f"feature dimension mismatch: detection [{rows.shape[1]}] vs template [{dim}]"
@@ -149,19 +155,16 @@ def _cost_matrix(features: np.ndarray, memory: MemoryState, aggregator: str) -> 
     if aggregator not in _AGGREGATORS:
         raise DataError(f"template_aggregator must be one of {_AGGREGATORS}, got {aggregator!r}")
     fill = memory.fill
-    # Only filled slots, entry by entry and oldest first: the matmul covers no
-    # padding, and each segment sums in template order.
-    stacked = memory.templates[np.arange(memory.templates.shape[1]) < fill[:, None]]
-    costs = features @ stacked.T
+    costs = features @ memory.templates.T
     # In place, as this (detections, templates) block is the largest array a step makes.
     np.subtract(1.0, costs, out=costs)
     starts = np.cumsum(fill) - fill
     if aggregator == "mean":
-        # add.reduceat does not sum a segment in slot order, so no slot-wise sum
-        # would give its bits.
+        # add.reduceat does not sum a segment in template order, so no
+        # template-wise sum would give its bits.
         return np.add.reduceat(costs, starts, axis=1) / fill
-    # Max and min do not depend on order, so they are taken slot by slot for all
-    # entries at once; an entry past its last filled slot repeats that slot.
+    # Max and min do not depend on order, so they are taken template by template
+    # for all entries at once; an entry past its last template repeats it.
     combine = np.maximum if aggregator == "max" else np.minimum
     out = costs[:, starts]
     last = starts + fill - 1
@@ -178,24 +181,11 @@ def template_cost(detection: Detection, entry: TemplateEntry, aggregator: str = 
     Taking the max is the conservative default: the detection must resemble
     every remembered appearance.
     """
-    templates = entry.templates
-    # a list goes on as one, so the memory reads each of its entries
-    stacked = templates[None] if isinstance(templates, np.ndarray) else [templates]
-    memory = MemoryState(stacked, [len(templates)], [entry.ttl], [entry.entry_id], 0)
+    # next_entry_id: the least that a memory holding this entry admits
+    memory = MemoryState(entry.templates, [len(entry.templates)], [entry.ttl], [entry.entry_id],
+                         max(_as_int(entry.entry_id, "entry_id") + 1, 0))
     features = _features([detection.feature], memory)
     return float(_cost_matrix(features, memory, aggregator)[0, 0])
-
-
-def _append_templates(templates, fill, rows, features, mem_max: int) -> None:
-    """Append features[i] to row rows[i] of the store in place, keeping its newest mem_max."""
-    full = rows[fill[rows] >= mem_max]
-    if len(full):
-        slots = np.arange(mem_max - 1)
-        oldest_kept = fill[full] - (mem_max - 1)
-        templates[full[:, None], slots] = templates[full[:, None], oldest_kept[:, None] + slots]
-        fill[full] = mem_max - 1
-    templates[rows, fill[rows]] = features
-    fill[rows] += 1
 
 
 def step(memory: MemoryState, features, cfg: McpConfig) -> tuple[MemoryState, StepRecord]:
@@ -212,7 +202,7 @@ def step(memory: MemoryState, features, cfg: McpConfig) -> tuple[MemoryState, St
     """
     features = _features(features, memory)
     n, dim = features.shape
-    size, width = memory.templates.shape[:2]
+    size = len(memory.ttl)
     det_idx = entry_idx = np.zeros(0, dtype=np.intp)
     if n and size:
         cost = _cost_matrix(features, memory, cfg.template_aggregator)
@@ -224,19 +214,19 @@ def step(memory: MemoryState, features, cfg: McpConfig) -> tuple[MemoryState, St
     fresh = np.ones(n, dtype=bool)
     fresh[det_idx] = False
     fresh = np.flatnonzero(fresh)
-    # Old entries keep their order: matched ones get a template and a full
-    # ttl, missed ones tick down and are dropped once exhausted. Fresh
-    # entries append at the end.
-    keep = matched | (memory.ttl > 0)
+    # Old entries keep their order: a matched one gets its detection's feature
+    # after its last template, keeps its newest mem_max and a full ttl; a missed
+    # one keeps all of its templates, ticks down and is dropped once exhausted.
+    # Fresh entries append at the end.
+    grown = memory.fill + matched
+    keep = np.where(matched, np.minimum(grown, cfg.mem_max), grown * (memory.ttl > 0))
     kept = np.flatnonzero(keep)
-    templates = np.zeros((len(kept) + len(fresh), max(width, cfg.mem_max), dim))
-    if len(kept):
-        # Straight into place: indexing with kept would copy the store once more.
-        np.take(memory.templates, kept, axis=0, out=templates[: len(kept), :width], mode="clip")
-    templates[len(kept):, 0] = features[fresh]
-    fill = np.concatenate((memory.fill[kept], np.ones(len(fresh), dtype=np.intp)))
-    _append_templates(templates, fill, (np.cumsum(keep) - 1)[entry_idx], features[det_idx],
-                      cfg.mem_max)
+    # Reshaped by row count, as the empty memory is (0, 0) whatever the frames' dimension.
+    stored = np.insert(memory.templates.reshape(len(memory.templates), dim),
+                       np.cumsum(memory.fill)[entry_idx], features[det_idx], axis=0)
+    stored = stored[np.arange(len(stored)) >= np.repeat(np.cumsum(grown) - keep, grown)]
+    templates = np.concatenate((stored, features[fresh]))
+    fill = np.concatenate((keep[kept], np.ones(len(fresh), dtype=np.intp)))
     ttl = np.concatenate((np.where(matched, cfg.ttl_max, memory.ttl - 1)[kept],
                           np.full(len(fresh), cfg.ttl_max, dtype=np.intp)))
     next_id = memory.next_entry_id

@@ -56,6 +56,11 @@ class TestTemplateCost:
         with pytest.raises(DataError, match="dimension mismatch"):
             self._cost([[1.0, 0.0, 0.0]])
 
+    def test_every_entry_of_a_valid_memory(self):
+        memory = MemoryState([[0.0, 1.0], [1.0, 0.0]], [1, 1], [1, 1], [-5, 3], 4)
+        costs = [template_cost(Detection((0.0, 0.0), E0), entry) for entry in memory.entries]
+        assert costs == pytest.approx([1.0, 0.0], abs=1e-15)
+
     def test_unknown_aggregator(self):
         with pytest.raises(DataError):
             self._cost([[1.0, 0.0]], "median")
@@ -68,10 +73,8 @@ class TestCostMatrix:
     def _memory(rng, cfg, dim):
         # Entry k - 1 holds k templates, k = 1..mem_max.
         size = cfg.mem_max
-        templates = np.zeros((size, size, dim))
-        for k in range(size):
-            templates[k, : k + 1] = _unit_rows(rng.standard_normal((k + 1, dim)))
         fill = np.arange(1, size + 1)
+        templates = _unit_rows(rng.standard_normal((fill.sum(), dim)))
         return MemoryState(templates, fill, np.full(size, cfg.ttl_max), fill, size + 1)
 
     def test_aggregators_match_nested_loops(self):
@@ -79,7 +82,7 @@ class TestCostMatrix:
         cfg = McpConfig(mem_max=6)
         memory = self._memory(rng, cfg, 8)
         features = _unit_rows(rng.standard_normal((7, 8)))
-        stored = [memory.templates[k, : memory.fill[k]] for k in range(len(memory.ttl))]
+        stored = [entry.templates for entry in memory.entries]
         reduce = {"max": np.max, "min": np.min, "mean": np.mean}
         for aggregator, agg in reduce.items():
             want = np.array([
@@ -168,7 +171,13 @@ class TestStep:
         memory, _ = step(memory, _rows(f2), cfg)
         memory, _ = step(memory, _rows(f3), cfg)
         assert memory.fill.tolist() == [2]
-        assert np.array_equal(memory.templates[0, :2], _rows(f2, f3))
+        assert np.array_equal(memory.templates, _rows(f2, f3))
+
+    def test_fresh_ids_follow_the_given_next_entry_id(self):
+        memory = MemoryState([[1.0, 0.0]], [1], [1], [5], 6)
+        memory, record = step(memory, _rows(E1), McpConfig())
+        assert record.new_entry_ids == (6,)
+        assert memory.entry_id.tolist() == [5, 6] and memory.next_entry_id == 7
 
     def test_greedy_conflicts_resolved_jointly(self):
         # both detections are individually closest to entry 0; a per-detection
@@ -182,22 +191,22 @@ class TestStep:
 
 def _two_entries():
     """Templates, fill, ttl and entry_id of a memory holding 1 and 3 templates."""
-    templates = np.zeros((2, 3, 2))
-    templates[0, 0] = [1.0, 0.0]
-    templates[1] = [[0.6, 0.8], [0.0, 1.0], [1.0, 0.0]]
+    templates = np.array([[1.0, 0.0], [0.6, 0.8], [0.0, 1.0], [1.0, 0.0]])
     return templates, np.array([1, 3]), np.array([2, 0]), np.array([4, 7])
 
 
 class TestMemoryState:
     def test_entries_round_trip(self):
         memory = MemoryState(*_two_entries(), 9)
-        assert memory.templates.shape == (2, 3, 2)
+        assert memory.templates.shape == (4, 2)
         assert memory.fill.tolist() == [1, 3]
         assert len(memory.entries) == 2 and memory.next_entry_id == 9
+        starts = np.cumsum(memory.fill) - memory.fill
         for k, got in enumerate(memory.entries):
             assert (got.entry_id, got.ttl) == ([4, 7][k], [2, 0][k])
             assert got.templates.base is memory.templates
-            assert np.array_equal(got.templates, memory.templates[k, : memory.fill[k]])
+            want = memory.templates[starts[k]:starts[k] + memory.fill[k]]
+            assert np.array_equal(got.templates, want)
         assert memory.entries[-1].entry_id == 7
         assert [e.entry_id for e in reversed(memory.entries)] == [7, 4]
 
@@ -208,7 +217,7 @@ class TestMemoryState:
         with pytest.raises(ValueError):
             memory.ttl[0] = 9
         with pytest.raises(ValueError):
-            memory.templates[0, 0, 0] = 5.0
+            memory.templates[0, 0] = 5.0
 
     def test_step_leaves_input_memory_unchanged(self):
         cfg = McpConfig(mem_max=2, ttl_max=1)
@@ -221,7 +230,7 @@ class TestMemoryState:
 
     def test_mixed_dimensions_rejected(self):
         with pytest.raises(DataError, match="templates dimension mismatch"):
-            MemoryState([[[1.0, 0.0]], [[1.0, 0.0, 0.0]]], [1, 1], [1, 1], [0, 1], 2)
+            MemoryState([[1.0, 0.0], [1.0, 0.0, 0.0]], [1, 1], [1, 1], [0, 1], 2)
 
     def test_count_builds_no_entries_and_stacks_nothing(self, monkeypatch):
         stream = generate_scene(
@@ -239,33 +248,53 @@ class TestMemoryState:
 
 
 class TestMemoryStateValidation:
-    """The array constructor checks shapes, fill and ttl, and stores read-only arrays."""
+    """The constructor checks shapes, fill, ttl and entry ids, and stores read-only arrays."""
 
     def test_templates_rank(self):
         templates, fill, ttl, entry_id = _two_entries()
-        with pytest.raises(DataError, match="templates must form a 3-d array"):
+        with pytest.raises(DataError, match="templates must form a 2-d array"):
             MemoryState(templates[:, 0], fill, ttl, entry_id, 9)
+        with pytest.raises(DataError, match="templates must form a 2-d array"):
+            MemoryState(templates[None], fill, ttl, entry_id, 9)
 
     @pytest.mark.parametrize("name", ["fill", "ttl", "entry_id"])
     def test_mismatched_lengths(self, name):
         arrays = dict(zip(("templates", "fill", "ttl", "entry_id"), _two_entries()))
         arrays[name] = arrays[name][:1]
-        with pytest.raises(DataError, match=f"{name} has shape"):
+        # fill gives the number of entries, so a short fill is refused by its sum
+        with pytest.raises(DataError, match=f"{name} (has shape|must be at least 1 and sum)"):
             MemoryState(**arrays, next_entry_id=9)
 
     def test_templates_must_be_numbers(self):
         with pytest.raises(DataError, match="templates must be numbers, got dtype <U3"):
-            MemoryState(np.array([[["0.6", "0.8"]]]), [1], [3], [0], 1)
+            MemoryState(np.array([["0.6", "0.8"]]), [1], [3], [0], 1)
 
     def test_needs_templates(self):
         templates, _, ttl, entry_id = _two_entries()
         with pytest.raises(DataError, match="fill"):
-            MemoryState(templates, [0, 3], ttl, entry_id, 9)
+            MemoryState(templates, [0, 4], ttl, entry_id, 9)
 
-    def test_fill_above_width(self):
+    @pytest.mark.parametrize("fill", [pytest.param([1, 4], id="past-the-rows"),
+                                      pytest.param([1, 2], id="short-of-the-rows")])
+    def test_fill_must_sum_to_the_rows(self, fill):
         templates, _, ttl, entry_id = _two_entries()
-        with pytest.raises(DataError, match="fill"):
-            MemoryState(templates, [1, 4], ttl, entry_id, 9)
+        with pytest.raises(DataError, match="fill must be at least 1 and sum to the 4 template"):
+            MemoryState(templates, fill, ttl, entry_id, 9)
+
+    @pytest.mark.parametrize("entry_id, next_entry_id", [
+        pytest.param([0, 0], 9, id="repeated"),
+        pytest.param([7, 4], 9, id="decreasing"),
+        pytest.param([4, 9], 9, id="last-equals-next"),
+    ])
+    def test_entry_ids_increase_below_next_entry_id(self, entry_id, next_entry_id):
+        templates, fill, ttl, _ = _two_entries()
+        with pytest.raises(DataError, match="entry_id must increase strictly"):
+            MemoryState(templates, fill, ttl, entry_id, next_entry_id)
+
+    def test_an_id_step_would_hand_out_again(self):
+        # step would number its fresh entry 5 too, and match two detections to "entry 5"
+        with pytest.raises(DataError, match="entry_id"):
+            MemoryState([[1.0, 0.0]], [1], [1], [5], 5)
 
     def test_negative_ttl(self):
         templates, fill, _, entry_id = _two_entries()
@@ -280,8 +309,8 @@ class TestMemoryStateValidation:
             assert not np.shares_memory(stored, given)
             with pytest.raises(ValueError):
                 stored[0] = 5
-        arrays[0][1, 0, 0] = 5.0
-        assert memory.templates[1, 0, 0] == 0.6
+        arrays[0][1, 0] = 5.0
+        assert memory.templates[1, 0] == 0.6
 
     def test_read_only_input_kept(self):
         arrays = [np.asarray(a, dtype=dtype) for a, dtype in

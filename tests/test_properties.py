@@ -214,15 +214,15 @@ class TestCostMatrixProperties:
     @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(1, 8), st.integers(1, 6),
            st.integers(1, 5))
     def test_cost_matrix_equals_the_reduceat_oracle(self, seed, width, size, n, dim):
-        # Widths past 8 reach past numpy's 8-wide pairwise summation block.
+        # Entries of more than 8 templates reach past numpy's 8-wide pairwise
+        # summation block.
         rng = np.random.default_rng(seed)
         fill = rng.integers(1, width + 1, size)
-        # every slot holds a row, so one read past an entry's fill would show
-        templates = rng.standard_normal((size, width, dim))
+        templates = rng.standard_normal((fill.sum(), dim))
         memory = MemoryState(templates, fill, np.ones(size, dtype=np.intp),
                              np.arange(size), size)
         features = rng.standard_normal((n, dim))
-        costs = 1.0 - features @ templates[np.arange(width) < fill[:, None]].T
+        costs = 1.0 - features @ templates.T
         starts = np.cumsum(fill) - fill
         want = {
             "max": np.maximum.reduceat(costs, starts, axis=1),

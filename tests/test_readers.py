@@ -43,7 +43,7 @@ DETECTION = Detection((0.0, 0.0), np.array([1.0, 0.0]))
 
 
 def _memory(**kw):
-    args = dict(templates=[[[1.0, 0.0]]], fill=[1], ttl=[1], entry_id=[0], next_entry_id=1)
+    args = dict(templates=[[1.0, 0.0]], fill=[1], ttl=[1], entry_id=[0], next_entry_id=1)
     args.update(kw)
     return MemoryState(**args)
 
@@ -86,7 +86,7 @@ ENTRY_POINTS = [
      lambda v: SimilarityBlocks(np.eye(2), 1, perm_j=[1, v])),
     ("random_similarity_blocks", "n_i", DataError, INTEGER,
      lambda v: random_similarity_blocks(np.random.default_rng(0), v, 2, 1)),
-    ("MemoryState", "templates", DataError, ROWS, lambda v: _memory(templates=[[[v, 1.0]]])),
+    ("MemoryState", "templates", DataError, ROWS, lambda v: _memory(templates=[[v, 1.0]])),
     *[("MemoryState", f, DataError, INTEGER, lambda v, f=f: _memory(**{f: [v]}))
       for f in ("fill", "ttl", "entry_id")],
     ("MemoryState", "next_entry_id", DataError, INTEGER, lambda v: _memory(next_entry_id=v)),
@@ -98,6 +98,8 @@ ENTRY_POINTS = [
      lambda v: template_cost(DETECTION, TemplateEntry(0, [[v, 1.0]], 1))),
     ("template_cost", "ttl", DataError, INTEGER,
      lambda v: template_cost(DETECTION, TemplateEntry(0, [[1.0, 0.0]], v))),
+    ("template_cost", "entry_id", DataError, INTEGER,
+     lambda v: template_cost(DETECTION, TemplateEntry(v, [[1.0, 0.0]], 1))),
     ("shared_count", "outflow_i", DataError, INTEGER, lambda v: shared_count([v, 1], [0, 1])),
     ("shared_count", "inflow_j", DataError, INTEGER, lambda v: shared_count([0, 1], [1, v])),
     ("hungarian", "cost", NumericalError, REAL, lambda v: hungarian([[v, 1.0], [1.0, 0.0]])),
