@@ -1,11 +1,13 @@
-"""The count path's outputs on the benchmark's crowd and census seeds, pinned by digest.
+"""Every output of the benchmark's three workloads on seeds 0-9, pinned by digest.
 
-golden_outputs.json holds the sha256 of every output of the count path on
-seeds 0-9 of the two count workloads: each stream file, `count` stdout and
-`--report` under every aggregator, and one `eval` table per workload and seed
-over its default-aggregator reports. Paths are masked. The file also records
-the numpy and BLAS builds it was made with, because the digests depend on
-matmul rounding; a mismatch names the first differing output and both builds.
+golden_outputs.json holds the sha256 of each output on seeds 0-9 of the
+benchmark's workloads. For crowd and census (the count path): each stream file,
+`count` stdout and `--report` under every aggregator, and one `eval` table per
+workload and seed over its default-aggregator reports. For transport (the loss
+path): each stream file, `loss` stdout and the `pseudo --out` file, at the CLI
+defaults. Paths are masked. The file also records the numpy and BLAS builds it
+was made with, because the digests depend on matmul rounding; a mismatch names
+the first differing output and both builds.
 
 A change that alters an output on purpose re-records the file and says why.
 Run this file as a script to re-record golden_outputs.json.
@@ -27,7 +29,7 @@ from vicount.cli import main
 GOLDEN = Path(__file__).with_name("golden_outputs.json")
 SEEDS = range(10)
 AGGREGATORS = ("max", "min", "mean")
-# The scene settings of the benchmark's count workloads: (scene, videos, identities).
+# The scene settings of the benchmark's workloads: (scene, videos, identities).
 # Stream i of seed S uses the simulator seed S + i and, when identities is given,
 # identities[i % len(identities)] individuals.
 WORKLOADS = {
@@ -35,6 +37,8 @@ WORKLOADS = {
                    feature_noise_sigma=0.05, max_base_similarity=0.3), 2, ()),
     "census": (dict(num_frames=15, feature_dim=64, max_base_similarity=0.3), 10,
                (30, 40, 55, 70, 85, 100, 120, 145, 170, 200)),
+    "transport": (dict(num_identities=900, num_frames=5, feature_dim=64,
+                       feature_noise_sigma=0.1), 8, ()),
 }
 
 
@@ -65,8 +69,29 @@ def _run(argv: list[str], directory: Path) -> bytes:
     return out.getvalue().replace(str(directory), "<dir>").encode()
 
 
+def _count_outputs(name: str, path: Path, directory: Path) -> dict[str, str]:
+    """Digests of one stream's `count` stdout and report under every aggregator."""
+    digests = {}
+    for aggregator in AGGREGATORS:
+        report = directory / f"{name}-{aggregator}.json"
+        stdout = _run(["count", "--in", str(path), "--video-id", name, "--report",
+                       str(report), "--aggregator", aggregator], directory)
+        digests[f"count {name} {aggregator} stdout"] = _sha256(stdout)
+        digests[f"count {name} {aggregator} report"] = _sha256(report.read_bytes())
+    return digests
+
+
+def _transport_outputs(name: str, path: Path, directory: Path) -> dict[str, str]:
+    """Digests of one stream's `loss` stdout and `pseudo --out` file."""
+    pseudo = directory / f"{name}-pseudo.jsonl"
+    loss = _run(["loss", "--in", str(path)], directory)
+    _run(["pseudo", "--in", str(path), "--out", str(pseudo)], directory)
+    return {f"loss {name} stdout": _sha256(loss), f"pseudo {name} file": _sha256(pseudo.read_bytes())}
+
+
 def _record(workload: str, directory: Path) -> dict[str, str]:
     """Digest of every output of one workload over SEEDS, in the order they are made."""
+    outputs = _transport_outputs if workload == "transport" else _count_outputs
     digests = {}
     for seed in SEEDS:
         reports = []
@@ -77,13 +102,9 @@ def _record(workload: str, directory: Path) -> dict[str, str]:
                 continue
             write_stream(generate_scene(cfg), path)
             digests[f"stream {name}"] = _sha256(path.read_bytes())
-            for aggregator in AGGREGATORS:
-                report = directory / f"{name}-{aggregator}.json"
-                stdout = _run(["count", "--in", str(path), "--video-id", name, "--report",
-                               str(report), "--aggregator", aggregator], directory)
-                digests[f"count {name} {aggregator} stdout"] = _sha256(stdout)
-                digests[f"count {name} {aggregator} report"] = _sha256(report.read_bytes())
-        digests[f"eval {workload} seed {seed}"] = _sha256(_run(["eval", *reports], directory))
+            digests.update(outputs(name, path, directory))
+        if workload != "transport":
+            digests[f"eval {workload} seed {seed}"] = _sha256(_run(["eval", *reports], directory))
     return digests
 
 
