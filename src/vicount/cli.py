@@ -124,8 +124,8 @@ def _cmd_count(args) -> int:
                 {
                     "frame": rec.frame_index,
                     "inflow": rec.inflow,
-                    "associations": [list(a) for a in rec.associations],
-                    "new_entries": list(rec.new_entry_ids),
+                    "associations": rec.associations,
+                    "new_entries": rec.new_entry_ids,
                 }
                 for rec in report.per_step
             ],
@@ -253,10 +253,9 @@ def _cmd_pseudo(args) -> int:
     cfg = _config(LossConfig, args)
     stream = parse_stream(args.infile)
     result = pseudo_trajectories(stream, cfg)
-    records = [{"pair": [pm.frame_prev, pm.frame_curr], "matches": [list(m) for m in pm.matches]}
+    records = [{"pair": [pm.frame_prev, pm.frame_curr], "matches": pm.matches}
                for pm in result.pairs]
-    records += [{"traj": t_idx, "steps": [list(s) for s in traj]}
-                for t_idx, traj in enumerate(result.trajectories)]
+    records += [{"traj": t_idx, "steps": traj} for t_idx, traj in enumerate(result.trajectories)]
     lines = [json.dumps(r, separators=(",", ":")) for r in records]
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:

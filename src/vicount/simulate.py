@@ -36,9 +36,8 @@ class SimConfig:
     matrix product per block and one per base accepted inside it, with a
     candidate re-tested alone only when its block similarity lies within a
     rounding margin of the cap. The stream for a given seed is the one that
-    drawing and testing them one at a time gives, and is unchanged from
-    earlier versions. Real-valued fields must be numbers, not bools or
-    strings, and finite.
+    drawing and testing them one at a time gives. Real-valued fields must be
+    numbers, not bools or strings, and finite.
     """
 
     num_identities: int = 20

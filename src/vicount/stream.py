@@ -217,14 +217,8 @@ def _as_ids(values, n: int) -> tuple[int | None, ...]:
     ids = tuple(values)
     if len(ids) != n:
         raise DataError(f"gt_ids has {len(ids)} entries for {n} detections")
-    try:
-        # all ints in one read; a None or a bad id sends every id through _as_int below
-        arr = _array(ids, "gt_ids", 1, integer=True)
-    except DataError:
-        pass
-    else:
-        if not np.count_nonzero(arr < 0):
-            return tuple(arr.tolist())
+    if set(map(type, ids)) <= {int} and min(ids, default=0) >= 0:
+        return ids
     return tuple(None if g is None else _as_int(g, f"det[{k}]: gt_id", 0)
                  for k, g in enumerate(ids))
 
@@ -387,6 +381,9 @@ def partition_similarity(frame_i: FrameRecord, frame_j: FrameRecord) -> Similari
     order_i = np.argsort(frame_i.outflow, kind="stable")
     order_j = np.argsort(frame_j.inflow, kind="stable")
     if len(frame_i) and len(frame_j):
+        dim_i, dim_j = frame_i.features.shape[1], frame_j.features.shape[1]
+        if dim_i != dim_j:
+            raise DataError(f"feature dimension mismatch: frame_i [{dim_i}] vs frame_j [{dim_j}]")
         s = frame_i.features[order_i] @ frame_j.features[order_j].T
         np.clip(s, -1.0, 1.0, out=s)
     else:

@@ -66,6 +66,18 @@ def _fail(path, lineno: int, msg: str):
     raise StreamFormatError(f"{path}:{lineno}: {msg}")
 
 
+def _ascii(line: str, path, lineno: int) -> str:
+    """line if it is all ASCII; else a format error naming its first other byte.
+
+    parse_stream reads with errors="surrogateescape", which keeps byte b past ASCII as
+    the code point 0xdc00 + b.
+    """
+    if not line.isascii():
+        byte = next(ord(c) - 0xDC00 for c in line if not c.isascii())
+        _fail(path, lineno, f"non-ASCII byte {byte:#04x}")
+    return line
+
+
 def _need(obj: dict, key: str, path, lineno: int):
     return obj[key] if key in obj else _fail(path, lineno, f"missing key {key!r}")
 
@@ -121,18 +133,19 @@ def _decode(line: str):
 def parse_stream(path) -> DetectionStream:
     """Parse a stream file written by write_stream, validating as it goes.
 
-    Errors carry the path and 1-based line number of the offending line. The file is read
-    line by line, and a line is split again where str.splitlines also splits (form feed,
-    vertical tab, file, group or record separator), so the numbers are those of the whole text.
+    Errors carry the path and 1-based line number of the offending line; a byte past ASCII,
+    which write_stream never writes, is one. The file is read line by line, and a line is
+    split again where str.splitlines also splits (form feed, vertical tab, file, group or
+    record separator), so the numbers are those of the whole text.
     """
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         lines = enumerate((part for raw in fh for part in (
             raw.splitlines() if any(c in raw for c in "\v\f\x1c\x1d\x1e") else [raw])), start=1)
         lineno, header_line = next(lines, (1, None))
         if header_line is None:
             _fail(path, 1, "empty file, expected a header line")
         try:
-            header = _decode(header_line)
+            header = _decode(_ascii(header_line, path, 1))
         except json.JSONDecodeError as exc:
             _fail(path, 1, f"malformed header: {exc.msg}")
         if not isinstance(header, dict):
@@ -160,7 +173,7 @@ def parse_stream(path) -> DetectionStream:
             if not line or line.isspace():
                 _fail(path, lineno, "blank line in frame section")
             try:
-                obj = _decode(line)
+                obj = _decode(_ascii(line, path, lineno))
             except json.JSONDecodeError as exc:
                 _fail(path, lineno, f"malformed frame: {exc.msg}")
             if not isinstance(obj, dict):

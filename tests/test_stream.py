@@ -287,6 +287,13 @@ class TestPartitionSimilarity:
         with pytest.raises(DataError, match="inconsistent weak labels"):
             partition_similarity(fi, fj)
 
+    def test_feature_widths_differ(self):
+        fi = _frame(1, [[1.0, 0.0]], (1,), (1,))
+        fj = _frame(2, [[1.0, 0.0, 0.0]], (1,), (1,))
+        with pytest.raises(DataError) as err:
+            partition_similarity(fi, fj)
+        assert str(err.value) == "feature dimension mismatch: frame_i [2] vs frame_j [3]"
+
     def test_empty_sides(self):
         fi = _frame(1, [], (), ())
         fj = _frame(2, [[1.0, 0.0]], (1,), (1,))

@@ -132,6 +132,21 @@ class TestParseErrors:
         with pytest.raises(StreamFormatError, match=r":2: malformed frame"):
             parse_stream(path)
 
+    @pytest.mark.parametrize("lines, line", [
+        (['{"schema":1,"dim":2,"delta":1.0,"note":"\u00e9"}'], 1),
+        ([HEADER, '{"frame":1,"t":0.0,"det":[{"x":0,"y":0,"f":[1,0],"id":"\u00e9"}],'
+                  '"in":[1],"out":[1]}'], 2),
+    ])
+    def test_non_ascii_byte_is_a_format_error(self, tmp_path, capsys, lines, line):
+        # the raw UTF-8 bytes of e-acute, 0xc3 0xa9, not a JSON escape
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+        with pytest.raises(StreamFormatError) as err:
+            parse_stream(path)
+        assert str(err.value) == f"{path}:{line}: non-ASCII byte 0xc3"
+        assert main(["count", "--in", str(path)]) == 2
+        assert f"{path}:{line}: non-ASCII byte 0xc3" in capsys.readouterr().err
+
     def test_blank_line_rejected(self, tmp_path):
         path = _write_lines(
             tmp_path,
