@@ -331,9 +331,12 @@ class TestDrawBases:
 class TestGoldenStreams:
     """Stream files pinned by sha256, so any change to the generator's sequence shows.
 
-    The benchmark workloads' streams are pinned in golden_outputs.json.
+    The benchmark workloads' streams are also pinned in golden_outputs.json.
     """
 
+    CROWD = dict(num_identities=300, num_frames=12, feature_dim=64,
+                 feature_noise_sigma=0.05, max_base_similarity=0.3)
+    TRANSPORT = dict(num_identities=900, num_frames=5, feature_dim=64, feature_noise_sigma=0.1)
     CRITERION_6_SIZES = (30, 40, 55, 70, 85, 100, 120, 145, 170, 200)
     CRITERION_6 = (
         "a5ad718a3d325699c91f8ecd3d861c32017f73efcca2bc80d892bcb185cd1b57",
@@ -353,6 +356,22 @@ class TestGoldenStreams:
         path = tmp_path / "scene.jsonl"
         write_stream(stream, path)
         return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    @pytest.mark.parametrize("seed, digest", [
+        (0, "3c580034e1fb4354992440eb7582c13c057f6fad5ad49215e42c7d7bb6757744"),
+        (1, "88d3c5ffb1e195f80fa86e5ba31bde7618834fa071086b4bf8fd73457eaf6d25"),
+    ])
+    def test_crowd(self, seed, digest, tmp_path):
+        stream = generate_scene(SimConfig(seed=seed, **self.CROWD))
+        assert self._digest(stream, tmp_path) == digest
+
+    @pytest.mark.parametrize("seed, digest", [
+        (0, "fb69383e8fe709ca4e0f5395619734ae3ab49959660d628067c2ca1d4c789cb4"),
+        (1, "64e7e06cc25d2599b963effec331fd572c4dc7c796228b0ac7dd2a8185663581"),
+    ])
+    def test_transport(self, seed, digest, tmp_path):
+        stream = generate_scene(SimConfig(seed=seed, **self.TRANSPORT))
+        assert self._digest(stream, tmp_path) == digest
 
     def test_criterion_6_scenes(self, tmp_path):
         for seed, digest in enumerate(self.CRITERION_6):
