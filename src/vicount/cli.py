@@ -18,6 +18,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from .counting import _AGGREGATORS, McpConfig, count_video
 from .errors import DataError, NumericalError
@@ -249,6 +250,14 @@ def _cmd_gradcheck(args) -> int:
     return 0
 
 
+def _json_line(record: dict) -> str:
+    """record as compact JSON: orjson's bytes, which are json's, or json's past 64-bit ints."""
+    try:
+        return orjson.dumps(record).decode()
+    except orjson.JSONEncodeError:  # an int outside [-2**63, 2**64), as a frame index may be
+        return json.dumps(record, separators=(",", ":"))
+
+
 def _cmd_pseudo(args) -> int:
     cfg = _config(LossConfig, args)
     stream = parse_stream(args.infile)
@@ -256,7 +265,7 @@ def _cmd_pseudo(args) -> int:
     records = [{"pair": [pm.frame_prev, pm.frame_curr], "matches": pm.matches}
                for pm in result.pairs]
     records += [{"traj": t_idx, "steps": traj} for t_idx, traj in enumerate(result.trajectories)]
-    lines = [json.dumps(r, separators=(",", ":")) for r in records]
+    lines = [_json_line(r) for r in records]
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
             fh.write("\n".join(lines) + ("\n" if lines else ""))

@@ -7,6 +7,11 @@ following line is one frame: {"frame": k, "t": seconds, "det": [...],
 Serialization is deterministic (fixed key order, shortest round-tripping
 float form), and write followed by parse reproduces the stream exactly.
 
+The writer prints the bytes json.dumps would. orjson prints a frame's coordinates and
+feature rows, one call per array; repr prints each of their entries that orjson prints
+differently (nonzero |x| < 1e-4 and |x| >= 1e16), the header, the frame's index and time,
+the ids and the inflow and outflow bits.
+
 The parser decodes each line with orjson, about five times faster than json
 on feature-heavy lines and correctly rounded like it. json, whose values and
 error messages the parser has always had, re-reads a line in two cases: when
@@ -19,6 +24,7 @@ outside [-2**63, 2**64) as a float, where json keeps the exact int.
 
 import json
 
+import numpy as np
 import orjson
 
 from .errors import DataError, StreamFormatError
@@ -27,39 +33,45 @@ from .stream import DetectionStream, FrameRecord, _as_int, _finite
 SCHEMA_VERSION = 1
 
 
+def _row_texts(values: np.ndarray) -> list[str]:
+    """The text of each row of a 2-D float array: its entries as repr prints them, comma-joined.
+
+    One orjson call prints the whole array. orjson prints +-0 and every float with
+    1e-4 <= |x| < 1e16 as repr does, and other floats differently (1e-05 as 0.00001, 1e+16 as
+    1e16), so those entries are printed again by repr. orjson refuses an array that is not
+    C-contiguous, as a read-only Fortran-ordered or strided array a frame keeps may be.
+    """
+    values = np.ascontiguousarray(values)
+    text = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY).decode()
+    texts = text[2:-2].split("],[") if len(values) else []
+    size = np.abs(values)
+    differ = (size < 1e-4) & (size != 0.0) | (size >= 1e16)
+    for k in np.flatnonzero(differ.any(axis=1)).tolist():
+        entries = texts[k].split(",")
+        for i in np.flatnonzero(differ[k]).tolist():
+            entries[i] = repr(values.item(k, i))
+        texts[k] = ",".join(entries)
+    return texts
+
+
 def write_stream(stream: DetectionStream, path) -> None:
     """Write a stream to a JSON Lines file (header line plus one line per frame).
 
-    Each line is assembled from the repr of its numbers, which is what
-    json.dumps prints for the finite floats and ints a stream holds. A
-    feature row whose bytes match a row earlier in the same frame or in the
-    previous frame reuses that row's text, so a noiseless scene formats
-    each identity's row about once; between frames only the row texts of
-    the frame just written are kept.
+    Each line prints its numbers as json.dumps does: the ints and the frame's time by repr,
+    and the coordinates and feature rows of a frame by _row_texts, a block at a time.
     """
-    dim = stream.feature_dim
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(f'{{"schema":{SCHEMA_VERSION},"dim":{0 if dim is None else dim},'
+        fh.write(f'{{"schema":{SCHEMA_VERSION},"dim":{stream.feature_dim or 0},'
                  f'"delta":{stream.delta!r}}}\n')
-        previous = {}
         for frame in stream.frames:
-            features = frame.features
-            raw = features.tobytes()
-            width = features.shape[1] * features.itemsize
-            texts = {}
-            dets = []
-            for k, ((x, y), g) in enumerate(zip(frame.coordinates.tolist(), frame.gt_ids)):
-                # keyed on bytes: 0.0 and -0.0 compare equal but print differently
-                key = raw[k * width:(k + 1) * width]
-                f = texts.get(key) or previous.get(key) or ",".join(map(repr, features[k].tolist()))
-                texts[key] = f
-                tail = "" if g is None else f',"id":{g!r}'
-                dets.append(f'{{"x":{x!r},"y":{y!r},"f":[{f}]{tail}}}')
+            xy = _row_texts(frame.coordinates.reshape(-1, 1))
+            dets = [f'{{"x":{x},"y":{y},"f":[{f}]' + ("}" if g is None else f',"id":{g!r}}}')
+                    for x, y, f, g in zip(xy[::2], xy[1::2], _row_texts(frame.features),
+                                          frame.gt_ids)]
             fh.write(f'{{"frame":{frame.frame_index!r},"t":{frame.timestamp!r},'
                      f'"det":[{",".join(dets)}],'
                      f'"in":[{",".join(map(repr, frame.inflow.tolist()))}],'
                      f'"out":[{",".join(map(repr, frame.outflow.tolist()))}]}}\n')
-            previous = texts
 
 
 def _fail(path, lineno: int, msg: str):

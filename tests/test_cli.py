@@ -20,7 +20,7 @@ import vicount.cli
 import vicount.loss
 import vicount.stream
 from vicount import Detection, DetectionStream, FrameRecord, TemplateEntry, write_stream
-from vicount import LossConfig, McpConfig, SimConfig
+from vicount import LossConfig, McpConfig, SimConfig, parse_stream, pseudo_trajectories
 from vicount.cli import build_parser, main
 from vicount.stream import _BuiltOnAccess
 
@@ -137,6 +137,23 @@ class TestPipeline:
         parsed = [json.loads(line) for line in file_lines]
         assert any("pair" in obj for obj in parsed)
         assert any("traj" in obj for obj in parsed)
+
+    def test_pseudo_file_with_frame_indices_past_64_bits_is_what_json_writes(self, tmp_path):
+        # orjson refuses an int outside [-2**63, 2**64); such a record is written by json
+        stream = parse_stream(_simulate(tmp_path, frames=3))
+        stream = DetectionStream(tuple(
+            FrameRecord(2**64 + f.frame_index, f.timestamp, f.coordinates, f.features, f.inflow,
+                        f.outflow, f.gt_ids) for f in stream.frames), stream.delta)
+        stream_path, out_path = tmp_path / "past.jsonl", tmp_path / "pseudo.jsonl"
+        write_stream(stream, stream_path)
+        assert main(["pseudo", "--in", str(stream_path), "--out", str(out_path)]) == 0
+        result = pseudo_trajectories(stream, LossConfig())
+        records = [{"pair": [pm.frame_prev, pm.frame_curr], "matches": pm.matches}
+                   for pm in result.pairs]
+        records += [{"traj": k, "steps": t} for k, t in enumerate(result.trajectories)]
+        assert any(pm.matches for pm in result.pairs)
+        assert out_path.read_text() == "".join(json.dumps(r, separators=(",", ":")) + "\n"
+                                               for r in records)
 
     def test_gradcheck_passes(self, capsys):
         rc = main(["gradcheck", "--trials", "3", "--seed", "1"])

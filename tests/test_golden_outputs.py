@@ -5,9 +5,10 @@ benchmark's workloads. For crowd and census (the count path): each stream file,
 `count` stdout and `--report` under every aggregator, and one `eval` table per
 workload and seed over its default-aggregator reports. For transport (the loss
 path): each stream file, `loss` stdout and the `pseudo --out` file, at the CLI
-defaults. Paths are masked. The file also records the numpy and BLAS builds it
-was made with, because the digests depend on matmul rounding; a mismatch names
-the first differing output and both builds.
+defaults. Paths are masked. The file also records the numpy, BLAS and orjson
+builds it was made with, because the digests depend on matmul rounding and stream
+files on orjson's float printing; a mismatch names the first differing output and
+both builds.
 
 A change that alters an output on purpose re-records the file and says why.
 Run this file as a script to re-record golden_outputs.json.
@@ -21,6 +22,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
 
 from vicount import SimConfig, generate_scene, write_stream
@@ -114,7 +116,7 @@ def _provenance() -> dict[str, str]:
         blas = f"{blas['name']} {blas['version']}"
     except (TypeError, KeyError):  # numpy before 1.26 prints its config only
         blas = "unknown"
-    return {"numpy": np.__version__, "blas": blas}
+    return {"numpy": np.__version__, "blas": blas, "orjson": orjson.__version__}
 
 
 @pytest.fixture(scope="module")

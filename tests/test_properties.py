@@ -505,10 +505,58 @@ class TestStreamFileProperties:
     @given(_streams())
     def test_write_matches_the_reference_writer(self, stream):
         with tempfile.TemporaryDirectory() as directory:
-            got, want = Path(directory, "got.jsonl"), Path(directory, "want.jsonl")
-            write_stream(stream, got)
-            _reference_write(stream, want)
-            assert got.read_bytes() == want.read_bytes()
+            self._assert_written_as_reference(stream, Path(directory))
+
+    def _assert_written_as_reference(self, stream, directory):
+        got, want = directory / "got.jsonl", directory / "want.jsonl"
+        write_stream(stream, got)
+        _reference_write(stream, want)
+        assert got.read_bytes() == want.read_bytes()
+
+    def test_floats_at_the_bounds_of_orjsons_printing_are_written_as_json_does(self, tmp_path):
+        # orjson prints 1e-4 <= |x| < 1e16 as repr does and other nonzero floats differently
+        edges = [1e-4, 9.999999999999999e-05, 1e16, 9999999999999998.0, 5e-324,
+                 2.2250738585072014e-308, 1.7976931348623157e308, 0.0]
+        coordinates = [(s * v, -s * w) for v in edges for w in edges for s in (1.0, -1.0)]
+        rows = [[1.0, 5e-5, -1e-17], [0.6, -0.8, 9.999999999999999e-05], [0.6, 0.8, 1e-4],
+                [5e-5, -5e-5, 1.0], [-1e-300, 1.0, 5e-324], [1.0, 0.0, -0.0], [0.6, 0.8, 1e-5]]
+        features = [rows[k % len(rows)] for k in range(len(coordinates))]
+        n = len(coordinates)
+        frame = FrameRecord(1, 0.0, coordinates, features, [1] * n, [0] * n, list(range(n)))
+        tiny = (np.abs(frame.features) < 1e-4) & (frame.features != 0.0)
+        assert tiny.any(axis=1).sum() >= n // 2
+        self._assert_written_as_reference(DetectionStream((frame,), 1.0), tmp_path)
+
+    def test_row_texts_are_repr_over_every_binary_exponent(self):
+        # a quarter of the floats over every exponent, subnormals included, and the rest over
+        # the exponents from below 1e-4 to above 1e16, most of which orjson prints itself
+        rng = np.random.default_rng(20261020)
+        shape = (2**17, 8)
+        sign = rng.integers(0, 2, size=shape, dtype=np.uint64) << np.uint64(63)
+        exponent = rng.integers(0, 2047, size=shape, dtype=np.uint64)
+        near = rng.random(shape) < 0.75
+        exponent[near] = rng.integers(1023 - 16, 1023 + 56, size=int(near.sum()), dtype=np.uint64)
+        mantissa = rng.integers(0, 2**52, size=shape, dtype=np.uint64)
+        values = (sign | exponent << np.uint64(52) | mantissa).view(np.float64)
+        values[rng.random(shape) < 0.01] = 0.0
+        assert streamio._row_texts(values) == [",".join(map(repr, row)) for row in values.tolist()]
+
+    @pytest.mark.parametrize("layout", ["fortran", "strided"])
+    def test_a_frame_of_non_contiguous_arrays_is_written_as_json_does(self, tmp_path, layout):
+        # a frame keeps a read-only array as it is; orjson refuses one not C-contiguous
+        rng = np.random.default_rng(7)
+        features, coordinates = _unit_rows(rng.standard_normal((12, 5))), rng.random((12, 2))
+        if layout == "fortran":
+            features, coordinates = np.asfortranarray(features), np.asfortranarray(coordinates)
+        else:
+            features, coordinates = features[::2], coordinates[::2]
+        for arr in (features, coordinates):
+            arr.setflags(write=False)
+        n = len(features)
+        frame = FrameRecord(1, 0.0, coordinates, features, [1] * n, [1] * n)
+        assert frame.features is features and not features.flags.c_contiguous
+        assert frame.coordinates is coordinates and not coordinates.flags.c_contiguous
+        self._assert_written_as_reference(DetectionStream((frame,), 1.0), tmp_path)
 
     def test_extreme_exponents_round_trip_bit_for_bit(self, tmp_path):
         # Finite floats drawn uniformly over the binary exponent, subnormals
