@@ -418,3 +418,31 @@ class TestGoldenStreams:
         assert self._digest(stream, tmp_path) == (
             "30b72203cc96a949b2dc475681df8af4d9170bff10bb6d21a6287ccdbabfe64c"
         )
+
+    @pytest.mark.parametrize("fields, lifespans, digest", [
+        # zero walk steps: each normal draw is 0.0 + 0.0 * z
+        (dict(num_identities=30, num_frames=8, feature_dim=16, feature_noise_sigma=0.05,
+              walk_step_sigma=0.0, seed=5), None,
+         "9efd9bc6f7a5beaaeb1d1392e5520e3520a667a1c698bcbe61d78055c469d239"),
+        # every identity that can come back does, with two more bound draws
+        (dict(num_identities=40, num_frames=10, feature_dim=16, feature_noise_sigma=0.05,
+              reentry_probability=1.0, seed=6), None,
+         "d1db936ede384f852ccabf245b1ec4fea1e51c431724d5a00960130657cbcad6"),
+        # one frame: the lifespan bounds draw nothing and no visit draws a step
+        (dict(num_identities=20, num_frames=1, feature_dim=8, feature_noise_sigma=0.05,
+              seed=7), None,
+         "ff14bf3f96569781f0dfc01d97ccd36e295cbc165bba6f3be717808a0d201b67"),
+        # steps far wider than the scene, so walks clip at all four borders
+        (dict(num_identities=30, num_frames=10, feature_dim=8, scene_size=(4.0, 3.0),
+              seed=8), None,
+         "d896ae5337e9367a9c481dce0b1be8ac6ebab075769c377c4f804a1aed7b1919"),
+        # single-frame visits between longer ones, none of them drawing a step
+        (dict(num_identities=4, num_frames=6, feature_dim=8, feature_noise_sigma=0.05,
+              seed=9), [[(0, 0)], [(5, 5)], [(1, 1), (3, 3)], [(0, 0), (2, 3), (5, 5)]],
+         "cac3d7d1ae7d7cd6cd444938da5162e4874f4192ffda18bfed7aac69e045800f"),
+    ], ids=["step-sigma-0", "reentry-always", "one-frame", "clipped-walks",
+            "single-frame-visits"])
+    def test_draw_edge_cases(self, fields, lifespans, digest, tmp_path):
+        cfg = SimConfig(**fields)
+        stream = generate_scene(cfg) if lifespans is None else scene_from_lifespans(cfg, lifespans)
+        assert self._digest(stream, tmp_path) == digest
