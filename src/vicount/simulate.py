@@ -127,10 +127,18 @@ def _draw_bases(rng: "np.random.Generator", cfg: SimConfig) -> np.ndarray:
 
 
 def _draw_lifespans(rng: "np.random.Generator", cfg: SimConfig) -> list[list[tuple[int, int]]]:
+    """Presence intervals of each identity in turn, drawn from rng.
+
+    An identity draws its two interval bounds, then one uniform that decides
+    re-entry, then, if it comes back, the first and last frame of its second
+    interval. Each bound is a scalar integers call: integers(0, t, size=2)
+    gives the same two values and leaves the same state, but spends about
+    twice as long in numpy's handling of the size argument.
+    """
     spans: list[list[tuple[int, int]]] = []
     t = cfg.num_frames
     for _ in range(cfg.num_identities):
-        a, b = sorted(int(x) for x in rng.integers(0, t, size=2))
+        a, b = sorted(int(rng.integers(0, t)) for _ in range(2))
         intervals = [(a, b)]
         if rng.random() < cfg.reentry_probability and b + 2 <= t - 1:
             c = int(rng.integers(b + 2, t))
@@ -173,7 +181,16 @@ def _assemble(cfg: SimConfig, spans, bases: np.ndarray, rng) -> DetectionStream:
     """Walks, observation noise and weak labels of a scene, drawn from rng.
 
     rng must be in its state right after the base draw, so that a scene's
-    walks and noise follow its bases on the seed's one sequence.
+    walks and noise follow its bases on the seed's one sequence. Each visit
+    (g, a, b), in order, draws two uniforms for its start point, then
+    2(b - a) standard normals for its steps; then each frame in turn draws
+    its features' noise, if the scene has any. The draws go straight into
+    the visit's rows, a one-frame visit skips its empty draw, and all are
+    scaled once after the loop: uniform(0, size) computes 0.0 + size * u
+    and normal(0, sigma) 0.0 + sigma * z, which the scaling and the added
+    0.0 (it turns -0.0 into 0.0) repeat to the bit. Called with the array
+    bound size, uniform checks its arguments in Python each time, at about
+    ten times the cost of the draw itself.
     """
     t = cfg.num_frames
     size = np.array(cfg.scene_size)
@@ -184,9 +201,13 @@ def _assemble(cfg: SimConfig, spans, bases: np.ndarray, rng) -> DetectionStream:
     walk = np.empty((len(visits), 2))
     steps = np.zeros((len(visits), t, 2))
     for v, (g, a, b) in enumerate(visits):
-        walk[v] = rng.uniform(0, size)
-        steps[v, a + 1 : b + 1] = rng.normal(0, cfg.walk_step_sigma, size=(b - a, 2))
+        rng.random(out=walk[v])
+        if b > a:
+            rng.standard_normal(out=steps[v, a + 1 : b + 1])
         at[g, a + 1 : b + 2] = v
+    walk *= size
+    steps *= cfg.walk_step_sigma
+    steps += 0.0
     present = at >= 0
     frames = []
     for k in range(t):

@@ -1,5 +1,6 @@
 """Simulator tests: determinism, label consistency, scripted lifespans."""
 
+import copy
 import hashlib
 
 import numpy as np
@@ -326,6 +327,59 @@ class TestDrawBases:
         assert blocked[1] == reference[1]
         assert np.array_equal(blocked[0][0], block[0])
         assert not (blocked[0] == block[1]).all(axis=1).any()
+
+
+def _scene_by_distribution_calls(cfg):
+    """Reference generator: one integers(size=2), uniform and normal call per identity or visit."""
+    rng = np.random.default_rng(cfg.seed)
+    bases = _draw_bases(rng, cfg)
+    walk_rng = copy.deepcopy(rng)
+    t, spans = cfg.num_frames, []
+    for _ in range(cfg.num_identities):
+        a, b = sorted(rng.integers(0, t, size=2).tolist())
+        spans.append([(a, b)])
+        if rng.random() < cfg.reentry_probability and b + 2 <= t - 1:
+            c = int(rng.integers(b + 2, t))
+            spans[-1].append((c, int(rng.integers(c, t))))
+    size, position = np.array(cfg.scene_size), {}
+    for g, intervals in enumerate(spans):
+        for a, b in intervals:
+            position[g, a] = walk_rng.uniform(0, size)
+            steps = walk_rng.normal(0, cfg.walk_step_sigma, size=(b - a, 2))
+            for k in range(a + 1, b + 1):
+                position[g, k] = np.minimum(np.maximum(position[g, k - 1] + steps[k - a - 1],
+                                                       0.0), size)
+    frames = []
+    for k in range(t):
+        ids = sorted(g for g, j in position if j == k)
+        features = bases[ids]
+        if cfg.feature_noise_sigma > 0:
+            features = features + walk_rng.normal(0, cfg.feature_noise_sigma, features.shape)
+        frames.append((ids, np.array([position[g, k] for g in ids]).reshape(-1, 2),
+                       _unit_rows(features)))
+    return frames
+
+
+class TestDrawForms:
+    """The generator's cheaper call forms draw what the distribution calls draw."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(0, 12), t=st.integers(1, 6),
+           sigma=st.sampled_from([0.0, 0.5, 5.0, 1e3]),
+           size=st.sampled_from([(4.0, 3.0), (1920.0, 1080.0), (1e-300, 7.0)]),
+           reentry=st.sampled_from([0.0, 0.5, 1.0]), noise=st.sampled_from([0.0, 0.1]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_distribution_calls(self, n, t, sigma, size, reentry, noise, seed):
+        cfg = SimConfig(num_identities=n, num_frames=t, feature_dim=4, walk_step_sigma=sigma,
+                        scene_size=size, reentry_probability=reentry,
+                        feature_noise_sigma=noise, seed=seed)
+        frames = generate_scene(cfg).frames
+        reference = _scene_by_distribution_calls(cfg)
+        assert len(frames) == len(reference)
+        for frame, (ids, coordinates, features) in zip(frames, reference):
+            assert list(frame.gt_ids) == ids
+            assert frame.coordinates.tobytes() == coordinates.tobytes()
+            assert frame.features.tobytes() == features.tobytes()
 
 
 class TestGoldenStreams:
