@@ -196,7 +196,19 @@ def _array(values, what: str, ndim: int, integer: bool = False, width: int | Non
 
 
 def _as_bits(values, n: int, name: str) -> np.ndarray:
-    """values as n intp bits, each 0 or 1; a bool, float or non-number raises DataError."""
+    """values as n new intp bits, each 0 or 1; a bool, float or non-number raises DataError.
+
+    An integer array of 0/1 bits, as the simulator hands over, or a list of plain int 0/1
+    bits, as a parsed frame holds, passes one check; any other input is read entry by entry.
+    """
+    if type(values) is np.ndarray and values.dtype.kind in "iu" and values.shape == (n,):
+        bits = values.astype(np.intp)
+        # 0 and 1 alone have no bit above the lowest; a uint64 past intp wraps negative
+        if not (bits >> 1).any():
+            return bits
+    elif (type(values) is list and len(values) == n and set(map(type, values)) <= {int}
+          and set(values) <= {0, 1}):
+        return np.array(values, dtype=np.intp)
     # object dtype keeps each entry's own type, which an int array would hide
     arr = np.asarray(values, dtype=object)
     if arr.shape != (n,):

@@ -16,9 +16,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
+from hypothesis.extra.numpy import arrays, from_dtype
 
 from vicount import (
+    DataError,
     DetectionStream,
     FrameRecord,
     LossConfig,
@@ -415,6 +416,64 @@ class TestBlockDrawProperties:
         assert block.tobytes() == np.array(rows).reshape(k, d).tobytes()
         assert block_rng.bit_generator.state == row_rng.bit_generator.state
         assert block_rng.standard_normal() == row_rng.standard_normal()
+
+
+# ---- weak-label bits ---------------------------------------------------------
+# A frame reads its inflow and outflow bits through an accept path for integer
+# arrays and lists of plain ints; every input reads as checking each entry does.
+
+
+def _bits_by_entry(values, n, name):
+    """Reference reader: every entry's own type and value checked, through an object array."""
+    arr = np.asarray(values, dtype=object)
+    if arr.shape != (n,):
+        got = f"{arr.size} entries" if arr.ndim == 1 else f"shape {arr.shape}"
+        raise DataError(f"{name} has {got} for {n} detections")
+    bits = arr.tolist()
+    for k, b in enumerate(bits):
+        if isinstance(b, bool) or not isinstance(b, (int, np.integer)) or b not in (0, 1):
+            raise DataError(f"{name}[{k}] must be an integer 0 or 1, got {b!r}")
+    return np.array(bits, dtype=np.intp)
+
+
+_ODD_BITS = [2, -1, True, False, np.True_, np.int64(1), np.uint8(0), 1.0, 0.0, None, "1",
+             2**63, 2**64 + 1, -(2**70)]
+
+
+@st.composite
+def _bit_inputs(draw):
+    """(values, n): a list, tuple or array of mostly 0/1 bits, n its length or one off."""
+    size = draw(st.integers(0, 6))
+    kind = draw(st.sampled_from(["list", "tuple", "array", "array", "nested"]))
+    if kind == "array":
+        dtype = np.dtype(draw(st.sampled_from([np.int8, np.int32, np.int64, np.uint8,
+                                               np.uint64, np.bool_, np.float64])))
+        values = draw(arrays(dtype, size, elements=st.sampled_from([0, 1]) | from_dtype(dtype)))
+    else:
+        entries = draw(st.lists(st.sampled_from([0, 1]) | st.sampled_from(_ODD_BITS),
+                                min_size=size, max_size=size))
+        values = {"list": list, "tuple": tuple, "nested": lambda e: [list(e)]}[kind](entries)
+    return values, max(0, size + draw(st.sampled_from([0, 0, 0, -1, 1])))
+
+
+class TestBitProperties:
+    @settings(max_examples=600, deadline=None, derandomize=True, database=None)
+    @given(_bit_inputs())
+    def test_bits_read_as_entry_by_entry_checks_read_them(self, drawn):
+        values, n = drawn
+        try:
+            want = _bits_by_entry(values, n, "inflow")
+        except DataError as exc:
+            with pytest.raises(DataError) as err:
+                FrameRecord(1, 0.0, np.zeros((n, 2)), np.eye(n, 2) + [0.0, 1.0], values,
+                            [0] * n)
+            assert str(err.value) == str(exc)
+            return
+        frame = FrameRecord(1, 0.0, np.zeros((n, 2)), np.eye(n, 2) + [0.0, 1.0], values,
+                            [0] * n)
+        assert frame.inflow.dtype == np.intp and frame.inflow.tolist() == want.tolist()
+        if isinstance(values, np.ndarray):
+            assert not np.shares_memory(frame.inflow, values) and values.flags.writeable
 
 
 # ---- stream files ------------------------------------------------------------
