@@ -138,7 +138,7 @@ def _draw_lifespans(rng: "np.random.Generator", cfg: SimConfig) -> list[list[tup
     spans: list[list[tuple[int, int]]] = []
     t = cfg.num_frames
     for _ in range(cfg.num_identities):
-        a, b = sorted(int(rng.integers(0, t)) for _ in range(2))
+        a, b = sorted((int(rng.integers(0, t)), int(rng.integers(0, t))))
         intervals = [(a, b)]
         if rng.random() < cfg.reentry_probability and b + 2 <= t - 1:
             c = int(rng.integers(b + 2, t))

@@ -199,7 +199,8 @@ def _as_bits(values, n: int, name: str) -> np.ndarray:
     """values as n new intp bits, each 0 or 1; a bool, float or non-number raises DataError.
 
     An integer array of 0/1 bits, as the simulator hands over, or a list of plain int 0/1
-    bits, as a parsed frame holds, passes one check; any other input is read entry by entry.
+    bits, as a parsed frame holds, is taken after checks over the whole input; any other
+    input is read entry by entry.
     """
     if type(values) is np.ndarray and values.dtype.kind in "iu" and values.shape == (n,):
         bits = values.astype(np.intp)

@@ -457,7 +457,7 @@ def _bit_inputs(draw):
 
 
 class TestBitProperties:
-    @settings(max_examples=600, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(_bit_inputs())
     def test_bits_read_as_entry_by_entry_checks_read_them(self, drawn):
         values, n = drawn
