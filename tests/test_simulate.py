@@ -5,7 +5,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vicount import (
@@ -304,6 +304,9 @@ class TestDrawBases:
            cap=st.floats(0.05, 1.0),
            n=st.integers(0, 40),
            seed=st.integers(0, 2**32 - 1))
+    # Candidate 383's block product rounds to the cap itself, while its one-at-a-time
+    # similarity lies below it: a screen without a rounding margin would reject it.
+    @example(dim=4, cap=0.4317237179616718, n=5, seed=423292159)
     def test_matches_one_at_a_time(self, dim, cap, n, seed):
         cfg = SimConfig(num_identities=n, feature_dim=dim, max_base_similarity=cap, seed=seed)
         blocked, reference = _draw_both(cfg)
