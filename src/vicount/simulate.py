@@ -32,12 +32,11 @@ class SimConfig:
     observation (zero means observations repeat the base exactly).
     max_base_similarity, when set, rejection-samples base features until all
     pairwise cosine similarities stay below it, which keeps identities
-    separable by appearance. Candidates are drawn and tested in blocks: one
-    matrix product per block and one per base accepted inside it, with a
-    candidate re-tested alone only when its block similarity lies within a
-    rounding margin of the cap. The stream for a given seed is the one that
-    drawing and testing them one at a time gives. Real-valued fields must be
-    numbers, not bools or strings, and finite.
+    separable by appearance. Candidates are drawn in blocks, one matrix
+    product per block screens out those clearly above the cap, and each of
+    the rest is tested alone against the bases so far. The stream for a
+    given seed is the one that drawing and testing them one at a time gives.
+    Real-valued fields must be numbers, not bools or strings, and finite.
     """
 
     num_identities: int = 20
@@ -70,18 +69,15 @@ def _draw_bases(rng: "np.random.Generator", cfg: SimConfig) -> np.ndarray:
     Candidates are standard normal draws of feature_dim values, normalized.
     Without a similarity cap every candidate is a base, so all are drawn at
     once. With a cap, candidates are drawn and normalized in blocks of
-    _BASE_BLOCK. One matrix product gives each candidate of a block its
-    largest |similarity| to the bases accepted before the block, and each
-    base accepted inside the block raises the later candidates' maxima with
-    one product over the rest of the block. The loop then jumps from one
-    candidate below the cap to the next. A candidate whose block maximum
-    lies within a rounding margin of the cap is re-tested alone with the
-    matrix-vector product against the bases so far, so every decision is
-    the one that testing candidates one at a time makes. When the last
-    base is placed part way through a block, the generator is rewound to
-    the block's start and redraws only the candidates used. A (k, D) draw
-    yields the same numbers as k draws of D, so the bases and the
-    generator's final state are those of drawing one candidate at a time.
+    _BASE_BLOCK. One matrix product against the bases of earlier blocks
+    rejects every candidate of a block at or above the cap plus a rounding
+    margin; each remaining candidate, in order, is accepted when its largest
+    |similarity| to the bases so far, one matrix-vector product, lies below
+    the cap, as testing candidates one at a time decides. When the last
+    base is placed, the generator is rewound to the block's start and
+    redraws only the candidates used. A (k, D) draw yields the same numbers
+    as k draws of D, so the bases and the generator's final state are those
+    of drawing one candidate at a time.
     """
     n, dim = cfg.num_identities, cfg.feature_dim
     cap = cfg.max_base_similarity
@@ -95,34 +91,30 @@ def _draw_bases(rng: "np.random.Generator", cfg: SimConfig) -> np.ndarray:
     while g < n:
         start = rng.bit_generator.state
         block = _unit_rows(rng.standard_normal((_BASE_BLOCK, dim)))
+        # at cap + margin or above, the one-at-a-time test rejects a candidate too
         top = np.abs(block @ bases[:g].T).max(axis=1, initial=0.0)
         used = 0
-        while g < n:
-            # every candidate before the next one near or below the cap is rejected
-            near = np.flatnonzero(top[used:] < cap + margin)
-            k = used + int(near[0]) if len(near) else _BASE_BLOCK
-            attempts += k - used
+        # _BASE_BLOCK closes the list, so the candidates screened out after the last one count
+        for k in [*np.flatnonzero(top < cap + margin).tolist(), _BASE_BLOCK]:
+            attempts += k - used  # the screen rejected the candidates in between
             if attempts > 10000:
                 raise DataError(
                     f"cannot place {n} features below "
                     f"pairwise similarity {cap} in dimension {dim}"
                 )
-            used = k
             if k == _BASE_BLOCK:
                 break
-            cand = block[k]
-            # clear of the cap by the margin, or below it in the one-at-a-time test
-            if top[k] < cap - margin or g == 0 or np.abs(bases[:g] @ cand).max() < cap:
-                bases[g] = cand
+            used = k + 1
+            if np.abs(bases[:g] @ block[k]).max(initial=0.0) < cap:
+                bases[g] = block[k]
                 g += 1
                 attempts = 0
-                used = k + 1
-                top[used:] = np.maximum(top[used:], np.abs(block[used:] @ cand))
+                if g == n:
+                    rng.bit_generator.state = start
+                    rng.standard_normal((used, dim))
+                    break
             else:
-                top[k] = np.inf  # rejected after all: the next skip counts it
-        if used < _BASE_BLOCK:
-            rng.bit_generator.state = start
-            rng.standard_normal((used, dim))
+                attempts += 1
     return bases
 
 
