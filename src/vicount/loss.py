@@ -97,15 +97,20 @@ def sinkhorn(cost, reg: float, max_iters: int = LossConfig.sinkhorn_max_iters,
     reg = _finite(reg, "reg", "(0, inf)", NumericalError)
     max_iters = _as_int(max_iters, "max_iters", 0, NumericalError)
     tol = _finite(tol, "tol", "(0, inf)", NumericalError)
-    # a / -reg is -a / reg to the bit, in one new array
-    return _solve(np.divide(arr, -reg), max_iters, tol)
+    return _solve(np.negative(arr), reg, max_iters, tol)
 
 
-def _solve(mr: np.ndarray, max_iters: int, tol: float) -> TransportPlan:
-    """The solve sinkhorn describes, from the checked log-kernel mr = -cost / reg.
+def _solve(neg_cost: np.ndarray, reg: float, max_iters: int, tol: float) -> TransportPlan:
+    """The solve sinkhorn describes, for the negated cost matrix neg_cost.
 
-    mr is non-empty, square and of finite entries, and is only read.
+    neg_cost is non-empty, square and of finite entries. It is divided by
+    reg in place into the log-kernel mr = -cost / reg, which is only read
+    after that; an entry that overflows raises NumericalError.
     """
+    with np.errstate(over="ignore"):
+        mr = np.divide(neg_cost, reg, out=neg_cost)
+    if not np.isfinite(mr).all():
+        raise NumericalError(f"reg {reg!r} is too small: -cost / reg overflows")
     n = mr.shape[0]
     f = np.zeros(n)
     g = np.zeros(n)
@@ -313,10 +318,9 @@ def soft_contrastive_loss(blocks: SimilarityBlocks, cfg: LossConfig) -> SoftCont
         empty = TransportPlan(np.zeros((0, 0)), True, 0)
         return SoftContrastiveLoss(0.0, 0.0, empty)
     c = _contrastive_parts(blocks.full, m, cfg.temperature)[-1]
-    # (c - 1) / reg is sinkhorn's -(1 - c) / reg to the bit, and c is finite by construction
-    mr = np.subtract(c, 1.0)
-    mr /= cfg.sinkhorn_reg
-    plan = _solve(mr, cfg.sinkhorn_max_iters, cfg.sinkhorn_tol)
+    # c - 1 is sinkhorn's -(1 - c) to the bit, and c is finite by construction
+    plan = _solve(np.subtract(c, 1.0), cfg.sinkhorn_reg, cfg.sinkhorn_max_iters,
+                  cfg.sinkhorn_tol)
     if not plan.converged:
         raise NumericalError(
             f"transport solve for m={m} did not converge "

@@ -229,6 +229,19 @@ class TestExitCodes:
         assert "numerical error" in err
         assert "did not converge in 1 iterations" in err
 
+    @pytest.mark.parametrize("command", ["loss", "pseudo"])
+    def test_overflowing_kernel_is_three(self, tmp_path, capsys, command):
+        # below about 1e-308, -cost / reg overflows: the solve refuses it before any iteration
+        stream_path = _simulate(tmp_path, frames=4)
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main([command, "--in", str(stream_path), "--reg", "5e-324"])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "vicount: numerical error: reg 5e-324 is too small: -cost / reg overflows\n"
+        )
+
     @pytest.mark.parametrize("flag, value", [
         ("--delta", "inf"),
         ("--noise-sigma", "nan"),

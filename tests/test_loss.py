@@ -146,6 +146,15 @@ class TestSinkhorn:
         assert plan.converged
         np.testing.assert_allclose(plan.omega, np.full((3, 3), 1 / 3), atol=1e-6)
 
+    def test_overflowing_kernel_raises(self):
+        # -cost / reg overflows for any reg below about 1e-308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="reg 5e-324 is too small"):
+                sinkhorn([[0.2, 0.9], [0.7, 0.1]], 5e-324)
+        # a zero cost is a zero kernel at any reg
+        assert sinkhorn(np.zeros((2, 2)), 5e-324).converged
+
     def test_budget_exhaustion_flagged(self):
         cost = np.random.default_rng(0).uniform(0, 1, (6, 6))
         plan = sinkhorn(cost, reg=1e-4, max_iters=3, tol=1e-12)
