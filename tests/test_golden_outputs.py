@@ -6,15 +6,16 @@ benchmark's workloads. For crowd and census (the count path): each stream file,
 workload and seed over its default-aggregator reports. For transport (the loss
 path): each stream file, `loss` stdout and the `pseudo --out` file, at the CLI
 defaults. Paths are masked. The file also records the numpy, BLAS and orjson
-builds it was made with, because the digests depend on matmul rounding and stream
-files on orjson's float printing; a mismatch names the first differing output and
-both builds.
+builds it was made with, and the CPU kernel set OpenBLAS picked at load time,
+because the digests depend on matmul rounding and stream files on orjson's float
+printing; a mismatch names the first differing output and both builds.
 
 A change that alters an output on purpose re-records the file and says why.
 Run this file as a script to re-record golden_outputs.json.
 """
 
 import contextlib
+import ctypes
 import hashlib
 import io
 import json
@@ -110,13 +111,30 @@ def _record(workload: str, directory: Path) -> dict[str, str]:
     return digests
 
 
-def _provenance() -> dict[str, str]:
+def _blas_core() -> str | None:
+    """The kernel set the loaded OpenBLAS picked for this CPU, or None where it cannot be read.
+
+    Only numpy's bundled scipy-openblas names it, through scipy_openblas_get_corename64_;
+    the library is found among the files this process has mapped, which Linux lists.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({line.split(maxsplit=5)[-1].strip() for line in fh if "openblas" in line})
+        corename = ctypes.CDLL(paths[0]).scipy_openblas_get_corename64_
+    except (OSError, IndexError, AttributeError):
+        return None
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
+
+
+def _provenance() -> dict[str, str | None]:
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         blas = f"{blas['name']} {blas['version']}"
     except (TypeError, KeyError):  # numpy before 1.26 prints its config only
         blas = "unknown"
-    return {"numpy": np.__version__, "blas": blas, "orjson": orjson.__version__}
+    return {"numpy": np.__version__, "blas": blas, "blas_core": _blas_core(),
+            "orjson": orjson.__version__}
 
 
 @pytest.fixture(scope="module")
