@@ -119,9 +119,9 @@ def _blas_core() -> str | None:
     """
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
-            paths = sorted({line.split(maxsplit=5)[-1].strip() for line in fh if "openblas" in line})
-        corename = ctypes.CDLL(paths[0]).scipy_openblas_get_corename64_
-    except (OSError, IndexError, AttributeError):
+            path = next(line.split(maxsplit=5)[-1].strip() for line in fh if "openblas" in line)
+        corename = ctypes.CDLL(path).scipy_openblas_get_corename64_
+    except (OSError, StopIteration, AttributeError):
         return None
     corename.restype = ctypes.c_char_p
     return corename().decode()
