@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .stream import DetectionStream, FrameRecord, _as_int, _finite, _unit_rows
+from .stream import DetectionStream, FrameRecord, _as_int, _finite, _real, _unit_rows
 
 # Candidates drawn and normalized at once when base features are
 # rejection-sampled under a similarity cap.
@@ -36,7 +36,8 @@ class SimConfig:
     product per block screens out those clearly above the cap, and each of
     the rest is tested alone against the bases so far. The stream for a
     given seed is the one that drawing and testing them one at a time gives.
-    Real-valued fields must be numbers, not bools or strings, and finite.
+    Real-valued fields must be numbers, not bools or strings, and finite, and
+    so must the last frame's time, (num_frames - 1) * delta.
     """
 
     num_identities: int = 20
@@ -56,6 +57,10 @@ class SimConfig:
         for name, interval in (("delta", "(0, inf)"), ("feature_noise_sigma", "[0, inf)"),
                                ("reentry_probability", "[0, 1]"), ("walk_step_sigma", "[0, inf)")):
             object.__setattr__(self, name, _finite(getattr(self, name), name, interval))
+        # _real reads an int past float range as an infinity
+        if not np.isfinite(_real(self.num_frames - 1, "num_frames") * self.delta):
+            raise DataError(f"(num_frames - 1) * delta must be finite, got num_frames "
+                            f"{self.num_frames} and delta {self.delta}")
         w, h = (_finite(side, "scene_size", "(0, inf)") for side in self.scene_size)
         object.__setattr__(self, "scene_size", (w, h))
         if self.max_base_similarity is not None:

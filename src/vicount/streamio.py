@@ -7,10 +7,11 @@ following line is one frame: {"frame": k, "t": seconds, "det": [...],
 Serialization is deterministic (fixed key order, shortest round-tripping
 float form), and write followed by parse reproduces the stream exactly.
 
-The writer prints the bytes json.dumps would. orjson prints a frame's coordinates and
-feature rows, one call per array; repr prints each of their entries that orjson prints
-differently (nonzero |x| < 1e-4 and |x| >= 1e16), the header, the frame's index and time,
-the ids and the inflow and outflow bits.
+The writer prints the bytes json.dumps would. One orjson call prints each frame line, its
+feature rows as row views of an array. orjson prints some floats unlike repr (nonzero
+|x| < 1e-4 and |x| >= 1e16); each goes in as NaN, printed null, and each null is then
+replaced in line order by repr of the value. json.dumps prints a line orjson refuses (an int
+of 2**64 or more), and repr the header's numbers.
 
 The parser decodes each line with orjson, about five times faster than json
 on feature-heavy lines and correctly rounded like it. json, whose values and
@@ -33,45 +34,63 @@ from .stream import DetectionStream, FrameRecord, _as_int, _finite
 SCHEMA_VERSION = 1
 
 
-def _row_texts(values: np.ndarray) -> list[str]:
-    """The text of each row of a 2-D float array: its entries as repr prints them, comma-joined.
-
-    One orjson call prints the whole array. orjson prints +-0 and every float with
-    1e-4 <= |x| < 1e16 as repr does, and other floats differently (1e-05 as 0.00001, 1e+16 as
-    1e16), so those entries are printed again by repr. orjson refuses an array that is not
-    C-contiguous, as a read-only Fortran-ordered or strided array a frame keeps may be.
-    """
-    values = np.ascontiguousarray(values)
-    text = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY).decode()
-    texts = text[2:-2].split("],[") if len(values) else []
+def _misprinted(values: np.ndarray) -> np.ndarray:
+    """Where orjson prints a float unlike repr: nonzero |x| < 1e-4 and |x| >= 1e16."""
     size = np.abs(values)
-    differ = (size < 1e-4) & (size != 0.0) | (size >= 1e16)
-    for k in np.flatnonzero(differ.any(axis=1)).tolist():
-        entries = texts[k].split(",")
-        for i in np.flatnonzero(differ[k]).tolist():
-            entries[i] = repr(values.item(k, i))
-        texts[k] = ",".join(entries)
-    return texts
+    return (size < 1e-4) & (size != 0.0) | (size >= 1e16)
+
+
+def _frame_line(frame: FrameRecord) -> list:
+    """The bytes json.dumps prints for a frame's line, newline included, as parts to write.
+
+    One orjson call prints the line, its feature rows as row views of one (n, 2 + D) array
+    of coordinates and features and its bits as the frame's intp arrays. orjson prints +-0
+    and every float with 1e-4 <= |x| < 1e16 as repr does, and other floats differently
+    (1e-05 as 0.00001, 1e+16 as 1e16). Each of those goes in as NaN, which orjson prints as
+    null, and each null is then replaced, in line order, by repr of the value. No key or
+    number of the line holds the letter l, so each l found is the third letter of a null.
+    orjson refuses an int of 2**64 or more, as a frame index or id may be; json.dumps
+    prints that line.
+    """
+    block = np.hstack((frame.coordinates, frame.features))
+    odd = _misprinted(block)
+    values = block[odd].tolist()
+    block[odd] = np.nan
+    t = frame.timestamp
+    if _misprinted(np.float64(t)):
+        values.insert(0, t)
+        t = np.nan
+    dets = [{"x": x, "y": y, "f": f} if g is None else {"x": x, "y": y, "f": f, "id": g}
+            for (x, y), f, g in zip(block[:, :2].tolist(), block[:, 2:], frame.gt_ids)]
+    obj = {"frame": frame.frame_index, "t": t, "det": dets, "in": frame.inflow,
+           "out": frame.outflow}
+    try:
+        line = orjson.dumps(obj, option=orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE)
+    except orjson.JSONEncodeError:
+        obj["t"] = frame.timestamp
+        for det, (x, y), f in zip(dets, frame.coordinates.tolist(), frame.features.tolist()):
+            det.update(x=x, y=y, f=f)
+        return [json.dumps(obj, separators=(",", ":"), default=np.ndarray.tolist).encode(), b"\n"]
+    parts, start, view = [], 0, memoryview(line)
+    for value in values:
+        at = line.find(b"l", start) - 2
+        parts += (view[start:at], repr(value).encode())
+        start = at + 4
+    parts.append(view[start:])
+    return parts
 
 
 def write_stream(stream: DetectionStream, path) -> None:
     """Write a stream to a JSON Lines file (header line plus one line per frame).
 
-    Each line prints its numbers as json.dumps does: the ints and the frame's time by repr,
-    and the coordinates and feature rows of a frame by _row_texts, a block at a time.
+    Each line holds the bytes json.dumps prints: the header's by repr of its numbers, and
+    each frame's by _frame_line, one orjson call with its misprinted floats spliced back.
     """
-    with open(path, "w", encoding="ascii") as fh:
+    with open(path, "wb") as fh:
         fh.write(f'{{"schema":{SCHEMA_VERSION},"dim":{stream.feature_dim or 0},'
-                 f'"delta":{stream.delta!r}}}\n')
+                 f'"delta":{stream.delta!r}}}\n'.encode())
         for frame in stream.frames:
-            xy = _row_texts(frame.coordinates.reshape(-1, 1))
-            dets = [f'{{"x":{x},"y":{y},"f":[{f}]' + ("}" if g is None else f',"id":{g!r}}}')
-                    for x, y, f, g in zip(xy[::2], xy[1::2], _row_texts(frame.features),
-                                          frame.gt_ids)]
-            fh.write(f'{{"frame":{frame.frame_index!r},"t":{frame.timestamp!r},'
-                     f'"det":[{",".join(dets)}],'
-                     f'"in":[{",".join(map(repr, frame.inflow.tolist()))}],'
-                     f'"out":[{",".join(map(repr, frame.outflow.tolist()))}]}}\n')
+            fh.writelines(_frame_line(frame))
 
 
 def _fail(path, lineno: int, msg: str):

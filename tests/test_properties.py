@@ -586,19 +586,78 @@ class TestStreamFileProperties:
         assert tiny.any(axis=1).sum() >= n // 2
         self._assert_written_as_reference(DetectionStream((frame,), 1.0), tmp_path)
 
-    def test_row_texts_are_repr_over_every_binary_exponent(self):
-        # a quarter of the floats over every exponent, subnormals included, and the rest over
-        # the exponents from below 1e-4 to above 1e16, most of which orjson prints itself
+    @pytest.mark.parametrize("frame_index, ids, timestamp", [
+        (2**64 + 1, [0, 1], 0.0),
+        (1, [2**64 - 1, 2**63], 0.0),
+        (1, [2**64, None], 0.0),
+        (1, [2**70, 0], 0.0),
+        (1, [0, None], 5e-324),
+        (1, [0, 1], 9.999999999999999e-05),
+        (1, [None, 1], 1e-4),
+        (1, [0, 1], 9999999999999998.0),
+        (1, [0, 1], 1e16),
+        (2**64 + 1, [2**64, None], -1e16),
+    ])
+    def test_ints_and_times_at_orjsons_limits_are_written_as_json_does(self, tmp_path,
+                                                                       frame_index, ids,
+                                                                       timestamp):
+        # orjson refuses an int of 2**64 or more, and prints a time outside
+        # 1e-4 <= |t| < 1e16 unlike repr; a tiny coordinate puts a null in the line too
+        frame = FrameRecord(frame_index, timestamp, [(1e-5, 2.0), (3.0, 1e17)],
+                            [[0.6, 0.8], [1.0, 1e-20]], [1, 1], [0, 1], ids)
+        self._assert_written_as_reference(DetectionStream((frame,), 1.0), tmp_path)
+
+    def test_floats_over_every_binary_exponent_are_written(self, tmp_path):
+        # 2**20 coordinates: a quarter over every exponent, subnormals included, and the rest
+        # over the exponents from below 1e-4 to above 1e16, most of which orjson prints itself.
+        # Each feature row is a leading +-1 and an entry below 2**-30, whose square vanishes
+        # beside 1, so the rows are unit as they are and orjson prints nearly no entry but
+        # the first. A delta of 1e-5 puts the header's delta and the times of frames 2 to 10
+        # there too.
         rng = np.random.default_rng(20261020)
-        shape = (2**17, 8)
+        shape = (2**19, 2)
         sign = rng.integers(0, 2, size=shape, dtype=np.uint64) << np.uint64(63)
         exponent = rng.integers(0, 2047, size=shape, dtype=np.uint64)
         near = rng.random(shape) < 0.75
         exponent[near] = rng.integers(1023 - 16, 1023 + 56, size=int(near.sum()), dtype=np.uint64)
         mantissa = rng.integers(0, 2**52, size=shape, dtype=np.uint64)
-        values = (sign | exponent << np.uint64(52) | mantissa).view(np.float64)
-        values[rng.random(shape) < 0.01] = 0.0
-        assert streamio._row_texts(values) == [",".join(map(repr, row)) for row in values.tolist()]
+        coordinates = (sign | exponent << np.uint64(52) | mantissa).view(np.float64)
+        coordinates[rng.random(shape) < 0.01] = 0.0
+        n, dim = 2**15, 2
+        sign = rng.integers(0, 2, size=(len(coordinates), dim - 1), dtype=np.uint64)
+        exponent = rng.integers(0, 1023 - 30, size=sign.shape, dtype=np.uint64)
+        exponent[rng.random(sign.shape) < 0.1] = 0
+        mantissa = rng.integers(0, 2**52, size=sign.shape, dtype=np.uint64)
+        tiny = (sign << np.uint64(63) | exponent << np.uint64(52) | mantissa).view(np.float64)
+        features = np.hstack([rng.choice([-1.0, 1.0], size=(len(tiny), 1)), tiny])
+        frames = []
+        for k in range(len(coordinates) // n):
+            rows = slice(k * n, (k + 1) * n)
+            ids = rng.integers(0, 2**64, size=n, dtype=np.uint64).tolist() if k % 2 else None
+            frames.append(FrameRecord(k + 1, k * 1e-5, coordinates[rows], features[rows],
+                                      [1] * n, rng.integers(0, 2, size=n), ids))
+        stream = DetectionStream(tuple(frames), 1e-5)
+        self._assert_written_as_reference(stream, tmp_path)
+
+    def test_no_frame_line_holds_the_letter_l(self, tmp_path):
+        # write_stream finds each null orjson prints by its l, so no key or number may hold one
+        frame = FrameRecord(2**63, 1e300, [(-1e-300, 5e-324), (1.5, -1.7976931348623157e308)],
+                            [[1.0, -1e-200, 0.0], [-0.0, 0.6, -0.8]], [1, 1], [0, 1],
+                            [None, 2**64 - 1])
+        stream = DetectionStream((frame,), 1.0)
+        path = tmp_path / "stream.jsonl"
+        write_stream(stream, path)
+
+        def keys(value):
+            if isinstance(value, dict):
+                return set(value) | set().union(*map(keys, value.values()))
+            return set().union(*map(keys, value)) if isinstance(value, list) else set()
+
+        (line,) = path.read_bytes().splitlines()[1:]
+        found = keys(json.loads(line))
+        assert found == {"frame", "t", "det", "x", "y", "f", "id", "in", "out"}
+        assert not any("l" in key for key in found)
+        assert b"l" not in line
 
     @pytest.mark.parametrize("layout", ["fortran", "strided"])
     def test_a_frame_of_non_contiguous_arrays_is_written_as_json_does(self, tmp_path, layout):

@@ -232,6 +232,7 @@ class TestSimConfigValidation:
         ("scene_size", (np.inf, 10.0)),
         ("scene_size", (10.0, np.inf)),
         ("scene_size", (np.nan, 10.0)),
+        ("delta", 1e308),
     ])
     def test_rejects_non_finite_values(self, field, value):
         with pytest.raises(DataError, match=field):
