@@ -155,8 +155,9 @@ def brute_force_assignment(cost) -> Assignment:
     """Exhaustive-enumeration reference solver for small matrices.
 
     Checks every injective assignment of the smaller side, keeping the first
-    minimum in lexicographic enumeration order. Intended as a correctness
-    oracle; refuses matrices beyond a small size guard.
+    minimum in lexicographic enumeration order. A matrix with more rows than
+    columns is enumerated transposed, as hungarian solves it. Intended as a
+    correctness oracle; refuses matrices beyond a small size guard.
     """
     arr = _check_cost(cost)
     r, c = arr.shape
@@ -167,22 +168,14 @@ def brute_force_assignment(cost) -> Assignment:
             f"oracle size limit: {r}x{c} exceeds "
             f"{_ORACLE_MIN_SIDE} (min side) / {_ORACLE_MAX_SIDE} (max side)"
         )
-    rows = arr.tolist()
+    rows = (arr.T if r > c else arr).tolist()
     best_total = None
-    best_pairs = None
-    if r <= c:
-        for cols in itertools.permutations(range(c), r):
-            total = sum(rows[i][cols[i]] for i in range(r))
-            if best_total is None or total < best_total:
-                best_total = total
-                best_pairs = tuple((i, cols[i]) for i in range(r))
-        unmatched = ()
-    else:
-        for picked in itertools.permutations(range(r), c):
-            total = sum(rows[picked[j]][j] for j in range(c))
-            if best_total is None or total < best_total:
-                best_total = total
-                best_pairs = tuple(sorted((picked[j], j) for j in range(c)))
-        matched_rows = {i for i, _ in best_pairs}
-        unmatched = tuple(i for i in range(r) if i not in matched_rows)
-    return Assignment(best_pairs, float(best_total), unmatched)
+    for cols in itertools.permutations(range(max(r, c)), len(rows)):
+        total = sum(rows[i][cols[i]] for i in range(len(rows)))
+        if best_total is None or total < best_total:
+            best_total, best_cols = total, cols
+    pairs = tuple(enumerate(best_cols))
+    if r > c:
+        pairs = tuple(sorted((i, j) for j, i in pairs))
+    matched = {i for i, _ in pairs}
+    return Assignment(pairs, float(best_total), tuple(i for i in range(r) if i not in matched))

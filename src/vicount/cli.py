@@ -18,7 +18,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import orjson
 
 from .counting import _AGGREGATORS, McpConfig, count_video
 from .errors import DataError, NumericalError
@@ -28,7 +27,7 @@ from .loss import pair_objective, pseudo_trajectories, soft_contrastive_loss
 from .metrics import VideoResult, mae, mse, wrae
 from .simulate import SimConfig, generate_scene, gt_unique_count
 from .stream import SimilarityBlocks, _as_int, _finite, pair_blocks, random_similarity_blocks
-from .streamio import parse_stream, write_stream
+from .streamio import _json_bytes, parse_stream, write_stream
 
 
 class _Parser(argparse.ArgumentParser):
@@ -250,14 +249,6 @@ def _cmd_gradcheck(args) -> int:
     return 0
 
 
-def _json_line(record: dict) -> str:
-    """record as compact JSON: orjson's bytes, which are json's, or json's past 64-bit ints."""
-    try:
-        return orjson.dumps(record).decode()
-    except orjson.JSONEncodeError:  # an int outside [-2**63, 2**64), as a frame index may be
-        return json.dumps(record, separators=(",", ":"))
-
-
 def _cmd_pseudo(args) -> int:
     cfg = _config(LossConfig, args)
     stream = parse_stream(args.infile)
@@ -265,7 +256,7 @@ def _cmd_pseudo(args) -> int:
     records = [{"pair": [pm.frame_prev, pm.frame_curr], "matches": pm.matches}
                for pm in result.pairs]
     records += [{"traj": t_idx, "steps": traj} for t_idx, traj in enumerate(result.trajectories)]
-    lines = [_json_line(r) for r in records]
+    lines = [_json_bytes(r).decode() for r in records]
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
             fh.write("\n".join(lines) + ("\n" if lines else ""))

@@ -152,8 +152,6 @@ def _features(features, memory: MemoryState) -> np.ndarray:
 
 def _cost_matrix(features: np.ndarray, memory: MemoryState, aggregator: str) -> np.ndarray:
     """template_cost of every feature row against every remembered individual (columns)."""
-    if aggregator not in _AGGREGATORS:
-        raise DataError(f"template_aggregator must be one of {_AGGREGATORS}, got {aggregator!r}")
     fill = memory.fill
     costs = features @ memory.templates.T
     # In place, as this (detections, templates) block is the largest array a step makes.
@@ -185,7 +183,8 @@ def template_cost(detection: Detection, entry: TemplateEntry, aggregator: str = 
     memory = MemoryState(entry.templates, [len(entry.templates)], [entry.ttl], [entry.entry_id],
                          max(_as_int(entry.entry_id, "entry_id") + 1, 0))
     features = _features([detection.feature], memory)
-    return float(_cost_matrix(features, memory, aggregator)[0, 0])
+    cfg = McpConfig(template_aggregator=aggregator)
+    return float(_cost_matrix(features, memory, cfg.template_aggregator)[0, 0])
 
 
 def step(memory: MemoryState, features, cfg: McpConfig) -> tuple[MemoryState, StepRecord]:

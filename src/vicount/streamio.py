@@ -40,6 +40,14 @@ def _misprinted(values: np.ndarray) -> np.ndarray:
     return (size < 1e-4) & (size != 0.0) | (size >= 1e16)
 
 
+def _json_bytes(obj) -> bytes:
+    """obj as compact JSON: orjson's bytes, or json's where orjson refuses (an int past 64 bits)."""
+    try:
+        return orjson.dumps(obj)
+    except orjson.JSONEncodeError:
+        return json.dumps(obj, separators=(",", ":"), default=np.ndarray.tolist).encode()
+
+
 def _frame_line(frame: FrameRecord) -> list:
     """The bytes json.dumps prints for a frame's line, newline included, as parts to write.
 
@@ -49,8 +57,7 @@ def _frame_line(frame: FrameRecord) -> list:
     (1e-05 as 0.00001, 1e+16 as 1e16). Each of those goes in as NaN, which orjson prints as
     null, and each null is then replaced, in line order, by repr of the value. No key or
     number of the line holds the letter l, so each l found is the third letter of a null.
-    orjson refuses an int of 2**64 or more, as a frame index or id may be; json.dumps
-    prints that line.
+    _json_bytes prints a line with an int of 2**64 or more, as a frame index or id may be.
     """
     block = np.hstack((frame.coordinates, frame.features))
     odd = _misprinted(block)
@@ -70,7 +77,7 @@ def _frame_line(frame: FrameRecord) -> list:
         obj["t"] = frame.timestamp
         for det, (x, y), f in zip(dets, frame.coordinates.tolist(), frame.features.tolist()):
             det.update(x=x, y=y, f=f)
-        return [json.dumps(obj, separators=(",", ":"), default=np.ndarray.tolist).encode(), b"\n"]
+        return [_json_bytes(obj), b"\n"]
     parts, start, view = [], 0, memoryview(line)
     for value in values:
         at = line.find(b"l", start) - 2
