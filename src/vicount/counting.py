@@ -18,8 +18,8 @@ import numpy as np
 # benchmark's tracer (perfbench/tracer.py) looks for it.
 from .assignment import _assign, hungarian  # noqa: F401
 from .errors import DataError
-from .stream import (Detection, DetectionStream, _array, _as_int, _BuiltOnAccess, _finite,
-                     _read_only)
+from .stream import (Detection, DetectionStream, _all_finite, _array, _as_int, _BuiltOnAccess,
+                     _finite, _read_only)
 
 _AGGREGATORS = ("max", "min", "mean")
 
@@ -197,14 +197,22 @@ def step(memory: MemoryState, features, cfg: McpConfig) -> tuple[MemoryState, St
     counts as inflow (a fresh entry). Remembered individuals not matched
     this step lose one unit of time to live and are dropped once it is
     exhausted. Returns the new memory and a record with frame_index 0 (the
-    caller knows the real index).
+    caller knows the real index). A non-finite feature entry, or a non-finite
+    cost of a detection against the memory, raises DataError.
     """
-    features = _features(features, memory)
+    features = _all_finite(_features(features, memory), "features")
     n, dim = features.shape
     size = len(memory.ttl)
     det_idx = entry_idx = np.zeros(0, dtype=np.intp)
     if n and size:
-        cost = _cost_matrix(features, memory, cfg.template_aggregator)
+        # Finite rows can still overflow to an infinite cost, and a memory may hold
+        # non-finite templates; _assign's path search never ends on such a cost.
+        with np.errstate(over="ignore", invalid="ignore"):
+            cost = _cost_matrix(features, memory, cfg.template_aggregator)
+        if not np.isfinite(cost).all():
+            i, j = np.argwhere(~np.isfinite(cost))[0].tolist()
+            raise DataError(f"features[{i}]: cost against memory entry {memory.entry_id[j]} "
+                            f"must be finite, got {cost[i, j]}")
         rows, cols = _assign(cost)
         ok = cost[rows, cols] <= cfg.zeta
         det_idx, entry_idx = rows[ok], cols[ok]

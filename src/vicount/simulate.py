@@ -145,6 +145,15 @@ def _draw_lifespans(rng: "np.random.Generator", cfg: SimConfig) -> list[list[tup
     return spans
 
 
+def _interval(g: int, ab) -> tuple[int, int]:
+    """ab read as identity g's interval, a pair of integer frame indices, else DataError."""
+    try:
+        a, b = ab
+    except (TypeError, ValueError):
+        raise DataError(f"identity {g}: interval {ab!r} must be a (first, last) pair") from None
+    return tuple(_as_int(x, f"identity {g}: interval bound") for x in (a, b))
+
+
 def scene_from_lifespans(cfg: SimConfig, lifespans) -> DetectionStream:
     """Build a stream from explicit per-identity presence intervals.
 
@@ -154,8 +163,11 @@ def scene_from_lifespans(cfg: SimConfig, lifespans) -> DetectionStream:
     still come from cfg.seed, so equal configs and lifespans give identical
     streams. Useful for scripting exact entry/exit/re-entry scenarios.
     """
-    spans = [[tuple(_as_int(x, f"identity {g}: interval bound") for x in ab) for ab in iv]
-             for g, iv in enumerate(lifespans)]
+    try:
+        spans = [[_interval(g, ab) for ab in iv] for g, iv in enumerate(lifespans)]
+    except TypeError:  # lifespans, or one identity's entry, is not iterable
+        raise DataError(f"lifespans must be a list of interval lists, one per identity, got "
+                        f"{lifespans!r}") from None
     if len(spans) != cfg.num_identities:
         raise DataError(
             f"expected lifespans for {cfg.num_identities} identities, got {len(spans)}"

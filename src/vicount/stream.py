@@ -58,10 +58,11 @@ def shared_count(outflow_i, inflow_j) -> int:
 
     Zeros in the earlier frame's outflow mark individuals that stay; zeros in
     the later frame's inflow mark individuals that were already there. Both
-    counts must agree or the weak labels are contradictory.
+    counts must agree or the weak labels are contradictory. Each label is read
+    as a frame reads its own: a sequence of integer bits, each 0 or 1.
     """
-    m_out = int(np.count_nonzero(_array(outflow_i, "outflow_i", 1, integer=True) == 0))
-    m_in = int(np.count_nonzero(_array(inflow_j, "inflow_j", 1, integer=True) == 0))
+    m_out = int(np.count_nonzero(_label_bits(outflow_i, "outflow_i") == 0))
+    m_in = int(np.count_nonzero(_label_bits(inflow_j, "inflow_j") == 0))
     if m_out != m_in:
         raise DataError(f"inconsistent weak labels: {m_out} staying vs {m_in} already present")
     return m_out
@@ -195,6 +196,14 @@ def _array(values, what: str, ndim: int, integer: bool = False, width: int | Non
     return arr
 
 
+def _all_finite(arr: np.ndarray, what: str) -> np.ndarray:
+    """arr if every entry is finite, else DataError naming the first other one as what[i, j]."""
+    if not np.isfinite(arr).all():
+        k = np.argwhere(~np.isfinite(arr))[0].tolist()
+        raise DataError(f"{what}{k} must be finite, got {arr[tuple(k)]}")
+    return arr
+
+
 def _as_bits(values, n: int, name: str) -> np.ndarray:
     """values as n new intp bits, each 0 or 1; a bool, float or non-number raises DataError.
 
@@ -221,6 +230,15 @@ def _as_bits(values, n: int, name: str) -> np.ndarray:
             if isinstance(b, bool) or not isinstance(b, (int, np.integer)) or b not in (0, 1):
                 raise DataError(f"{name}[{k}] must be an integer 0 or 1, got {b!r}")
     return np.array(bits, dtype=np.intp)
+
+
+def _label_bits(values, name: str) -> np.ndarray:
+    """values read by _as_bits at their own length; a value with no length raises DataError."""
+    try:
+        n = len(values)
+    except TypeError:
+        raise DataError(f"{name} must be a sequence of bits, got {values!r}") from None
+    return _as_bits(values, n, name)
 
 
 def _as_ids(values, n: int) -> tuple[int | None, ...]:
@@ -358,10 +376,7 @@ class SimilarityBlocks:
     perm_j: np.ndarray | None = None
 
     def __post_init__(self):
-        s = _read_only(_array(self.full, "full", 2))
-        if not np.isfinite(s).all():
-            i, j = np.argwhere(~np.isfinite(s))[0].tolist()
-            raise DataError(f"full[{i}, {j}] must be finite, got {s[i, j]}")
+        s = _all_finite(_read_only(_array(self.full, "full", 2)), "full")
         m = _as_int(self.m, "m", 0)
         if m > min(s.shape):
             raise DataError(f"shared count {m} out of range for shape {s.shape}")

@@ -3,9 +3,10 @@
 The readers' shortcuts for the common case (a frame's ids read as one array, a
 block of rows already unit kept as it is) give what the full read gives.
 
-A string, a truth value, a fraction where an integer is due and, for a scalar or
-a cost matrix, a NaN are refused with the entry point's documented exception,
-and the message names the argument. A guard keeps every other module from
+A string, a truth value, a fraction where an integer is due, for a scalar, a
+cost matrix or step's features a NaN, and for a weak label anything but an
+integer 0 or 1 are refused with the entry point's documented exception, and the
+message names the argument. A guard keeps every other module from
 casting an argument with an explicit dtype, which would read such values
 silently.
 """
@@ -30,9 +31,10 @@ from vicount.stream import _unit_rows
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "vicount"
 
-BAD = {"string": "1", "bool": True, "fraction": 0.5, "nan": math.nan}
-REAL = ("string", "bool", "nan")  # a real scalar, or a matrix a solver reads
+BAD = {"string": "1", "bool": True, "fraction": 0.5, "nan": math.nan, "two": 2, "whole": 1.0}
+REAL = ("string", "bool", "nan")  # a real scalar, or an array that must be finite
 INTEGER = ("string", "bool", "fraction", "nan")
+BITS = (*INTEGER, "two", "whole")  # a weak label: an integer 0 or 1
 ROWS = ("string", "bool")  # a real array kept or read as is: NaN is not refused there
 
 C = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -90,7 +92,7 @@ ENTRY_POINTS = [
     *[("MemoryState", f, DataError, INTEGER, lambda v, f=f: _memory(**{f: [v]}))
       for f in ("fill", "ttl", "entry_id")],
     ("MemoryState", "next_entry_id", DataError, INTEGER, lambda v: _memory(next_entry_id=v)),
-    ("step", "features", DataError, ROWS,
+    ("step", "features", DataError, REAL,
      lambda v: step(MemoryState.empty(), [[v, 1.0]], McpConfig())),
     ("template_cost", "features", DataError, ROWS,
      lambda v: template_cost(Detection((0.0, 0.0), [v, 1.0]), ENTRY)),
@@ -100,8 +102,8 @@ ENTRY_POINTS = [
      lambda v: template_cost(DETECTION, TemplateEntry(0, [[1.0, 0.0]], v))),
     ("template_cost", "entry_id", DataError, INTEGER,
      lambda v: template_cost(DETECTION, TemplateEntry(v, [[1.0, 0.0]], 1))),
-    ("shared_count", "outflow_i", DataError, INTEGER, lambda v: shared_count([v, 1], [0, 1])),
-    ("shared_count", "inflow_j", DataError, INTEGER, lambda v: shared_count([0, 1], [1, v])),
+    ("shared_count", "outflow_i", DataError, BITS, lambda v: shared_count([v, 1], [0, 1])),
+    ("shared_count", "inflow_j", DataError, BITS, lambda v: shared_count([0, 1], [1, v])),
     ("hungarian", "cost", NumericalError, REAL, lambda v: hungarian([[v, 1.0], [1.0, 0.0]])),
     ("brute_force_assignment", "cost", NumericalError, REAL,
      lambda v: brute_force_assignment([[v, 1.0], [1.0, 0.0]])),
@@ -143,6 +145,9 @@ REPROS = [
     ("supervised_contrastive_loss-fractions", "association", DataError,
      lambda: supervised_contrastive_loss(BLOCKS, (0.7, 1.2), CFG)),
     ("shared_count-fraction", "outflow_i", DataError, lambda: shared_count([0.5, 1], [0, 1])),
+    ("shared_count-2", "outflow_i", DataError, lambda: shared_count([2, 3], [7, 9])),
+    ("shared_count--1", "inflow_j", DataError, lambda: shared_count([0, 1], [0, -1])),
+    ("shared_count-1.0", "outflow_i", DataError, lambda: shared_count([0.0, 1.0], [0, 1])),
     ("sinkhorn-max_iters-2.5", "max_iters", NumericalError,
      lambda: sinkhorn(C, 0.1, max_iters=2.5)),
     ("sinkhorn-reg-True", "reg", NumericalError, lambda: sinkhorn(C, True)),

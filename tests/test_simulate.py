@@ -186,6 +186,17 @@ class TestSceneFromLifespans:
         with pytest.raises(DataError, match="gaps"):
             scene_from_lifespans(cfg, [[(0, 2), (1, 4)]])
 
+    @pytest.mark.parametrize("lifespans, message", [
+        ([[(0, 1, 2)]], "identity 0: interval (0, 1, 2) must be a (first, last) pair"),
+        ([[5]], "identity 0: interval 5 must be a (first, last) pair"),
+        (None, "lifespans must be a list of interval lists, one per identity, got None"),
+    ], ids=["three-bounds", "bare-int", "none"])
+    def test_a_malformed_interval_is_a_data_error(self, lifespans, message):
+        cfg = SimConfig(num_identities=1, num_frames=3)
+        with pytest.raises(DataError) as caught:
+            scene_from_lifespans(cfg, lifespans)
+        assert str(caught.value) == message
+
 
 class TestGtUniqueCount:
     def test_counts_distinct_ids(self):

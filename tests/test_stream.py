@@ -83,6 +83,14 @@ class TestSharedCount:
     def test_all_turnover(self):
         assert shared_count((1, 1), (1, 1, 1)) == 0
 
+    @pytest.mark.parametrize("label", [0, np.int64(1), [[0, 1], [1, 0]], np.zeros((2, 2), int)],
+                             ids=["int", "numpy-int", "nested-list", "2-d-array"])
+    def test_a_scalar_or_2d_label_is_refused_by_name(self, label):
+        with pytest.raises(DataError, match=r"\boutflow_i\b"):
+            shared_count(label, [0, 1])
+        with pytest.raises(DataError, match=r"\binflow_j\b"):
+            shared_count([0, 1], label)
+
 
 class TestDetection:
     """frame.detections views the frame's validated rows as plain records."""
