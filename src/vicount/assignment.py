@@ -53,6 +53,8 @@ def _solve_rectangular(cost: np.ndarray) -> np.ndarray:
     the duals once, after it reaches a free column: u += min_val - d on the
     tree rows and v -= min_val - d on the scanned columns, where d is the
     length at which each joined the tree and min_val that of the path found.
+    A search that reaches no finite length, as on a NaN cost, raises
+    NumericalError.
     """
     r, c = cost.shape
     best = cost.argmin(axis=1)
@@ -90,6 +92,9 @@ def _solve_rectangular(cost: np.ndarray) -> np.ndarray:
             np.putmask(way, better, j0)
             j1 = int(shortest.argmin())
             min_val = shortest[j1]
+            # A NaN cost leaves every length infinite (or NaN), which no path ends.
+            if not min_val < np.inf:
+                raise NumericalError(f"invalid cost matrix: no finite path for row {i}")
             if owner[j1] < 0:
                 break
             j0, i0 = j1, owner[j1]

@@ -78,18 +78,24 @@ def sinkhorn(cost, reg: float, max_iters: int = LossConfig.sinkhorn_max_iters,
     Iterates on the dual potentials of a square cost matrix until the worst
     row or column sum of the plan is within tol of 1, or the iteration
     budget runs out (converged is False then, with the last iterate
-    returned). A few scaling sweeps open the solve. Each sweep divides the
-    plan by its row sums and then by its column sums and moves the
-    potentials by their logs, with no exponential; the plan is re-anchored
-    as the exponential of the potentials only when a sum is zero or
-    non-finite, or when the potentials have moved far enough since the last
-    exponential that a cell which underflowed could carry mass again. Plain
-    sweeps crawl when the plan nears a hard permutation (sharp reg relative
-    to the cost gaps), so at every size each later iteration is a damped
-    Newton step, or a burst of sweeps when the step does not reduce the
-    violation. Each Newton step solves an n-by-n Schur system by
-    preconditioned conjugate gradient without forming it, at O(n^2) per CG
-    iteration. Every sweep and every Newton step counts toward max_iters.
+    returned). The plan is held in scaling form (Cuturi 2013): the Gibbs
+    kernel, exponentiated once at the start, times a row scaling and a
+    column scaling that carry the potentials, so each row or column sum is
+    one matrix-vector product. A few scaling sweeps open the solve; each
+    divides the row scaling by the row sums and then the column scaling by
+    the column sums, and moves the potentials by their logs, with no
+    exponential. Plain sweeps crawl when the plan nears a hard permutation
+    (sharp reg relative to the cost gaps), so at every size each later
+    iteration is a damped Newton step, or a burst of sweeps when the step
+    does not reduce the violation. Each Newton step solves an n-by-n Schur
+    system by preconditioned conjugate gradient without forming it, at
+    O(n^2) per CG iteration, and each of its trial step lengths multiplies
+    the scalings by the exponentials of the step. The scalings are folded
+    back into a fresh exponential of the potentials (Schmitzer 2019) only
+    when a row or column sum is zero or non-finite, or when the potentials
+    would move far enough since the last exponential that a cell which
+    underflowed could carry mass again. Every sweep and every Newton step
+    counts toward max_iters.
     """
     arr = _check_cost(cost, square=True)
     if arr.shape[0] == 0:
@@ -105,42 +111,36 @@ def _solve(neg_cost: np.ndarray, reg: float, max_iters: int, tol: float) -> Tran
 
     neg_cost is non-empty, square and of finite entries. It is divided by
     reg in place into the log-kernel mr = -cost / reg, which is only read
-    after that; an entry that overflows raises NumericalError.
+    after that; an entry that overflows raises NumericalError. Two more
+    m-by-m arrays live through the solve, the kernel and its square, and
+    the plan is written over the kernel once, when the loop ends.
     """
     with np.errstate(over="ignore"):
         mr = np.divide(neg_cost, reg, out=neg_cost)
     if not np.isfinite(mr).all():
         raise NumericalError(f"reg {reg!r} is too small: -cost / reg overflows")
-    n = mr.shape[0]
-    f = np.zeros(n)
-    g = np.zeros(n)
-    iters = 0
     # Negative costs under a small reg overflow here; an infinite row sum
     # sends the first sweep to the log domain.
     with np.errstate(over="ignore"):
-        plan = np.exp(mr)
-    spare = np.empty_like(plan)
-    drift = 0.0
-    r, c = plan.sum(axis=1), plan.sum(axis=0)
+        scaled = _ScaledPlan(mr, np.exp(mr))
+    iters = 0
+    r, c = scaled.row_sums(), scaled.col_sums()
     err = _violation(r, c)
     while not err < tol and iters < max_iters:
         sweeps = 1
         if iters >= 5:
-            accepted = _dual_newton_step(mr, plan, r, c, err, f, g, spare)
+            accepted = scaled.newton_step(r, c, err)
             iters += 1
             if accepted is not None:
-                spare, (plan, r, c, err) = plan, accepted
-                drift = 0.0
+                r, c, err = accepted
                 continue
             sweeps = min(20, max_iters - iters)
         for _ in range(sweeps):
-            drift = _sweep(mr, plan, r, f, g, drift)
-            r = plan.sum(axis=1)
+            r = scaled.sweep(r)
         iters += sweeps
-        c = plan.sum(axis=0)
+        c = scaled.col_sums()
         err = _violation(r, c)
-    plan.setflags(write=False)
-    return TransportPlan(plan, err < tol, iters)
+    return TransportPlan(scaled.plan(), err < tol, iters)
 
 
 # A cell that underflowed at the last exponential stays below
@@ -148,97 +148,166 @@ def _solve(neg_cost: np.ndarray, reg: float, max_iters: int, tol: float) -> Tran
 _REANCHOR_DRIFT = 100.0
 
 
-def _exp_plan(mr, f, g, out):
-    """exp(mr + f[:, None] + g[None, :]) written into out, which is returned."""
-    np.add(mr, f[:, None], out=out)
-    out += g[None, :]
-    return np.exp(out, out=out)
+class _ScaledPlan:
+    """One solve's plan a[:, None] * kernel * b[None, :] and its potentials f and g.
 
-
-def _sweep(mr, plan, rows, f, g, drift):
-    """One scaling sweep, rows then columns, on plan, f and g in place.
-
-    rows holds the plan's row sums, which the caller has already taken.
-
-    Dividing the plan by its row sums r and setting f -= log(r) is the
-    log-domain update f = -LSE_j(mr + g) without an exponential, and the
-    same holds for the columns. drift bounds how far any cell's log has
-    moved since the plan was last exponentiated; it is returned updated.
-    When a sum is zero or non-finite, or the drift would pass
-    _REANCHOR_DRIFT, that half is taken in the log domain instead and the
-    plan re-anchored as the exponential of the potentials, so no cell stays
-    stuck at an underflowed 0, and the drift restarts at 0.
+    kernel is exp(mr + f + g) at the potentials of the last exponential, and
+    the scalings a and b carry every move of f and g since then, so the
+    plan's row sums a * (kernel @ b) and column sums b * (a @ kernel) are
+    matrix-vector products and no m-by-m array is written between
+    exponentials. drift bounds how far any cell's log has moved since the
+    last one. squared holds kernel * kernel for the Newton steps once
+    squared_ready is set; each fresh exponential clears it.
     """
-    for pot, other, axis in ((f, g, 1), (g, f, 0)):
-        sums = rows if axis else plan.sum(axis=0)
-        with np.errstate(divide="ignore"):
-            logs = np.log(sums)
-        shift = float(np.max(np.abs(logs)))
-        if drift + shift <= _REANCHOR_DRIFT:
-            pot -= logs
-            plan /= np.expand_dims(sums, axis)
-            drift += shift
-        else:
-            pot[:] = -_logsumexp(mr + np.expand_dims(other, 1 - axis), axis=axis)
-            _exp_plan(mr, f, g, plan)
-            drift = 0.0
-    return drift
 
+    def __init__(self, mr: np.ndarray, kernel: np.ndarray):
+        n = mr.shape[0]
+        self.mr = mr
+        self.kernel = kernel
+        self.squared = np.empty_like(kernel)
+        self.squared_ready = False
+        self.f, self.g = np.zeros(n), np.zeros(n)
+        self.a, self.b = np.ones(n), np.ones(n)
+        self.drift = 0.0
 
-def _dual_newton_step(mr, plan, r, c, err, f, g, out):
-    """One damped Newton step on the dual potentials, in place.
+    def row_sums(self) -> np.ndarray:
+        return self.a * (self.kernel @ self.b)
 
-    The dual is concave with gradient (1 - r, 1 - c) and Hessian
-    [[diag(r), P], [P^T, diag(c)]] for the plan P with row sums r and column
-    sums c. Eliminating the column block leaves the n-by-n Schur system
-    (diag(r) - P diag(1/c) P^T) dx = (1 - r) - P((1 - c)/c) for the row
-    step, solved by Jacobi-preconditioned conjugate gradient without forming
-    the matrix, at O(n^2) per CG iteration. The system is singular along the
-    constant vector but consistent, which CG tolerates. r and c are the
-    row and column sums of plan and err its violation. Backtracks until the
-    marginal violation strictly decreases, writing each trial plan into
-    out, and returns out with its row sums, column sums and violation,
-    which is the plan of the updated potentials; returns None when no step
-    length manages that. A trial with a non-finite cell has a NaN or
-    infinite violation, which never decreases it.
-    """
-    col = c + 1e-12
-    row = r + 1e-12
-    res = (1.0 - r) - plan @ ((1.0 - c) / col)
-    # The diagonal is >= 0 in exact arithmetic; rounding can take it to 0 or below.
-    # out holds the squared plan until the first trial plan is written into it.
-    jacobi = np.maximum(row - np.multiply(plan, plan, out=out) @ (1.0 / col), 1e-12)
-    dx = np.zeros_like(r)
-    p = z = res / jacobi
-    rz = res @ z
-    stop = 1e-3 * np.linalg.norm(res)
-    for _ in range(50):
-        ap = row * p - plan @ ((p @ plan) / col)
-        pap = p @ ap
-        if pap <= 0:
-            break
-        dx += (rz / pap) * p
-        res = res - (rz / pap) * ap
-        if np.linalg.norm(res) <= stop:
-            break
-        z = res / jacobi
-        rz, rz_prev = res @ z, rz
-        p = z + (rz / rz_prev) * p
-    dy = ((1.0 - c) - plan.T @ dx) / col
-    step = 1.0
-    for _ in range(30):
-        f_try = f + step * dx
-        g_try = g + step * dy
+    def col_sums(self) -> np.ndarray:
+        return self.b * (self.a @ self.kernel)
+
+    def plan(self) -> np.ndarray:
+        """The plan, written read-only over the kernel, which ends the solve."""
+        plan = self.kernel
+        plan *= self.a[:, None]
+        plan *= self.b[None, :]
+        plan.setflags(write=False)
+        return plan
+
+    def _exp(self, f, g, out):
+        """exp(mr + f[:, None] + g[None, :]) written into out, which is returned.
+
+        An overflow gives an infinite cell. out is the kernel or squared, so
+        either way squared no longer holds the kernel's square.
+        """
+        np.add(self.mr, f[:, None], out=out)
+        out += g[None, :]
+        self.squared_ready = False
         with np.errstate(over="ignore"):
-            trial = _exp_plan(mr, f_try, g_try, out)
-        r_try, c_try = trial.sum(axis=1), trial.sum(axis=0)
-        trial_err = _violation(r_try, c_try)
-        if trial_err < err:
-            f[:] = f_try
-            g[:] = g_try
-            return trial, r_try, c_try, trial_err
-        step *= 0.5
-    return None
+            return np.exp(out, out=out)
+
+    def _restart(self):
+        """The kernel has just been exponentiated at f and g: unit scalings, no drift.
+
+        The scalings are reset in place, as a sweep holds them across its halves.
+        """
+        self.a.fill(1.0)
+        self.b.fill(1.0)
+        self.drift = 0.0
+
+    def sweep(self, rows: np.ndarray) -> np.ndarray:
+        """One scaling sweep, rows then columns; returns the new row sums.
+
+        rows holds the plan's row sums, which the caller has already taken.
+
+        Dividing a by the row sums r and setting f -= log(r) is the
+        log-domain update f = -LSE_j(mr + g) without an exponential, and the
+        same holds for b, g and the columns. drift grows by the largest
+        log moved. When a sum is zero or non-finite, or the drift would pass
+        _REANCHOR_DRIFT, that half is taken in the log domain instead and
+        the plan re-anchored as the exponential of the potentials, so no
+        cell stays stuck at an underflowed 0, and the drift restarts at 0.
+        """
+        for pot, other, scaling, axis in ((self.f, self.g, self.a, 1),
+                                          (self.g, self.f, self.b, 0)):
+            sums = rows if axis else self.col_sums()
+            with np.errstate(divide="ignore"):
+                logs = np.log(sums)
+            shift = float(np.max(np.abs(logs)))
+            if self.drift + shift <= _REANCHOR_DRIFT:
+                pot -= logs
+                scaling /= sums
+                self.drift += shift
+            else:
+                pot[:] = -_logsumexp(self.mr + np.expand_dims(other, 1 - axis), axis=axis)
+                self._exp(self.f, self.g, self.kernel)
+                self._restart()
+        return self.row_sums()
+
+    def newton_step(self, r: np.ndarray, c: np.ndarray, err: float):
+        """One damped Newton step on the dual potentials, in place.
+
+        The dual is concave with gradient (1 - r, 1 - c) and Hessian
+        [[diag(r), P], [P^T, diag(c)]] for the plan P with row sums r and
+        column sums c. Eliminating the column block leaves the n-by-n Schur
+        system (diag(r) - P diag(1/c) P^T) dx = (1 - r) - P((1 - c)/c) for
+        the row step, solved by Jacobi-preconditioned conjugate gradient
+        without forming the matrix, at O(n^2) per CG iteration: P v is
+        a * (kernel @ (b * v)), v P is b * ((a * v) @ kernel), and the
+        diagonal's (P * P) v is a^2 * (squared @ (b^2 * v)). The system is
+        singular along the constant vector but consistent, which CG
+        tolerates. err is the plan's violation. Backtracks until the
+        marginal violation strictly decreases and returns the row sums,
+        column sums and violation of the updated potentials' plan, or None
+        when no step length manages that. A trial scales a and b by the
+        exponentials of its step, so its sums are two matrix-vector
+        products; a trial that would carry the drift past _REANCHOR_DRIFT
+        is exponentiated afresh into squared instead, and on acceptance
+        that becomes the kernel. A trial with a non-finite cell has a NaN or
+        infinite violation, which never decreases it.
+        """
+        kernel, a, b = self.kernel, self.a, self.b
+        if not self.squared_ready:
+            np.multiply(kernel, kernel, out=self.squared)
+            self.squared_ready = True
+        col = c + 1e-12
+        row = r + 1e-12
+        # With bb = b^2 / col, P diag(1/col) P^T v is a * (kernel @ (bb * ((a * v) @ kernel))).
+        bb = b * b / col
+        res = (1.0 - r) - a * (kernel @ (b * ((1.0 - c) / col)))
+        # The diagonal is >= 0 in exact arithmetic; rounding can take it to 0 or below.
+        jacobi = np.maximum(row - a * a * (self.squared @ bb), 1e-12)
+        dx = np.zeros_like(r)
+        p = z = res / jacobi
+        rz = res @ z
+        stop = 1e-3 * np.linalg.norm(res)
+        for _ in range(50):
+            ap = row * p - a * (kernel @ (bb * ((a * p) @ kernel)))
+            pap = p @ ap
+            if pap <= 0:
+                break
+            dx += (rz / pap) * p
+            res = res - (rz / pap) * ap
+            if np.linalg.norm(res) <= stop:
+                break
+            z = res / jacobi
+            rz, rz_prev = res @ z, rz
+            p = z + (rz / rz_prev) * p
+        dy = ((1.0 - c) - b * ((a * dx) @ kernel)) / col
+        step = 1.0
+        for _ in range(30):
+            sx, sy = step * dx, step * dy
+            shift = float(np.max(np.abs(sx)) + np.max(np.abs(sy)))
+            near = self.drift + shift <= _REANCHOR_DRIFT
+            if near:
+                a_try, b_try = a * np.exp(sx), b * np.exp(sy)
+                r_try, c_try = a_try * (kernel @ b_try), b_try * (a_try @ kernel)
+            else:
+                trial = self._exp(self.f + sx, self.g + sy, self.squared)
+                r_try, c_try = trial.sum(axis=1), trial.sum(axis=0)
+            trial_err = _violation(r_try, c_try)
+            if trial_err < err:
+                self.f += sx
+                self.g += sy
+                if near:
+                    self.a, self.b = a_try, b_try
+                    self.drift += shift
+                else:
+                    self.kernel, self.squared = trial, kernel
+                    self._restart()
+                return r_try, c_try, trial_err
+            step *= 0.5
+        return None
 
 
 def round_to_permutation(omega) -> np.ndarray:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from vicount import NumericalError, brute_force_assignment, hungarian
+from vicount.assignment import _assign
 
 
 class TestBruteForce:
@@ -96,6 +97,14 @@ class TestHungarian:
             hungarian([[np.nan, 1.0], [1.0, 0.0]])
         with pytest.raises(NumericalError, match="invalid cost matrix"):
             hungarian([[np.inf, 1.0], [1.0, 0.0]])
+
+    def test_nan_path_search_raises_instead_of_hanging(self):
+        # _assign takes checked costs; its path search once looped forever on NaN
+        nan = np.nan
+        for cost in ([[0.0, 1.0], [nan, 1.0]], np.full((3, 3), nan),
+                     [[0.0, 1.0, 2.0], [nan, nan, nan], [2.0, 1.0, 0.0]]):
+            with pytest.raises(NumericalError, match="no finite path"):
+                _assign(np.array(cost))
 
     def test_negative_entries(self):
         cost = np.array([[-5.0, -1.0], [-2.0, -4.0]])

@@ -19,6 +19,10 @@ import ctypes
 import hashlib
 import io
 import json
+import os
+import shutil
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -26,6 +30,7 @@ import numpy as np
 import orjson
 import pytest
 
+import vicount
 from vicount import SimConfig, generate_scene, write_stream
 from vicount.cli import main
 
@@ -149,6 +154,53 @@ def test_outputs_are_the_recorded_ones(golden, workload, tmp_path):
     first = next((name for name in want if got[name] != want[name]), None)
     assert first is None, (f"{first} differs from its recorded digest; recorded under "
                            f"{golden['provenance']}, running under {_provenance()}")
+
+
+# Kernel sets that OpenBLAS's DYNAMIC_ARCH builds can be made to load on x86.
+KERNELS = ("Haswell", "Sandybridge", "Prescott")
+
+# Run in a fresh interpreter: the kernel set it loaded, and the digests of `loss` and
+# `pseudo` on the stream kernel.jsonl in the directory argv[2].
+_UNDER_KERNEL = """
+import json, sys
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+from test_golden_outputs import _blas_core, _transport_outputs
+directory = Path(sys.argv[2])
+digests = _transport_outputs("kernel", directory / "kernel.jsonl", directory)
+print(json.dumps([_blas_core(), digests]))
+"""
+
+
+@pytest.fixture(scope="module")
+def kernel_stream(tmp_path_factory):
+    """A small labeled stream written under the default kernel set, and its loss-path digests."""
+    directory = tmp_path_factory.mktemp("default-kernel")
+    path = directory / "kernel.jsonl"
+    write_stream(generate_scene(SimConfig(num_identities=300, num_frames=4, feature_dim=64,
+                                          feature_noise_sigma=0.1, seed=0)), path)
+    return path, _transport_outputs("kernel", path, directory)
+
+
+@pytest.mark.parametrize("coretype", KERNELS)
+def test_loss_path_outputs_do_not_depend_on_the_blas_kernel(kernel_stream, coretype, tmp_path):
+    # The solver's sums are matrix-vector products, whose summation order differs by
+    # kernel set; what `loss` prints and `pseudo` writes must not.
+    path, want = kernel_stream
+    shutil.copy(path, tmp_path / path.name)
+    search = [str(Path(vicount.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "OPENBLAS_CORETYPE": coretype,
+           "PYTHONPATH": os.pathsep.join(filter(None, search))}
+    done = subprocess.run([sys.executable, "-c", _UNDER_KERNEL, str(Path(__file__).parent),
+                           str(tmp_path)], env=env, capture_output=True, text=True, timeout=300,
+                          check=True)
+    core, got = json.loads(done.stdout)
+    default = _blas_core()
+    if core is None:
+        pytest.skip("the loaded OpenBLAS does not name its kernel set")
+    if core == default:
+        pytest.skip(f"OPENBLAS_CORETYPE={coretype} loads the default kernel set, {default}")
+    assert got == want, f"loss path outputs under {core} differ from those under {default}"
 
 
 if __name__ == "__main__":

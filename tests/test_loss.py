@@ -1,6 +1,7 @@
 """Loss-side tests: contrastive similarity, transport solver, pair losses."""
 
 import itertools
+import sys
 import tracemalloc
 import warnings
 
@@ -33,7 +34,7 @@ from vicount import (
 )
 import vicount.loss as loss_module
 from vicount.cli import _fmt, main
-from vicount.loss import _dual_newton_step, _logsumexp, _sweep, _violation
+from vicount.loss import _ScaledPlan, _logsumexp, _violation
 from vicount.stream import _read_only
 
 
@@ -198,8 +199,8 @@ class TestSinkhorn:
             assert plan.iterations_used < 50
 
     def test_sweeps_rescale_without_exp(self, monkeypatch):
-        # the CLI regime at m >= 400: one exp of the whole plan at the start
-        # and one per Newton trial, none in a sweep
+        # the CLI regime at m >= 400: one exp of the whole kernel at the
+        # start, and none in a sweep or in any Newton trial
         stream = generate_scene(
             SimConfig(num_identities=900, num_frames=2, feature_dim=64,
                       feature_noise_sigma=0.1, seed=0)
@@ -225,14 +226,14 @@ class TestSinkhorn:
 
         in_sweeps, in_steps = [], []
         monkeypatch.setattr(np, "exp", exp)
-        monkeypatch.setattr(loss_module, "_sweep", counted(_sweep, in_sweeps))
-        monkeypatch.setattr(loss_module, "_dual_newton_step",
-                            counted(_dual_newton_step, in_steps))
+        monkeypatch.setattr(_ScaledPlan, "sweep", counted(_ScaledPlan.sweep, in_sweeps))
+        monkeypatch.setattr(_ScaledPlan, "newton_step",
+                            counted(_ScaledPlan.newton_step, in_steps))
         plan = sinkhorn(cost, LossConfig().sinkhorn_reg)
         assert plan.converged
         assert len(in_sweeps) == 5 and not any(in_sweeps)
-        assert in_steps and all(1 <= k <= 30 for k in in_steps)
-        assert sum(full_exps) == 1 + sum(in_steps)
+        assert in_steps and not any(in_steps)
+        assert sum(full_exps) == 1
 
     def test_plan_is_handed_over_read_only(self, monkeypatch):
         # a read-only plan is kept by TransportPlan, so it is never copied
@@ -284,6 +285,29 @@ class TestSinkhorn:
                 cost = rng.uniform(low, 1.0, (n, n))
                 assert _sweep_gap(cost, reg) <= 1e-12, f"n={n} reg={reg} low={low}"
 
+    @pytest.mark.parametrize("n", [40, 200])
+    def test_newton_steps_past_the_drift_bound_reanchor(self, n, monkeypatch):
+        # at reg 1e-3 accepted Newton steps carry the potentials more than
+        # _REANCHOR_DRIFT from the last exponential, so a step is judged on a
+        # fresh exponential of its potentials, which becomes the kernel
+        cost = np.random.default_rng(0).uniform(0, 1, (n, n))
+        callers = []
+        restart = _ScaledPlan._restart
+
+        def record(self):
+            callers.append(sys._getframe(1).f_code.co_name)
+            restart(self)
+
+        monkeypatch.setattr(_ScaledPlan, "_restart", record)
+        tol = LossConfig().sinkhorn_tol
+        with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise"):
+            warnings.simplefilter("error")
+            plan = sinkhorn(cost, 1e-3, tol=tol)
+        assert "newton_step" in callers
+        assert plan.converged
+        assert np.max(np.abs(plan.omega.sum(axis=1) - 1.0)) < tol
+        assert np.max(np.abs(plan.omega.sum(axis=0) - 1.0)) < tol
+
     def test_deterministic(self):
         cost = np.random.default_rng(34).uniform(0, 1, (7, 7))
         p1 = sinkhorn(cost, reg=0.02)
@@ -306,21 +330,19 @@ def _log_domain_sweeps(cost, reg, sweeps):
 def _sweep_gap(cost, reg, sweeps=5):
     """Largest gap between the solver's sweeps and the log-domain reference.
 
-    Both start from zero potentials, the solver's from the plan
+    Both start from zero potentials, the solver's from the kernel
     exp(-cost / reg); the gap is relative to the largest reference potential
     (or 1), the scale at which their rounding differs.
     """
     mr = -np.asarray(cost, dtype=np.float64) / reg
     with np.errstate(over="ignore"):
-        plan = np.exp(mr)
-    f = np.zeros(len(mr))
-    g = np.zeros(len(mr))
-    drift = 0.0
+        scaled = _ScaledPlan(mr, np.exp(mr))
+    rows = scaled.row_sums()
     for _ in range(sweeps):
-        drift = _sweep(mr, plan, plan.sum(axis=1), f, g, drift)
+        rows = scaled.sweep(rows)
     ref_f, ref_g = _log_domain_sweeps(cost, reg, sweeps)
     scale = max(np.max(np.abs(ref_f)), np.max(np.abs(ref_g)), 1.0)
-    return max(np.max(np.abs(f - ref_f)), np.max(np.abs(g - ref_g))) / scale
+    return max(np.max(np.abs(scaled.f - ref_f)), np.max(np.abs(scaled.g - ref_g))) / scale
 
 
 def _schur_system(plan):
@@ -331,10 +353,13 @@ def _schur_system(plan):
     return schur, (1.0 - r) - plan @ ((1.0 - c) / col), col
 
 
-def _newton_step(plan, f, g):
-    """The solver's Newton step on plan, with log(plan) standing in for -cost / reg."""
-    r, c = plan.sum(axis=1), plan.sum(axis=0)
-    return _dual_newton_step(np.log(plan), plan, r, c, np.inf, f, g, np.empty_like(plan))
+def _newton_step(plan):
+    """The solver's Newton step with plan as its kernel, log(plan) standing in for -cost / reg.
+
+    Returns the step's result and the _ScaledPlan, whose potentials started at zero.
+    """
+    scaled = _ScaledPlan(np.log(plan), plan.copy())
+    return scaled.newton_step(plan.sum(axis=1), plan.sum(axis=0), np.inf), scaled
 
 
 class TestNewtonDirection:
@@ -344,8 +369,9 @@ class TestNewtonDirection:
         rng = np.random.default_rng(35)
         for n in range(2, 61):
             plan = rng.uniform(0.05, 1.0, (n, n)) / n * rng.uniform(0.5, 2.0)
-            f, g = np.zeros(n), np.zeros(n)
-            assert _newton_step(plan, f, g) is not None
+            accepted, scaled = _newton_step(plan)
+            assert accepted is not None
+            f, g = scaled.f, scaled.g
             schur, rhs, col = _schur_system(plan)
             assert np.linalg.norm(schur @ f - rhs) <= 1e-3 * np.linalg.norm(rhs)
             oracle = np.linalg.lstsq(schur, rhs, rcond=None)[0]
@@ -358,27 +384,26 @@ class TestNewtonDirection:
         plan = np.full((4, 4), 0.25)
         _, rhs, _ = _schur_system(plan)
         assert not np.any(rhs)
-        f, g = np.zeros(4), np.zeros(4)
         with warnings.catch_warnings(), np.errstate(all="raise"):
             warnings.simplefilter("error")
-            trial, r, c, err = _newton_step(plan, f, g)
+            (r, c, err), scaled = _newton_step(plan)
         assert err == 0.0
+        trial = scaled.plan()
         np.testing.assert_array_equal(trial, plan)
         np.testing.assert_array_equal(r, trial.sum(axis=1))
         np.testing.assert_array_equal(c, trial.sum(axis=0))
-        assert not np.any(f) and not np.any(g)
+        assert not np.any(scaled.f) and not np.any(scaled.g)
 
     def test_vanishing_preconditioner_diagonal_is_floored(self):
         # at this mass the 1e-12 ridges round away, and the diagonal of the
         # Schur system and its right-hand side both come out exactly 0
         mass = 2.0**20
         plan = np.array([[mass]])
-        f, g = np.zeros(1), np.zeros(1)
         with warnings.catch_warnings(), np.errstate(all="raise"):
             warnings.simplefilter("error")
-            *_, err = _newton_step(plan, f, g)
-        assert f[0] == 0.0
-        assert g[0] == pytest.approx((1.0 - mass) / mass)
+            (*_, err), scaled = _newton_step(plan)
+        assert scaled.f[0] == 0.0
+        assert scaled.g[0] == pytest.approx((1.0 - mass) / mass)
         assert err < mass - 1.0
 
     def test_non_finite_trial_never_decreases_the_violation(self):
