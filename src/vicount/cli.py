@@ -18,6 +18,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from .counting import _AGGREGATORS, McpConfig, count_video
 from .errors import DataError, NumericalError
@@ -27,7 +28,7 @@ from .loss import pair_objective, pseudo_trajectories, soft_contrastive_loss
 from .metrics import VideoResult, mae, mse, wrae
 from .simulate import SimConfig, generate_scene, gt_unique_count
 from .stream import SimilarityBlocks, _as_int, _finite, pair_blocks, random_similarity_blocks
-from .streamio import _json_bytes, parse_stream, write_stream
+from .streamio import parse_stream, write_stream
 
 
 class _Parser(argparse.ArgumentParser):
@@ -217,8 +218,8 @@ def _cmd_gradcheck(args) -> int:
     h = _finite(args.step, "--step", "(0, inf)")
     if args.fail_above is not None:
         _finite(args.fail_above, "--fail-above", "[0, inf)")
-    for flag in ("--trials", "--max-rows", "--max-cols"):
-        _as_int(getattr(args, flag[2:].replace("-", "_")), flag, 1)
+    for flag, least in (("--seed", 0), ("--trials", 1), ("--max-rows", 1), ("--max-cols", 1)):
+        _as_int(getattr(args, flag[2:].replace("-", "_")), flag, least)
     blocks_list = []
     if args.infile:
         blocks_list = [b for b in pair_blocks(parse_stream(args.infile)) if b.m > 0]
@@ -256,7 +257,7 @@ def _cmd_pseudo(args) -> int:
     records = [{"pair": [pm.frame_prev, pm.frame_curr], "matches": pm.matches}
                for pm in result.pairs]
     records += [{"traj": t_idx, "steps": traj} for t_idx, traj in enumerate(result.trajectories)]
-    lines = [_json_bytes(r).decode() for r in records]
+    lines = [orjson.dumps(r).decode() for r in records]
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
             fh.write("\n".join(lines) + ("\n" if lines else ""))

@@ -73,8 +73,9 @@ class MemoryState:
     templates, oldest first, after those of the individuals before it, so
     T == fill.sum(); fill, ttl and entry_id are (N,) integer arrays in the
     same order, and entry ids increase strictly below next_entry_id. Every
-    array is read-only: a writable array passed in is copied, a read-only
-    one is kept as is. entries views the rows as TemplateEntry records.
+    template entry is finite. Every array is read-only: a writable array
+    passed in is copied, a read-only one is kept as is. entries views the
+    rows as TemplateEntry records.
     """
 
     templates: np.ndarray
@@ -84,7 +85,8 @@ class MemoryState:
     next_entry_id: int
 
     def __post_init__(self):
-        object.__setattr__(self, "templates", _read_only(_array(self.templates, "templates", 2)))
+        templates = _all_finite(_read_only(_array(self.templates, "templates", 2)), "templates")
+        object.__setattr__(self, "templates", templates)
         rows = len(self.templates)
         for name in ("fill", "ttl", "entry_id"):
             arr = _read_only(_array(getattr(self, name), name, 1, integer=True))
@@ -171,20 +173,36 @@ def _cost_matrix(features: np.ndarray, memory: MemoryState, aggregator: str) -> 
     return out
 
 
+def _finite_costs(features: np.ndarray, memory: MemoryState, aggregator: str) -> np.ndarray:
+    """_cost_matrix of finite feature rows; DataError naming the row of a non-finite cost.
+
+    Finite rows can still overflow to an infinite cost, on which _assign's path search
+    never ends, so the product runs with its floating-point warnings off.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        cost = _cost_matrix(features, memory, aggregator)
+    if not np.isfinite(cost).all():
+        i, j = np.argwhere(~np.isfinite(cost))[0].tolist()
+        raise DataError(f"features[{i}]: cost against memory entry {memory.entry_id[j]} "
+                        f"must be finite, got {cost[i, j]}")
+    return cost
+
+
 def template_cost(detection: Detection, entry: TemplateEntry, aggregator: str = "max") -> float:
     """Cost of associating a detection with a remembered individual.
 
     Each stored template contributes one minus its cosine similarity to the
     detection feature; the aggregator collapses these to a single number.
     Taking the max is the conservative default: the detection must resemble
-    every remembered appearance.
+    every remembered appearance. A non-finite feature or template entry, or a
+    non-finite cost, raises DataError, as in step.
     """
     # next_entry_id: the least that a memory holding this entry admits
     memory = MemoryState(entry.templates, [len(entry.templates)], [entry.ttl], [entry.entry_id],
                          max(_as_int(entry.entry_id, "entry_id") + 1, 0))
-    features = _features([detection.feature], memory)
+    features = _all_finite(_features([detection.feature], memory), "features")
     cfg = McpConfig(template_aggregator=aggregator)
-    return float(_cost_matrix(features, memory, cfg.template_aggregator)[0, 0])
+    return float(_finite_costs(features, memory, cfg.template_aggregator)[0, 0])
 
 
 def step(memory: MemoryState, features, cfg: McpConfig) -> tuple[MemoryState, StepRecord]:
@@ -205,14 +223,7 @@ def step(memory: MemoryState, features, cfg: McpConfig) -> tuple[MemoryState, St
     size = len(memory.ttl)
     det_idx = entry_idx = np.zeros(0, dtype=np.intp)
     if n and size:
-        # Finite rows can still overflow to an infinite cost, and a memory may hold
-        # non-finite templates; _assign's path search never ends on such a cost.
-        with np.errstate(over="ignore", invalid="ignore"):
-            cost = _cost_matrix(features, memory, cfg.template_aggregator)
-        if not np.isfinite(cost).all():
-            i, j = np.argwhere(~np.isfinite(cost))[0].tolist()
-            raise DataError(f"features[{i}]: cost against memory entry {memory.entry_id[j]} "
-                            f"must be finite, got {cost[i, j]}")
+        cost = _finite_costs(features, memory, cfg.template_aggregator)
         rows, cols = _assign(cost)
         ok = cost[rows, cols] <= cfg.zeta
         det_idx, entry_idx = rows[ok], cols[ok]

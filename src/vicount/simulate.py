@@ -37,7 +37,8 @@ class SimConfig:
     the rest is tested alone against the bases so far. The stream for a
     given seed is the one that drawing and testing them one at a time gives.
     Real-valued fields must be numbers, not bools or strings, and finite, and
-    so must the last frame's time, (num_frames - 1) * delta.
+    so must the last frame's time, (num_frames - 1) * delta. scene_size must be
+    a (width, height) pair, and seed, like every integer field, an int.
     """
 
     num_identities: int = 20
@@ -52,7 +53,8 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name, least in (("num_identities", 0), ("num_frames", 1), ("feature_dim", 2)):
+        for name, least in (("num_identities", 0), ("num_frames", 1), ("feature_dim", 2),
+                            ("seed", 0)):
             object.__setattr__(self, name, _as_int(getattr(self, name), name, least))
         for name, interval in (("delta", "(0, inf)"), ("feature_noise_sigma", "[0, inf)"),
                                ("reentry_probability", "[0, 1]"), ("walk_step_sigma", "[0, inf)")):
@@ -61,8 +63,9 @@ class SimConfig:
         if not np.isfinite(_real(self.num_frames - 1, "num_frames") * self.delta):
             raise DataError(f"(num_frames - 1) * delta must be finite, got num_frames "
                             f"{self.num_frames} and delta {self.delta}")
-        w, h = (_finite(side, "scene_size", "(0, inf)") for side in self.scene_size)
-        object.__setattr__(self, "scene_size", (w, h))
+        sides = _pair(self.scene_size, f"scene_size {self.scene_size!r}", "(width, height)")
+        object.__setattr__(self, "scene_size",
+                           tuple(_finite(side, "scene_size", "(0, inf)") for side in sides))
         if self.max_base_similarity is not None:
             cap = _finite(self.max_base_similarity, "max_base_similarity", "(0, 1]")
             object.__setattr__(self, "max_base_similarity", cap)
@@ -145,13 +148,19 @@ def _draw_lifespans(rng: "np.random.Generator", cfg: SimConfig) -> list[list[tup
     return spans
 
 
-def _interval(g: int, ab) -> tuple[int, int]:
-    """ab read as identity g's interval, a pair of integer frame indices, else DataError."""
+def _pair(ab, what: str, names: str) -> tuple:
+    """ab's two values; DataError "what must be a names pair" if it does not unpack to two."""
     try:
         a, b = ab
     except (TypeError, ValueError):
-        raise DataError(f"identity {g}: interval {ab!r} must be a (first, last) pair") from None
-    return tuple(_as_int(x, f"identity {g}: interval bound") for x in (a, b))
+        raise DataError(f"{what} must be a {names} pair") from None
+    return a, b
+
+
+def _interval(g: int, ab) -> tuple[int, int]:
+    """ab read as identity g's interval, a pair of integer frame indices, else DataError."""
+    return tuple(_as_int(x, f"identity {g}: interval bound")
+                 for x in _pair(ab, f"identity {g}: interval {ab!r}", "(first, last)"))
 
 
 def scene_from_lifespans(cfg: SimConfig, lifespans) -> DetectionStream:

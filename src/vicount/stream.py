@@ -135,7 +135,10 @@ def _finite(value, what: str, interval: str = "(-inf, inf)", error: type = DataE
 
 
 def _as_int(value, what: str, least: float = -math.inf, error: type = DataError) -> int:
-    """value as an int of at least least; a bool, fraction or non-number raises error."""
+    """value as an int of at least least that fits in 64 bits, [-2**63, 2**63); else error.
+
+    A bool, fraction or non-number raises error too.
+    """
     try:
         whole = int(value)
     except (TypeError, ValueError, OverflowError):
@@ -144,6 +147,8 @@ def _as_int(value, what: str, least: float = -math.inf, error: type = DataError)
         raise error(f"{what} must be an integer, got {value!r}")
     if whole < least:
         raise error(f"{what} must be at least {least}, got {whole}")
+    if not -2**63 <= whole < 2**63:
+        raise error(f"{what} must fit in 64 bits, got {value}")
     return whole
 
 
@@ -177,14 +182,14 @@ def _array(values, what: str, ndim: int, integer: bool = False, width: int | Non
         # one comparison at a time, so a single mask is alive beside arr
         for k in sorted(k for v in (0, 1) for k in np.argwhere(arr == v).tolist()):
             read(k, reduce(getitem, k, values))
-    if integer and arr.dtype.kind in "fuO":
-        # NaN compares False here, so it is read, and refused, with the fractions
-        whole = np.abs(arr) < 2.0**63
+    if integer and arr.dtype.kind in "fu":
+        # NaN compares False here, so it is read, and refused, with the fractions and the
+        # entries past 64 bits; an entry that only rounds to 2**63 as a float is read and kept
+        whole = (arr >= -2.0**63) & (arr < 2.0**63)
         if arr.dtype.kind == "f":
             whole &= arr == np.trunc(arr)
-        for k in np.argwhere(~whole)[:1].tolist():
+        for k in np.argwhere(~whole).tolist():
             read(k, arr.item(tuple(k)))
-            raise error(f"{what}{k} must fit in 64 bits, got {arr.item(tuple(k))}")
     arr = arr.astype(np.intp if integer else np.float64, copy=False)
     if isinstance(values, (list, tuple)) or (isinstance(values, np.ndarray)
                                              and not np.may_share_memory(arr, values)):
@@ -242,13 +247,13 @@ def _label_bits(values, name: str) -> np.ndarray:
 
 
 def _as_ids(values, n: int) -> tuple[int | None, ...]:
-    """values as n ids, each a non-negative int or None; any other id raises DataError."""
+    """values as n ids, each an int in [0, 2**63) or None; any other id raises DataError."""
     if values is None:
         return (None,) * n
     ids = tuple(values)
     if len(ids) != n:
         raise DataError(f"gt_ids has {len(ids)} entries for {n} detections")
-    if set(map(type, ids)) <= {int} and min(ids, default=0) >= 0:
+    if set(map(type, ids)) <= {int} and 0 <= min(ids, default=0) <= max(ids, default=0) < 2**63:
         return ids
     return tuple(None if g is None else _as_int(g, f"det[{k}]: gt_id", 0)
                  for k, g in enumerate(ids))

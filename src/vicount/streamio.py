@@ -7,20 +7,18 @@ following line is one frame: {"frame": k, "t": seconds, "det": [...],
 Serialization is deterministic (fixed key order, shortest round-tripping
 float form), and write followed by parse reproduces the stream exactly.
 
-The writer prints the bytes json.dumps would. One orjson call prints each frame line, its
-feature rows as row views of an array. orjson prints some floats unlike repr (nonzero
-|x| < 1e-4 and |x| >= 1e16); each goes in as NaN, printed null, and each null is then
-replaced in line order by repr of the value. json.dumps prints a line orjson refuses (an int
-of 2**64 or more), and repr the header's numbers.
+The writer prints the bytes json.dumps would: repr of the header's numbers, and one orjson
+call for each frame line, its feature rows as row views of an array. orjson prints some
+floats unlike repr (nonzero |x| < 1e-4 and |x| >= 1e16); each goes in as NaN, printed null,
+and each null is then replaced in line order by repr of the value.
 
-The parser decodes each line with orjson, about five times faster than json
-on feature-heavy lines and correctly rounded like it. json, whose values and
-error messages the parser has always had, re-reads a line in two cases: when
-orjson refuses it (NaN and Infinity literals, a number past float range, a
-lone surrogate escape, malformed JSON), and when a field the parser reads
-holds a type a valid line never gives it. The second case covers the one
-kind of value on which the two disagree: orjson reads an integer literal
-outside [-2**63, 2**64) as a float, where json keeps the exact int.
+The parser decodes each line with orjson, about five times faster than json on
+feature-heavy lines and correctly rounded like it. json, whose error messages the parser
+has always had, re-reads only a line orjson refuses: NaN and Infinity literals, a number
+past float range, a lone surrogate escape, malformed JSON. Every integer field holds a
+64-bit integer, so the one kind of value on which the two disagree, an integer literal
+outside [-2**63, 2**64), which orjson reads as a float and json as the exact int, is
+refused in an integer field either way and reads as the same float in a real one.
 """
 
 import json
@@ -40,14 +38,6 @@ def _misprinted(values: np.ndarray) -> np.ndarray:
     return (size < 1e-4) & (size != 0.0) | (size >= 1e16)
 
 
-def _json_bytes(obj) -> bytes:
-    """obj as compact JSON: orjson's bytes, or json's where orjson refuses (an int past 64 bits)."""
-    try:
-        return orjson.dumps(obj)
-    except orjson.JSONEncodeError:
-        return json.dumps(obj, separators=(",", ":"), default=np.ndarray.tolist).encode()
-
-
 def _frame_line(frame: FrameRecord) -> list:
     """The bytes json.dumps prints for a frame's line, newline included, as parts to write.
 
@@ -57,9 +47,9 @@ def _frame_line(frame: FrameRecord) -> list:
     (1e-05 as 0.00001, 1e+16 as 1e16). Each of those goes in as NaN, which orjson prints as
     null, and each null is then replaced, in line order, by repr of the value. No key or
     number of the line holds the letter l, so each l found is the third letter of a null.
-    _json_bytes prints a line with an int of 2**64 or more, as a frame index or id may be.
     """
-    block = np.hstack((frame.coordinates, frame.features))
+    # orjson prints only C-contiguous arrays, and hstack keeps the Fortran order of its inputs
+    block = np.ascontiguousarray(np.hstack((frame.coordinates, frame.features)))
     odd = _misprinted(block)
     values = block[odd].tolist()
     block[odd] = np.nan
@@ -71,13 +61,7 @@ def _frame_line(frame: FrameRecord) -> list:
             for (x, y), f, g in zip(block[:, :2].tolist(), block[:, 2:], frame.gt_ids)]
     obj = {"frame": frame.frame_index, "t": t, "det": dets, "in": frame.inflow,
            "out": frame.outflow}
-    try:
-        line = orjson.dumps(obj, option=orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE)
-    except orjson.JSONEncodeError:
-        obj["t"] = frame.timestamp
-        for det, (x, y), f in zip(dets, frame.coordinates.tolist(), frame.features.tolist()):
-            det.update(x=x, y=y, f=f)
-        return [_json_bytes(obj), b"\n"]
+    line = orjson.dumps(obj, option=orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE)
     parts, start, view = [], 0, memoryview(line)
     for value in values:
         at = line.find(b"l", start) - 2
@@ -133,39 +117,12 @@ def _bad_detection(raw_dets: list, dim: int) -> str | None:
     return None
 
 
-_NUMBER = (int, float)
-_DET_TYPES = {(x, y, g) for x in _NUMBER for y in _NUMBER for g in (int, type(None))}
-
-
-def _typed(obj) -> bool:
-    """Whether each field parse_stream reads from the decoded line obj has a valid line's type.
-
-    Integer fields (schema, dim, frame, in, out and a detection's id) must hold ints and real
-    fields (delta, t and a detection's x and y) ints or floats, so an integer that orjson made
-    a float fails, and so does a container in a field whose error message would print it. A
-    missing key passes, as its message prints no value, and so do the entries of f, as a
-    container among them is reported without its value.
-    """
-    if type(obj) is not dict:
-        return True
-    get = obj.get
-    dets = get("det", [])
-    return (all(type(get(key, 0)) is int for key in ("schema", "dim", "frame"))
-            and type(get("delta", 0)) in _NUMBER and type(get("t", 0)) in _NUMBER
-            and all(type(bits) is list and set(map(type, bits)) <= {int}
-                    for bits in (get("in", []), get("out", [])))
-            and type(dets) is list and set(map(type, dets)) <= {dict}
-            and {(type(d.get("x", 0)), type(d.get("y", 0)), type(d.get("id"))) for d in dets}
-            <= _DET_TYPES)
-
-
 def _decode(line: str):
-    """line decoded by orjson if it takes the line and the result is _typed, else by json."""
+    """line decoded by orjson, or by json if orjson refuses it."""
     try:
-        obj = orjson.loads(line)
+        return orjson.loads(line)
     except orjson.JSONDecodeError:
         return json.loads(line)
-    return obj if _typed(obj) else json.loads(line)
 
 
 def parse_stream(path) -> DetectionStream:

@@ -138,12 +138,13 @@ class TestPipeline:
         assert any("pair" in obj for obj in parsed)
         assert any("traj" in obj for obj in parsed)
 
-    def test_pseudo_file_with_frame_indices_past_64_bits_is_what_json_writes(self, tmp_path):
-        # orjson refuses an int outside [-2**63, 2**64); such a record is written by json
+    def test_pseudo_file_with_frame_indices_at_the_int64_edge_is_what_json_writes(self, tmp_path):
+        # frame indices up to 2**63 - 1, the largest a frame admits, are printed by orjson
         stream = parse_stream(_simulate(tmp_path, frames=3))
         stream = DetectionStream(tuple(
-            FrameRecord(2**64 + f.frame_index, f.timestamp, f.coordinates, f.features, f.inflow,
-                        f.outflow, f.gt_ids) for f in stream.frames), stream.delta)
+            FrameRecord(2**63 - 4 + f.frame_index, f.timestamp, f.coordinates, f.features,
+                        f.inflow, f.outflow, f.gt_ids) for f in stream.frames), stream.delta)
+        assert stream.frames[-1].frame_index == 2**63 - 1
         stream_path, out_path = tmp_path / "past.jsonl", tmp_path / "pseudo.jsonl"
         write_stream(stream, stream_path)
         assert main(["pseudo", "--in", str(stream_path), "--out", str(out_path)]) == 0
@@ -361,6 +362,7 @@ class TestExitCodes:
         ("--max-rows", "0", "--max-rows must be at least 1, got 0"),
         ("--max-cols", "0", "--max-cols must be at least 1, got 0"),
         ("--trials", "-3", "--trials must be at least 1, got -3"),
+        ("--seed", "-1", "--seed must be at least 0, got -1"),
     ])
     def test_bad_gradcheck_flag_is_two(self, capsys, flag, value, message):
         rc = main(["gradcheck", "--trials", "2", flag, value])
@@ -444,6 +446,13 @@ class TestExitCodes:
         rc = main(["count", "--in", str(stream_path), "--zeta", "-1"])
         assert rc == 2
         assert "zeta" in capsys.readouterr().err
+
+    def test_negative_simulate_seed_is_two_and_named(self, tmp_path, capsys):
+        out = tmp_path / "scene.jsonl"
+        assert main(["simulate", "--seed", "-1", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err == "vicount: data error: seed must be at least 0, got -1\n"
 
 
 class TestGoldenTransport:

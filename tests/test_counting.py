@@ -194,24 +194,29 @@ class TestStep:
         assert dict(record.associations) == {0: 0, 1: 1}
 
     # _assign's path search never ends on a non-finite cost, and the first two calls
-    # reached it. Each runs in a fresh interpreter, so that a regression fails by
-    # timeout instead of hanging the suite, with warnings raised as errors.
+    # reached it; MemoryState refuses a non-finite template before any step. Each runs
+    # in a fresh interpreter, so that a regression fails by timeout instead of hanging
+    # the suite, with warnings raised as errors.
     @pytest.mark.parametrize("call, message", [
         pytest.param("step(MemoryState([[1.0, 0.0], [0.0, 1.0]], [1, 1], [1, 1], [0, 1], 2), "
                      "[[nan, 0.0], [nan, 1.0], [0.6, 0.8]], McpConfig())",
                      "features[0, 0] must be finite, got nan", id="nan-feature"),
         pytest.param("step(MemoryState([[nan, 0.0], [0.0, 1.0]], [1, 1], [1, 1], [0, 1], 2), "
                      "[[1.0, 0.0], [0.0, 1.0]], McpConfig())",
-                     "features[0]: cost against memory entry 0 must be finite, got nan",
-                     id="nan-template"),
+                     "templates[0, 0] must be finite, got nan", id="nan-template"),
         pytest.param("step(MemoryState([[1e200, 1e200], [0.0, 1.0]], [1, 1], [1, 1], [0, 1], 2), "
                      "[[1e200, 1e200], [1.0, 0.0]], McpConfig())",
                      "features[0]: cost against memory entry 0 must be finite, got -inf",
                      id="overflow"),
+        pytest.param("template_cost(Detection((0.0, 0.0), [1e200, 1e200]), "
+                     "TemplateEntry(0, [[1e200, 1e200]], 1))",
+                     "features[0]: cost against memory entry 0 must be finite, got -inf",
+                     id="template-cost-overflow"),
     ])
     def test_a_non_finite_feature_or_cost_is_refused(self, call, message):
         code = ("import warnings\nwarnings.simplefilter('error')\nfrom math import nan\n"
-                "from vicount import DataError, McpConfig, MemoryState, step\n"
+                "from vicount import DataError, Detection, McpConfig, MemoryState, step\n"
+                "from vicount import TemplateEntry, template_cost\n"
                 f"try:\n    {call}\nexcept DataError as exc:\n    print(exc)\n")
         path = [str(Path(counting.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}

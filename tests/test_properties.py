@@ -7,6 +7,7 @@ against json's on edge literals."""
 
 import json
 import math
+import re
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -587,25 +588,27 @@ class TestStreamFileProperties:
         self._assert_written_as_reference(DetectionStream((frame,), 1.0), tmp_path)
 
     @pytest.mark.parametrize("frame_index, ids, timestamp", [
-        (2**64 + 1, [0, 1], 0.0),
-        (1, [2**64 - 1, 2**63], 0.0),
-        (1, [2**64, None], 0.0),
-        (1, [2**70, 0], 0.0),
+        (2**63 - 1, [0, 1], 0.0),
+        (1, [2**63 - 1, 2**63 - 2], 0.0),
+        (1, [2**63 - 1, None], 0.0),
+        (1, [0, 2**63 - 1], 0.0),
         (1, [0, None], 5e-324),
         (1, [0, 1], 9.999999999999999e-05),
         (1, [None, 1], 1e-4),
         (1, [0, 1], 9999999999999998.0),
         (1, [0, 1], 1e16),
-        (2**64 + 1, [2**64, None], -1e16),
+        (2**63 - 1, [2**63 - 1, None], -1e16),
     ])
     def test_ints_and_times_at_orjsons_limits_are_written_as_json_does(self, tmp_path,
                                                                        frame_index, ids,
                                                                        timestamp):
-        # orjson refuses an int of 2**64 or more, and prints a time outside
+        # a frame index or id holds at most 2**63 - 1, and orjson prints a time outside
         # 1e-4 <= |t| < 1e16 unlike repr; a tiny coordinate puts a null in the line too
         frame = FrameRecord(frame_index, timestamp, [(1e-5, 2.0), (3.0, 1e17)],
                             [[0.6, 0.8], [1.0, 1e-20]], [1, 1], [0, 1], ids)
-        self._assert_written_as_reference(DetectionStream((frame,), 1.0), tmp_path)
+        stream = DetectionStream((frame,), 1.0)
+        self._assert_written_as_reference(stream, tmp_path)
+        assert parse_stream(tmp_path / "got.jsonl") == stream
 
     def test_floats_over_every_binary_exponent_are_written(self, tmp_path):
         # 2**20 coordinates: a quarter over every exponent, subnormals included, and the rest
@@ -633,7 +636,7 @@ class TestStreamFileProperties:
         frames = []
         for k in range(len(coordinates) // n):
             rows = slice(k * n, (k + 1) * n)
-            ids = rng.integers(0, 2**64, size=n, dtype=np.uint64).tolist() if k % 2 else None
+            ids = rng.integers(2**62, 2**63, size=n).tolist() if k % 2 else None
             frames.append(FrameRecord(k + 1, k * 1e-5, coordinates[rows], features[rows],
                                       [1] * n, rng.integers(0, 2, size=n), ids))
         stream = DetectionStream(tuple(frames), 1e-5)
@@ -641,9 +644,9 @@ class TestStreamFileProperties:
 
     def test_no_frame_line_holds_the_letter_l(self, tmp_path):
         # write_stream finds each null orjson prints by its l, so no key or number may hold one
-        frame = FrameRecord(2**63, 1e300, [(-1e-300, 5e-324), (1.5, -1.7976931348623157e308)],
+        frame = FrameRecord(2**63 - 1, 1e300, [(-1e-300, 5e-324), (1.5, -1.7976931348623157e308)],
                             [[1.0, -1e-200, 0.0], [-0.0, 0.6, -0.8]], [1, 1], [0, 1],
-                            [None, 2**64 - 1])
+                            [None, 2**63 - 1])
         stream = DetectionStream((frame,), 1.0)
         path = tmp_path / "stream.jsonl"
         write_stream(stream, path)
@@ -815,6 +818,15 @@ def _outcome(path):
     ]
 
 
+_NUMBER = re.compile(r"(-?\d+)(\.\d+)?([eE][-+]?\d+)?")
+
+
+def _past_64_bits(lines) -> bool:
+    """Whether the lines hold an integer literal outside [-2**63, 2**64)."""
+    return any(not (m[2] or m[3]) and not -2**63 <= int(m[1]) < 2**64
+               for line in lines for m in _NUMBER.finditer(line))
+
+
 class TestDecoderProperties:
     @settings(max_examples=500, deadline=None, derandomize=True, database=None)
     @given(st.data())
@@ -826,4 +838,11 @@ class TestDecoderProperties:
             got = _outcome(path)
             with mock.patch.object(streamio, "_decode", json.loads):
                 want = _outcome(path)
-        assert got == want, lines
+        if _past_64_bits(lines) and got != want:
+            # orjson reads such a literal as a float, and a message prints it so: both
+            # sides must refuse the stream, with one exception type, at one line
+            assert isinstance(want[0], type) and got[0] is want[0], lines
+            line = want[1].removeprefix(f"{path}:").split(":")[0]
+            assert line.isdigit() and got[1].startswith(f"{path}:{line}: "), lines
+        else:
+            assert got == want, lines

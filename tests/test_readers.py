@@ -3,10 +3,11 @@
 The readers' shortcuts for the common case (a frame's ids read as one array, a
 block of rows already unit kept as it is) give what the full read gives.
 
-A string, a truth value, a fraction where an integer is due, for a scalar, a
-cost matrix or step's features a NaN, and for a weak label anything but an
-integer 0 or 1 are refused with the entry point's documented exception, and the
-message names the argument. A guard keeps every other module from
+A string, a truth value, a fraction or an int past 64 bits where an integer is
+due, for a scalar, a cost matrix, a memory's templates or a detection's
+features a NaN, and for a weak label anything but an integer 0 or 1 are
+refused with the entry point's documented exception, and the message names
+the argument. A guard keeps every other module from
 casting an argument with an explicit dtype, which would read such values
 silently.
 """
@@ -31,9 +32,10 @@ from vicount.stream import _unit_rows
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "vicount"
 
-BAD = {"string": "1", "bool": True, "fraction": 0.5, "nan": math.nan, "two": 2, "whole": 1.0}
+BAD = {"string": "1", "bool": True, "fraction": 0.5, "nan": math.nan, "past": 2**63, "two": 2,
+       "whole": 1.0}
 REAL = ("string", "bool", "nan")  # a real scalar, or an array that must be finite
-INTEGER = ("string", "bool", "fraction", "nan")
+INTEGER = ("string", "bool", "fraction", "nan", "past")  # an integer of 64 bits
 BITS = (*INTEGER, "two", "whole")  # a weak label: an integer 0 or 1
 ROWS = ("string", "bool")  # a real array kept or read as is: NaN is not refused there
 
@@ -57,7 +59,7 @@ ENTRY_POINTS = [
                 "max_base_similarity")],
     ("SimConfig", "scene_size", DataError, REAL, lambda v: SimConfig(scene_size=(10.0, v))),
     *[("SimConfig", f, DataError, INTEGER, lambda v, f=f: SimConfig(**{f: v}))
-      for f in ("num_identities", "num_frames", "feature_dim")],
+      for f in ("num_identities", "num_frames", "feature_dim", "seed")],
     ("McpConfig", "zeta", DataError, REAL, lambda v: McpConfig(zeta=v)),
     *[("McpConfig", f, DataError, INTEGER, lambda v, f=f: McpConfig(**{f: v}))
       for f in ("ttl_max", "mem_max")],
@@ -88,15 +90,15 @@ ENTRY_POINTS = [
      lambda v: SimilarityBlocks(np.eye(2), 1, perm_j=[1, v])),
     ("random_similarity_blocks", "n_i", DataError, INTEGER,
      lambda v: random_similarity_blocks(np.random.default_rng(0), v, 2, 1)),
-    ("MemoryState", "templates", DataError, ROWS, lambda v: _memory(templates=[[v, 1.0]])),
+    ("MemoryState", "templates", DataError, REAL, lambda v: _memory(templates=[[v, 1.0]])),
     *[("MemoryState", f, DataError, INTEGER, lambda v, f=f: _memory(**{f: [v]}))
       for f in ("fill", "ttl", "entry_id")],
     ("MemoryState", "next_entry_id", DataError, INTEGER, lambda v: _memory(next_entry_id=v)),
     ("step", "features", DataError, REAL,
      lambda v: step(MemoryState.empty(), [[v, 1.0]], McpConfig())),
-    ("template_cost", "features", DataError, ROWS,
+    ("template_cost", "features", DataError, REAL,
      lambda v: template_cost(Detection((0.0, 0.0), [v, 1.0]), ENTRY)),
-    ("template_cost", "templates", DataError, ROWS,
+    ("template_cost", "templates", DataError, REAL,
      lambda v: template_cost(DETECTION, TemplateEntry(0, [[v, 1.0]], 1))),
     ("template_cost", "ttl", DataError, INTEGER,
      lambda v: template_cost(DETECTION, TemplateEntry(0, [[1.0, 0.0]], v))),
@@ -158,6 +160,10 @@ REPROS = [
      lambda: contrastive_similarity(BLOCKS, "10")),
     ("template_cost-bool-template", "templates", DataError,
      lambda: template_cost(DETECTION, TemplateEntry(0, [[True, 0.0]], 1))),
+    *[(f"SimConfig-scene_size-{name}", "scene_size", DataError,
+       lambda size=size: SimConfig(scene_size=size))
+      for name, size in (("triple", (1.0, 2.0, 3.0)), ("single", (1.0,)), ("scalar", 5),
+                         ("none", None))],
 ]
 
 TABLE = [
@@ -225,6 +231,8 @@ def _frame_with_ids(ids):
     pytest.param([1, True], "det[1]: gt_id must be an integer, got True", id="bool"),
     pytest.param([3, -2**64], f"det[1]: gt_id must be at least 0, got {-2**64}",
                  id="negative-past-64-bits"),
+    pytest.param([0, 2**63], f"det[1]: gt_id must fit in 64 bits, got {2**63}",
+                 id="past-64-bits"),
 ])
 def test_a_bad_gt_id_is_named_by_its_detection(ids, message):
     with pytest.raises(DataError) as caught:
@@ -234,7 +242,7 @@ def test_a_bad_gt_id_is_named_by_its_detection(ids, message):
 
 @pytest.mark.parametrize("ids, want", [
     pytest.param([None, 3], (None, 3), id="none"),
-    pytest.param([2**64, 0], (2**64, 0), id="past-64-bits"),
+    pytest.param([2**63 - 1, 0], (2**63 - 1, 0), id="int64-edge"),
     pytest.param([np.int64(5), 7.0, 1], (5, 7, 1), id="numpy-and-whole-float"),
     pytest.param([], (), id="empty"),
 ])
