@@ -22,6 +22,8 @@ from .stream import (Detection, DetectionStream, _all_finite, _array, _as_int, _
                      _finite, _read_only)
 
 _AGGREGATORS = ("max", "min", "mean")
+# next_entry_id lies above every entry id and fits in 64 bits, so this is the last id.
+_LAST_ENTRY_ID = 2**63 - 2
 
 
 @dataclass(frozen=True)
@@ -97,6 +99,8 @@ class MemoryState:
                 raise DataError(f"{name} has shape {arr.shape}, expected {self.fill.shape}")
         if (self.ttl < 0).any():
             raise DataError("every ttl must be non-negative")
+        if (self.entry_id > _LAST_ENTRY_ID).any():
+            raise DataError(f"entry_id must be at most 2**63 - 2, got {self.entry_id.max()}")
         object.__setattr__(self, "next_entry_id", _as_int(self.next_entry_id, "next_entry_id", 0))
         # So no id is handed out twice; every memory step builds meets it, as kept
         # entries keep their order and fresh ids count up from next_entry_id.
@@ -248,6 +252,9 @@ def step(memory: MemoryState, features, cfg: McpConfig) -> tuple[MemoryState, St
     ttl = np.concatenate((np.where(matched, cfg.ttl_max, memory.ttl - 1)[kept],
                           np.full(len(fresh), cfg.ttl_max, dtype=np.intp)))
     next_id = memory.next_entry_id
+    if next_id + len(fresh) > _LAST_ENTRY_ID + 1:
+        raise DataError(f"no entry id is left for {len(fresh)} fresh entries "
+                        f"from next_entry_id {next_id}; the last is 2**63 - 2")
     new_ids = np.arange(next_id, next_id + len(fresh), dtype=np.intp)
     entry_id = np.concatenate((memory.entry_id[kept], new_ids))
     # Handed over read-only, so the new memory keeps these arrays instead of copies.

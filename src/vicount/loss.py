@@ -16,8 +16,8 @@ import numpy as np
 
 from .assignment import _check_cost, hungarian
 from .errors import DataError, NumericalError
-from .stream import (DetectionStream, SimilarityBlocks, _array, _as_int, _finite, _read_only,
-                     partition_similarity)
+from .stream import (DetectionStream, SimilarityBlocks, _all_finite, _array, _as_int, _finite,
+                     _read_only, partition_similarity)
 
 
 @dataclass(frozen=True)
@@ -114,33 +114,34 @@ def _solve(neg_cost: np.ndarray, reg: float, max_iters: int, tol: float) -> Tran
     after that; an entry that overflows raises NumericalError. Two more
     m-by-m arrays live through the solve, the kernel and its square, and
     the plan is written over the kernel once, when the loop ends.
+
+    The solve has one floating-point policy, overflow and invalid operations
+    unwarned: an infinite exponential or sum sends a sweep to the log domain
+    or gives a Newton trial a violation that is never accepted.
     """
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         mr = np.divide(neg_cost, reg, out=neg_cost)
-    if not np.isfinite(mr).all():
-        raise NumericalError(f"reg {reg!r} is too small: -cost / reg overflows")
-    # Negative costs under a small reg overflow here; an infinite row sum
-    # sends the first sweep to the log domain.
-    with np.errstate(over="ignore"):
+        if not np.isfinite(mr).all():
+            raise NumericalError(f"reg {reg!r} is too small: -cost / reg overflows")
         scaled = _ScaledPlan(mr, np.exp(mr))
-    iters = 0
-    r, c = scaled.row_sums(), scaled.col_sums()
-    err = _violation(r, c)
-    while not err < tol and iters < max_iters:
-        sweeps = 1
-        if iters >= 5:
-            accepted = scaled.newton_step(r, c, err)
-            iters += 1
-            if accepted is not None:
-                r, c, err = accepted
-                continue
-            sweeps = min(20, max_iters - iters)
-        for _ in range(sweeps):
-            r = scaled.sweep(r)
-        iters += sweeps
-        c = scaled.col_sums()
+        iters = 0
+        r, c = scaled.row_sums(), scaled.col_sums()
         err = _violation(r, c)
-    return TransportPlan(scaled.plan(), err < tol, iters)
+        while not err < tol and iters < max_iters:
+            sweeps = 1
+            if iters >= 5:
+                accepted = scaled.newton_step(r, c, err)
+                iters += 1
+                if accepted is not None:
+                    r, c, err = accepted
+                    continue
+                sweeps = min(20, max_iters - iters)
+            for _ in range(sweeps):
+                r = scaled.sweep(r)
+            iters += sweeps
+            c = scaled.col_sums()
+            err = _violation(r, c)
+        return TransportPlan(scaled.plan(), err < tol, iters)
 
 
 # A cell that underflowed at the last exponential stays below
@@ -187,14 +188,13 @@ class _ScaledPlan:
     def _exp(self, f, g, out):
         """exp(mr + f[:, None] + g[None, :]) written into out, which is returned.
 
-        An overflow gives an infinite cell. out is the kernel or squared, so
-        either way squared no longer holds the kernel's square.
+        An overflow gives an infinite cell, as _solve allows. out is the kernel
+        or squared, so either way squared no longer holds the kernel's square.
         """
         np.add(self.mr, f[:, None], out=out)
         out += g[None, :]
         self.squared_ready = False
-        with np.errstate(over="ignore"):
-            return np.exp(out, out=out)
+        return np.exp(out, out=out)
 
     def _restart(self):
         """The kernel has just been exponentiated at f and g: unit scalings, no drift.
@@ -324,7 +324,7 @@ def round_to_permutation(omega) -> np.ndarray:
 
 
 def _contrastive_parts(s: np.ndarray, m: int, scale: float):
-    """Shifted exponentials with their marginal sums and the m-by-m contrast matrix.
+    """Shifted exponentials, their shared block and its denominators, and the contrast matrix.
 
     The global shift cancels in every ratio downstream, so overflow is
     avoided without changing any result. A shared entry whose whole row and
@@ -334,10 +334,8 @@ def _contrastive_parts(s: np.ndarray, m: int, scale: float):
     e = np.multiply(s, scale)
     e -= np.max(e)
     np.exp(e, out=e)
-    row = e.sum(axis=1)
-    col = e.sum(axis=0)
     e0 = e[:m, :m]
-    denom = np.add(row[:m, None], col[None, :m])
+    denom = np.add(e.sum(axis=1)[:m, None], e.sum(axis=0)[None, :m])
     denom -= e0
     if not np.all(denom > 0):
         i, j = np.unravel_index(np.argmin(denom), denom.shape)
@@ -345,7 +343,7 @@ def _contrastive_parts(s: np.ndarray, m: int, scale: float):
             f"contrastive similarity underflows at temperature {scale:g}: "
             f"shared row {i} and column {j} have no mass left"
         )
-    return e, row, col, e0, denom, e0 / denom
+    return e, e0, denom, e0 / denom
 
 
 def contrastive_similarity(blocks: SimilarityBlocks, temperature: float) -> np.ndarray:
@@ -405,18 +403,15 @@ def supervised_contrastive_loss(
     """Contrastive loss when the shared-individual correspondence is known.
 
     association[u] gives the column matched to shared row u and must be a
-    permutation of the shared block. Scores the negative contrast of the
-    given pairs, averaged over m; with a clean correspondence this is the
-    floor the soft loss approaches.
+    permutation of the shared block. The score is frozen_plan_loss's
+    contrastive term at the permutation plan; with a clean correspondence
+    this is the floor the soft loss approaches.
     """
     m = blocks.m
     perm = _array(association, "association", 1, integer=True)
     if not np.array_equal(np.sort(perm), np.arange(m)):
         raise DataError(f"association must be a permutation of range({m})")
-    if m == 0:
-        return 0.0
-    c = _contrastive_parts(blocks.full, m, cfg.temperature)[-1]
-    return -float(np.sum(c[np.arange(m), perm])) / m
+    return _plan_contrast(blocks, np.eye(m)[perm], cfg) if m else 0.0
 
 
 def hinge_loss(s3, threshold: float) -> float:
@@ -444,16 +439,16 @@ class PairObjective:
 
 
 def pair_objective(blocks: SimilarityBlocks, cfg: LossConfig) -> PairObjective:
-    """One adjacent pair's group matching objective: its soft contrastive loss plus
-    its hinge, added in that order here and nowhere else."""
+    """One adjacent pair's group matching objective: the two terms of a solved pair,
+    its soft contrastive loss plus its hinge, added in that order here and nowhere else."""
     sc = soft_contrastive_loss(blocks, cfg)
     hinge = _hinge(blocks.s3, cfg.hinge_threshold)
     return PairObjective(sc.loss, hinge, sc.loss + hinge, sc.plan)
 
 
 def _held_plan(blocks: SimilarityBlocks, omega, cfg: LossConfig):
-    """The plan as an m-by-m array, checked, with the pair's _contrastive_parts."""
-    omega = _array(omega, "omega", 2)
+    """The plan as a finite m-by-m array, checked, with the pair's _contrastive_parts."""
+    omega = _all_finite(_array(omega, "omega", 2), "omega")
     if omega.shape != (blocks.m, blocks.m):
         raise DataError(f"plan shape {omega.shape} does not match shared count {blocks.m}")
     return omega, _contrastive_parts(blocks.full, blocks.m, cfg.temperature)
@@ -467,10 +462,13 @@ def frozen_plan_loss(blocks: SimilarityBlocks, omega, cfg: LossConfig) -> float:
     checks of loss_gradient.
     """
     hinge = _hinge(blocks.s3, cfg.hinge_threshold)
-    if blocks.m == 0:
-        return hinge
+    return _plan_contrast(blocks, omega, cfg) + hinge if blocks.m else hinge
+
+
+def _plan_contrast(blocks: SimilarityBlocks, omega, cfg: LossConfig) -> float:
+    """-sum(omega * C) / m for the pair's contrast matrix C: the one score of a held plan."""
     omega, parts = _held_plan(blocks, omega, cfg)
-    return -float(np.sum(omega * parts[-1])) / blocks.m + hinge
+    return -float(np.sum(omega * parts[-1])) / blocks.m
 
 
 def group_matching_loss(pairs, cfg: LossConfig) -> float:
@@ -494,7 +492,7 @@ def loss_gradient(blocks: SimilarityBlocks, omega, cfg: LossConfig) -> np.ndarra
     m = blocks.m
     if m == 0:
         raise DataError("no shared individuals")
-    omega, (e, _, _, e0, denom, _) = _held_plan(blocks, omega, cfg)
+    omega, (e, e0, denom, _) = _held_plan(blocks, omega, cfg)
     n_i, n_j = blocks.full.shape
     # d(-sum(omega*C))/dS splits into a direct term on the shared block and
     # competitor terms wherever an entry shares a row or column with it.

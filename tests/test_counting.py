@@ -66,6 +66,13 @@ class TestTemplateCost:
         costs = [template_cost(Detection((0.0, 0.0), E0), entry) for entry in memory.entries]
         assert costs == pytest.approx([1.0, 0.0], abs=1e-15)
 
+    def test_entry_ids_up_to_the_last(self):
+        detection = Detection((0.0, 0.0), E0)
+        last = TemplateEntry(2**63 - 2, _rows(E0), 1)
+        assert template_cost(detection, last) == pytest.approx(0.0, abs=1e-15)
+        with pytest.raises(DataError, match=r"entry_id must be at most 2\*\*63 - 2"):
+            template_cost(detection, TemplateEntry(2**63 - 1, _rows(E0), 1))
+
     def test_unknown_aggregator(self):
         with pytest.raises(DataError):
             self._cost([[1.0, 0.0]], "median")
@@ -183,6 +190,16 @@ class TestStep:
         memory, record = step(memory, _rows(E1), McpConfig())
         assert record.new_entry_ids == (6,)
         assert memory.entry_id.tolist() == [5, 6] and memory.next_entry_id == 7
+
+    def test_the_last_entry_id_is_handed_out_and_then_none_is_left(self):
+        last = 2**63 - 2
+        memory = MemoryState(np.zeros((0, 0)), [], [], [], last)
+        memory, record = step(memory, _rows(E1), McpConfig())
+        assert record.new_entry_ids == (last,) and memory.next_entry_id == last + 1
+        memory, record = step(memory, _rows(E1), McpConfig())
+        assert record.associations == ((0, last),)
+        with pytest.raises(DataError, match="no entry id is left for 1 fresh entries"):
+            step(memory, _rows(E1, E0), McpConfig())
 
     def test_greedy_conflicts_resolved_jointly(self):
         # both detections are individually closest to entry 0; a per-detection
@@ -326,6 +343,12 @@ class TestMemoryStateValidation:
         templates, fill, ttl, _ = _two_entries()
         with pytest.raises(DataError, match="entry_id must increase strictly"):
             MemoryState(templates, fill, ttl, entry_id, next_entry_id)
+
+    def test_entry_id_past_the_last_is_refused(self):
+        # its next_entry_id, 2**63, would not fit in 64 bits
+        with pytest.raises(DataError, match=r"entry_id must be at most 2\*\*63 - 2, got "
+                                            "9223372036854775807"):
+            MemoryState(np.array([[1.0, 0.0]]), [1], [1], [2**63 - 1], 2**63)
 
     def test_an_id_step_would_hand_out_again(self):
         # step would number its fresh entry 5 too, and match two detections to "entry 5"

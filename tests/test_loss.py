@@ -308,6 +308,40 @@ class TestSinkhorn:
         assert np.max(np.abs(plan.omega.sum(axis=1) - 1.0)) < tol
         assert np.max(np.abs(plan.omega.sum(axis=0) - 1.0)) < tol
 
+    def test_an_overflowing_newton_trial_is_rejected(self, monkeypatch):
+        # at reg 1e-3 some Newton trials of this cost pass the drift bound
+        # and their fresh exponential overflows, in a cell or in a row or
+        # column sum; each is rejected without a warning, and the solve goes on
+        cost = np.random.default_rng(29).uniform(0, 1, (40, 40))
+        overflowed, accepted = [], []
+        exp, newton_step = _ScaledPlan._exp, _ScaledPlan.newton_step
+
+        def record_trial(self, f, g, out):
+            trial = exp(self, f, g, out)
+            if sys._getframe(1).f_code.co_name == "newton_step":
+                with np.errstate(over="ignore"):
+                    sums = np.concatenate((trial.sum(axis=1), trial.sum(axis=0)))
+                overflowed.append(not np.isfinite(sums).all())
+            return trial
+
+        def record_step(self, r, c, err):
+            out = newton_step(self, r, c, err)
+            if out is not None:
+                accepted.append(np.isfinite(self.kernel).all() and np.isfinite(out[2]))
+            return out
+
+        monkeypatch.setattr(_ScaledPlan, "_exp", record_trial)
+        monkeypatch.setattr(_ScaledPlan, "newton_step", record_step)
+        tol = LossConfig().sinkhorn_tol
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            plan = sinkhorn(cost, 1e-3, tol=tol)
+        assert any(overflowed)
+        assert accepted and all(accepted)
+        assert plan.converged
+        assert np.max(np.abs(plan.omega.sum(axis=1) - 1.0)) < tol
+        assert np.max(np.abs(plan.omega.sum(axis=0) - 1.0)) < tol
+
     def test_deterministic(self):
         cost = np.random.default_rng(34).uniform(0, 1, (7, 7))
         p1 = sinkhorn(cost, reg=0.02)
@@ -495,6 +529,20 @@ class TestSupervisedContrastiveLoss:
                 for perm in itertools.permutations(range(3))
             )
             assert best <= soft + 1e-5
+
+    def test_is_the_frozen_plan_contrast_at_the_permutation_plan(self):
+        # the m-by-m plan is summed where the given pairs alone used to be,
+        # so the two sums differ only in rounding
+        rng = np.random.default_rng(38)
+        cfg = LossConfig()
+        for m in range(1, 40):
+            blocks = random_similarity_blocks(rng, m + 2, m + 1, m)
+            perm = rng.permutation(m)
+            sup = supervised_contrastive_loss(blocks, perm, cfg)
+            hinge = hinge_loss(blocks.s3, cfg.hinge_threshold)
+            assert sup + hinge == frozen_plan_loss(blocks, np.eye(m)[perm], cfg)
+            c = contrastive_similarity(blocks, cfg.temperature)
+            assert abs(sup + np.sum(c[np.arange(m), perm]) / m) <= 1e-15
 
     def test_rejects_non_permutation(self):
         blocks = SimilarityBlocks(np.eye(3), 3)

@@ -4,12 +4,11 @@ The readers' shortcuts for the common case (a frame's ids read as one array, a
 block of rows already unit kept as it is) give what the full read gives.
 
 A string, a truth value, a fraction or an int past 64 bits where an integer is
-due, for a scalar, a cost matrix, a memory's templates or a detection's
-features a NaN, and for a weak label anything but an integer 0 or 1 are
-refused with the entry point's documented exception, and the message names
-the argument. A guard keeps every other module from
-casting an argument with an explicit dtype, which would read such values
-silently.
+due, for a scalar, a cost matrix, a held transport plan, a memory's templates
+or a detection's features a NaN, and for a weak label anything but an integer
+0 or 1 are refused with the entry point's documented exception, and the
+message names the argument. A guard keeps every other module from casting an
+argument with an explicit dtype, which would read such values silently.
 """
 
 import ast
@@ -120,9 +119,9 @@ ENTRY_POINTS = [
      lambda v: contrastive_similarity(BLOCKS, v)),
     ("hinge_loss", "threshold", DataError, REAL, lambda v: hinge_loss(C, v)),
     ("hinge_loss", "s3", DataError, ROWS, lambda v: hinge_loss([[v, 0.5]], 0.2)),
-    ("frozen_plan_loss", "omega", DataError, ROWS,
+    ("frozen_plan_loss", "omega", DataError, REAL,
      lambda v: frozen_plan_loss(BLOCKS, [[v, 0.0], [0.0, 1.0]], CFG)),
-    ("loss_gradient", "omega", DataError, ROWS,
+    ("loss_gradient", "omega", DataError, REAL,
      lambda v: loss_gradient(BLOCKS, [[v, 0.0], [0.0, 1.0]], CFG)),
     ("supervised_contrastive_loss", "association", DataError, INTEGER,
      lambda v: supervised_contrastive_loss(BLOCKS, (v, 1), CFG)),
