@@ -103,27 +103,37 @@ def sinkhorn(cost, reg: float, max_iters: int = LossConfig.sinkhorn_max_iters,
     reg = _finite(reg, "reg", "(0, inf)", NumericalError)
     max_iters = _as_int(max_iters, "max_iters", 0, NumericalError)
     tol = _finite(tol, "tol", "(0, inf)", NumericalError)
-    return _solve(np.negative(arr), reg, max_iters, tol)
+    return _solve(np.negative(arr), 0.0, reg, max_iters, tol)
 
 
-def _solve(neg_cost: np.ndarray, reg: float, max_iters: int, tol: float) -> TransportPlan:
-    """The solve sinkhorn describes, for the negated cost matrix neg_cost.
+def _log_kernel(x: np.ndarray, shift: float, reg: float, out: np.ndarray) -> np.ndarray:
+    """A solve's log-kernel -cost / reg, as (x - shift) / reg, written into out and returned."""
+    np.subtract(x, shift, out=out)
+    return np.divide(out, reg, out=out)
 
-    neg_cost is non-empty, square and of finite entries. It is divided by
-    reg in place into the log-kernel mr = -cost / reg, which is only read
-    after that; an entry that overflows raises NumericalError. Two more
-    m-by-m arrays live through the solve, the kernel and its square, and
-    the plan is written over the kernel once, when the loop ends.
+
+def _solve(x: np.ndarray, shift: float, reg: float, max_iters: int,
+           tol: float) -> TransportPlan:
+    """The solve sinkhorn describes, for the cost shift - x.
+
+    x is non-empty, square and of finite entries, and is only read: the
+    negated cost with shift 0, or a contrast matrix C with shift 1 for the
+    cost 1 - C. No copy of the log-kernel is kept: _log_kernel computes it
+    into the buffer that needs it, the kernel before an exponential or a
+    log-domain sweep half. An entry of it that overflows raises
+    NumericalError. Two m-by-m arrays live through the solve beside x, the
+    kernel and its square, and the plan is written over the kernel once,
+    when the loop ends.
 
     The solve has one floating-point policy, overflow and invalid operations
     unwarned: an infinite exponential or sum sends a sweep to the log domain
     or gives a Newton trial a violation that is never accepted.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        mr = np.divide(neg_cost, reg, out=neg_cost)
-        if not np.isfinite(mr).all():
+        kernel = _log_kernel(x, shift, reg, np.empty_like(x))
+        if not np.isfinite(kernel).all():
             raise NumericalError(f"reg {reg!r} is too small: -cost / reg overflows")
-        scaled = _ScaledPlan(mr, np.exp(mr))
+        scaled = _ScaledPlan(x, shift, reg, np.exp(kernel, out=kernel))
         iters = 0
         r, c = scaled.row_sums(), scaled.col_sums()
         err = _violation(r, c)
@@ -152,7 +162,8 @@ _REANCHOR_DRIFT = 100.0
 class _ScaledPlan:
     """One solve's plan a[:, None] * kernel * b[None, :] and its potentials f and g.
 
-    kernel is exp(mr + f + g) at the potentials of the last exponential, and
+    kernel is exp(mr + f + g) at the potentials of the last exponential,
+    where the log-kernel mr = (x - shift) / reg is computed afresh, and
     the scalings a and b carry every move of f and g since then, so the
     plan's row sums a * (kernel @ b) and column sums b * (a @ kernel) are
     matrix-vector products and no m-by-m array is written between
@@ -161,9 +172,9 @@ class _ScaledPlan:
     squared_ready is set; each fresh exponential clears it.
     """
 
-    def __init__(self, mr: np.ndarray, kernel: np.ndarray):
-        n = mr.shape[0]
-        self.mr = mr
+    def __init__(self, x: np.ndarray, shift: float, reg: float, kernel: np.ndarray):
+        n = x.shape[0]
+        self.x, self.shift, self.reg = x, shift, reg
         self.kernel = kernel
         self.squared = np.empty_like(kernel)
         self.squared_ready = False
@@ -191,7 +202,8 @@ class _ScaledPlan:
         An overflow gives an infinite cell, as _solve allows. out is the kernel
         or squared, so either way squared no longer holds the kernel's square.
         """
-        np.add(self.mr, f[:, None], out=out)
+        _log_kernel(self.x, self.shift, self.reg, out)
+        out += f[:, None]
         out += g[None, :]
         self.squared_ready = False
         return np.exp(out, out=out)
@@ -217,6 +229,8 @@ class _ScaledPlan:
         _REANCHOR_DRIFT, that half is taken in the log domain instead and
         the plan re-anchored as the exponential of the potentials, so no
         cell stays stuck at an underflowed 0, and the drift restarts at 0.
+        The log-domain half sums mr + g or mr + f in the kernel's buffer,
+        which the re-anchor overwrites.
         """
         for pot, other, scaling, axis in ((self.f, self.g, self.a, 1),
                                           (self.g, self.f, self.b, 0)):
@@ -229,7 +243,9 @@ class _ScaledPlan:
                 scaling /= sums
                 self.drift += shift
             else:
-                pot[:] = -_logsumexp(self.mr + np.expand_dims(other, 1 - axis), axis=axis)
+                logs = _log_kernel(self.x, self.shift, self.reg, self.kernel)
+                logs += np.expand_dims(other, 1 - axis)
+                pot[:] = -_logsumexp(logs, axis=axis)
                 self._exp(self.f, self.g, self.kernel)
                 self._restart()
         return self.row_sums()
@@ -324,16 +340,20 @@ def round_to_permutation(omega) -> np.ndarray:
 
 
 def _contrastive_parts(s: np.ndarray, m: int, scale: float):
-    """Shifted exponentials, their shared block and its denominators, and the contrast matrix.
+    """Shifted exponentials e of the scaled similarities and the shared block's denominators.
 
     The global shift cancels in every ratio downstream, so overflow is
-    avoided without changing any result. A shared entry whose whole row and
-    column underflow under the shift has no defined contrast and raises
-    NumericalError.
+    avoided without changing any result. The scaling, shift and exponential
+    run unwarned for overflow and invalid operations: a scaled entry or a
+    shifted one that overflows is infinite and its exponential 0 or NaN,
+    which the denominators' check reads. A shared entry whose whole row and
+    column underflow under the shift, or meet such a NaN, has no defined
+    contrast and raises NumericalError.
     """
-    e = np.multiply(s, scale)
-    e -= np.max(e)
-    np.exp(e, out=e)
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = np.multiply(s, scale)
+        e -= np.max(e)
+        np.exp(e, out=e)
     e0 = e[:m, :m]
     denom = np.add(e.sum(axis=1)[:m, None], e.sum(axis=0)[None, :m])
     denom -= e0
@@ -343,7 +363,13 @@ def _contrastive_parts(s: np.ndarray, m: int, scale: float):
             f"contrastive similarity underflows at temperature {scale:g}: "
             f"shared row {i} and column {j} have no mass left"
         )
-    return e, e0, denom, e0 / denom
+    return e, denom
+
+
+def _contrast(s: np.ndarray, m: int, scale: float) -> np.ndarray:
+    """The contrast matrix e0 / denom of _contrastive_parts, written over the denominators."""
+    e, denom = _contrastive_parts(s, m, scale)
+    return np.divide(e[:m, :m], denom, out=denom)
 
 
 def contrastive_similarity(blocks: SimilarityBlocks, temperature: float) -> np.ndarray:
@@ -358,7 +384,7 @@ def contrastive_similarity(blocks: SimilarityBlocks, temperature: float) -> np.n
     temperature = _finite(temperature, "temperature", "(0, inf)")
     if blocks.m == 0:
         raise DataError("no shared individuals")
-    return _contrastive_parts(blocks.full, blocks.m, temperature)[-1]
+    return _contrast(blocks.full, blocks.m, temperature)
 
 
 @dataclass(frozen=True)
@@ -384,10 +410,9 @@ def soft_contrastive_loss(blocks: SimilarityBlocks, cfg: LossConfig) -> SoftCont
     if m == 0:
         empty = TransportPlan(np.zeros((0, 0)), True, 0)
         return SoftContrastiveLoss(0.0, 0.0, empty)
-    c = _contrastive_parts(blocks.full, m, cfg.temperature)[-1]
-    # c - 1 is sinkhorn's -(1 - c) to the bit, and c is finite by construction
-    plan = _solve(np.subtract(c, 1.0), cfg.sinkhorn_reg, cfg.sinkhorn_max_iters,
-                  cfg.sinkhorn_tol)
+    c = _contrast(blocks.full, m, cfg.temperature)
+    # (c - 1) / reg is sinkhorn's -(1 - c) / reg to the bit, and c is finite by construction
+    plan = _solve(c, 1.0, cfg.sinkhorn_reg, cfg.sinkhorn_max_iters, cfg.sinkhorn_tol)
     if not plan.converged:
         raise NumericalError(
             f"transport solve for m={m} did not converge "
@@ -418,10 +443,10 @@ def hinge_loss(s3, threshold: float) -> float:
     """Mean penalty on outflow-vs-inflow similarities above a threshold.
 
     Averages max(0, s - threshold) over the s3 block; an empty block
-    contributes zero.
+    contributes zero. A NaN or infinite entry raises DataError naming it.
     """
     threshold = _finite(threshold, "threshold", "[0, 1)")
-    return _hinge(_array(s3, "s3", 2), threshold)
+    return _hinge(_all_finite(_array(s3, "s3", 2), "s3"), threshold)
 
 
 def _hinge(s3: np.ndarray, threshold: float) -> float:
@@ -446,12 +471,12 @@ def pair_objective(blocks: SimilarityBlocks, cfg: LossConfig) -> PairObjective:
     return PairObjective(sc.loss, hinge, sc.loss + hinge, sc.plan)
 
 
-def _held_plan(blocks: SimilarityBlocks, omega, cfg: LossConfig):
-    """The plan as a finite m-by-m array, checked, with the pair's _contrastive_parts."""
+def _held_plan(blocks: SimilarityBlocks, omega) -> np.ndarray:
+    """The plan as a finite m-by-m array, checked."""
     omega = _all_finite(_array(omega, "omega", 2), "omega")
     if omega.shape != (blocks.m, blocks.m):
         raise DataError(f"plan shape {omega.shape} does not match shared count {blocks.m}")
-    return omega, _contrastive_parts(blocks.full, blocks.m, cfg.temperature)
+    return omega
 
 
 def frozen_plan_loss(blocks: SimilarityBlocks, omega, cfg: LossConfig) -> float:
@@ -467,8 +492,8 @@ def frozen_plan_loss(blocks: SimilarityBlocks, omega, cfg: LossConfig) -> float:
 
 def _plan_contrast(blocks: SimilarityBlocks, omega, cfg: LossConfig) -> float:
     """-sum(omega * C) / m for the pair's contrast matrix C: the one score of a held plan."""
-    omega, parts = _held_plan(blocks, omega, cfg)
-    return -float(np.sum(omega * parts[-1])) / blocks.m
+    omega = _held_plan(blocks, omega)
+    return -float(np.sum(omega * _contrast(blocks.full, blocks.m, cfg.temperature))) / blocks.m
 
 
 def group_matching_loss(pairs, cfg: LossConfig) -> float:
@@ -492,7 +517,9 @@ def loss_gradient(blocks: SimilarityBlocks, omega, cfg: LossConfig) -> np.ndarra
     m = blocks.m
     if m == 0:
         raise DataError("no shared individuals")
-    omega, (e, e0, denom, _) = _held_plan(blocks, omega, cfg)
+    omega = _held_plan(blocks, omega)
+    e, denom = _contrastive_parts(blocks.full, m, cfg.temperature)
+    e0 = e[:m, :m]
     n_i, n_j = blocks.full.shape
     # d(-sum(omega*C))/dS splits into a direct term on the shared block and
     # competitor terms wherever an entry shares a row or column with it.

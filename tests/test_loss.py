@@ -104,6 +104,28 @@ class TestContrastiveSimilarity:
             with pytest.raises(NumericalError, match="underflows at temperature 1000"):
                 loss_gradient(blocks, np.ones((1, 1)), LossConfig(temperature=1000.0))
 
+    @pytest.mark.parametrize("call", [
+        lambda b, cfg: contrastive_similarity(b, cfg.temperature),
+        lambda b, cfg: frozen_plan_loss(b, np.eye(b.m), cfg),
+        lambda b, cfg: loss_gradient(b, np.eye(b.m), cfg),
+        soft_contrastive_loss,
+    ], ids=["contrastive_similarity", "frozen_plan_loss", "loss_gradient",
+            "soft_contrastive_loss"])
+    @pytest.mark.parametrize("top", [None, 2.0])
+    def test_an_overflowing_scale_or_shift_is_the_underflow_error(self, call, top):
+        # at temperature 1e308 the shift overflows to -inf for entries of
+        # opposite signs; an entry of 2 overflows in the scaling itself, and
+        # the shift then turns it into NaN
+        blocks = random_similarity_blocks(np.random.default_rng(0), 5, 6, 3)
+        if top is not None:
+            full = blocks.full.copy()
+            full[4, 5] = top
+            blocks = SimilarityBlocks(full, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=r"underflows at temperature 1e\+308"):
+                call(blocks, LossConfig(temperature=1e308))
+
 
 class TestSinkhorn:
     def test_recovers_obvious_permutation(self):
@@ -368,9 +390,9 @@ def _sweep_gap(cost, reg, sweeps=5):
     exp(-cost / reg); the gap is relative to the largest reference potential
     (or 1), the scale at which their rounding differs.
     """
-    mr = -np.asarray(cost, dtype=np.float64) / reg
+    neg = -np.asarray(cost, dtype=np.float64)
     with np.errstate(over="ignore"):
-        scaled = _ScaledPlan(mr, np.exp(mr))
+        scaled = _ScaledPlan(neg, 0.0, reg, np.exp(neg / reg))
     rows = scaled.row_sums()
     for _ in range(sweeps):
         rows = scaled.sweep(rows)
@@ -392,7 +414,7 @@ def _newton_step(plan):
 
     Returns the step's result and the _ScaledPlan, whose potentials started at zero.
     """
-    scaled = _ScaledPlan(np.log(plan), plan.copy())
+    scaled = _ScaledPlan(np.log(plan), 0.0, 1.0, plan.copy())
     return scaled.newton_step(plan.sum(axis=1), plan.sum(axis=0), np.inf), scaled
 
 
@@ -574,6 +596,15 @@ class TestHingeLoss:
         with pytest.raises(DataError):
             hinge_loss(np.zeros((1, 1)), -0.1)
 
+    @pytest.mark.parametrize("s3, name", [
+        ([[np.nan, 0.5]], r"s3\[0, 0\] must be finite, got nan"),
+        ([[0.5], [np.inf]], r"s3\[1, 0\] must be finite, got inf"),
+        ([[0.5, -np.inf]], r"s3\[0, 1\] must be finite, got -inf"),
+    ], ids=["nan", "inf", "-inf"])
+    def test_a_non_finite_entry_is_refused_and_named(self, s3, name):
+        with pytest.raises(DataError, match=name):
+            hinge_loss(s3, 0.2)
+
 
 class TestGroupMatchingLoss:
     def test_sums_pair_terms(self):
@@ -643,9 +674,28 @@ class TestPairObjective:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # 3.4 MiB of exponentials with a 1.45 MiB denominator and contrast beside them,
-        # then four m x m arrays in the solve: contrast, log-kernel, plan and trial plan
+        # 3.4 MiB of exponentials with a 1.45 MiB denominator, which the contrast is
+        # written over, then three m x m arrays in the solve: contrast, kernel and its square
         assert peak <= 6.5 * 2**20
+
+    def test_a_pair_holds_one_square_array_beside_its_exponentials(self):
+        # m = 399 of 485 x 718: the contrast phase holds the exponentials e, one
+        # m x m array of denominators that the contrast is written over, and a
+        # mask of it; the solve holds the contrast, the kernel and its square
+        stream = generate_scene(
+            SimConfig(num_identities=900, num_frames=3, feature_dim=64,
+                      feature_noise_sigma=0.1, seed=0)
+        )
+        blocks, _ = pair_blocks(stream)
+        (n_i, n_j), m = blocks.full.shape, blocks.m
+        assert (n_i, n_j, m) == (485, 718, 399)
+        tracemalloc.start()
+        try:
+            soft_contrastive_loss(blocks, LossConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * max(n_i * n_j + m * m, 3 * m * m) + m * m + 64 * 2**10
 
 
 class TestLossConfigValidation:
