@@ -4,13 +4,9 @@ Line one is a header: {"schema": 1, "dim": D, "delta": seconds}. Every
 following line is one frame: {"frame": k, "t": seconds, "det": [...],
 "in": [...], "out": [...]}, where each detection object carries "x", "y",
 "f" (the feature vector), and optionally "id" (ground-truth identity).
-Serialization is deterministic (fixed key order, shortest round-tripping
-float form), and write followed by parse reproduces the stream exactly.
-
-The writer prints the bytes json.dumps would: repr of the header's numbers, and one orjson
-call for each frame line, its feature rows as row views of an array. orjson prints some
-floats unlike repr (nonzero |x| < 1e-4 and |x| >= 1e16); each goes in as NaN, printed null,
-and each null is then replaced in line order by repr of the value.
+Serialization is deterministic (fixed key order, orjson's shortest round-tripping
+float form, such as 0.00001 and 1e16), and write followed by parse reproduces the
+stream exactly. A file in json.dumps' float form (1e-05, 1e+16) parses the same.
 
 The parser decodes each line with orjson, about five times faster than json on
 feature-heavy lines and correctly rounded like it. json, whose error messages the parser
@@ -30,58 +26,24 @@ from .errors import DataError, StreamFormatError
 from .stream import DetectionStream, FrameRecord, _as_int, _finite
 
 SCHEMA_VERSION = 1
-
-
-def _misprinted(values: np.ndarray) -> np.ndarray:
-    """Where orjson prints a float unlike repr: nonzero |x| < 1e-4 and |x| >= 1e16."""
-    size = np.abs(values)
-    return (size < 1e-4) & (size != 0.0) | (size >= 1e16)
-
-
-def _frame_line(frame: FrameRecord) -> list:
-    """The bytes json.dumps prints for a frame's line, newline included, as parts to write.
-
-    One orjson call prints the line, its feature rows as row views of one (n, 2 + D) array
-    of coordinates and features and its bits as the frame's intp arrays. orjson prints +-0
-    and every float with 1e-4 <= |x| < 1e16 as repr does, and other floats differently
-    (1e-05 as 0.00001, 1e+16 as 1e16). Each of those goes in as NaN, which orjson prints as
-    null, and each null is then replaced, in line order, by repr of the value. No key or
-    number of the line holds the letter l, so each l found is the third letter of a null.
-    """
-    # orjson prints only C-contiguous arrays, and hstack keeps the Fortran order of its inputs
-    block = np.ascontiguousarray(np.hstack((frame.coordinates, frame.features)))
-    odd = _misprinted(block)
-    values = block[odd].tolist()
-    block[odd] = np.nan
-    t = frame.timestamp
-    if _misprinted(np.float64(t)):
-        values.insert(0, t)
-        t = np.nan
-    dets = [{"x": x, "y": y, "f": f} if g is None else {"x": x, "y": y, "f": f, "id": g}
-            for (x, y), f, g in zip(block[:, :2].tolist(), block[:, 2:], frame.gt_ids)]
-    obj = {"frame": frame.frame_index, "t": t, "det": dets, "in": frame.inflow,
-           "out": frame.outflow}
-    line = orjson.dumps(obj, option=orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE)
-    parts, start, view = [], 0, memoryview(line)
-    for value in values:
-        at = line.find(b"l", start) - 2
-        parts += (view[start:at], repr(value).encode())
-        start = at + 4
-    parts.append(view[start:])
-    return parts
+_OPTIONS = orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE
 
 
 def write_stream(stream: DetectionStream, path) -> None:
     """Write a stream to a JSON Lines file (header line plus one line per frame).
 
-    Each line holds the bytes json.dumps prints: the header's by repr of its numbers, and
-    each frame's by _frame_line, one orjson call with its misprinted floats spliced back.
+    Each line is one orjson call, each frame's with its feature rows as row views of an array.
     """
     with open(path, "wb") as fh:
-        fh.write(f'{{"schema":{SCHEMA_VERSION},"dim":{stream.feature_dim or 0},'
-                 f'"delta":{stream.delta!r}}}\n'.encode())
+        fh.write(orjson.dumps({"schema": SCHEMA_VERSION, "dim": stream.feature_dim or 0,
+                               "delta": stream.delta}, option=_OPTIONS))
         for frame in stream.frames:
-            fh.writelines(_frame_line(frame))
+            # orjson prints only C-contiguous arrays, and a frame keeps a read-only one as it is
+            features = np.ascontiguousarray(frame.features)
+            dets = [{"x": x, "y": y, "f": f} if g is None else {"x": x, "y": y, "f": f, "id": g}
+                    for (x, y), f, g in zip(frame.coordinates.tolist(), features, frame.gt_ids)]
+            fh.write(orjson.dumps({"frame": frame.frame_index, "t": frame.timestamp, "det": dets,
+                                   "in": frame.inflow, "out": frame.outflow}, option=_OPTIONS))
 
 
 def _fail(path, lineno: int, msg: str):

@@ -531,7 +531,8 @@ def _streams(draw):
 
 
 def _reference_write(stream, path):
-    """Write a stream as one dict per line through json.dumps, a row at a time."""
+    """Write a stream in the form of files before the orjson writer: one dict per line through
+    json.dumps, a row at a time, so every float is printed as repr prints it."""
     def dump(obj):
         return json.dumps(obj, separators=(",", ":"), ensure_ascii=True, allow_nan=False)
 
@@ -549,6 +550,26 @@ def _reference_write(stream, path):
             fh.write(dump(line) + "\n")
 
 
+def _bits(values) -> bytes:
+    return np.array(values, dtype=np.float64).tobytes()
+
+
+def _values(stream) -> tuple:
+    """Every value of a stream, each float as its bits."""
+    return (_bits(stream.delta), stream.feature_dim or 0,
+            [(f.frame_index, _bits(f.timestamp), _bits(f.coordinates), _bits(f.features),
+              f.inflow.tolist(), f.outflow.tolist(), list(f.gt_ids)) for f in stream.frames])
+
+
+def _values_by_json(path) -> tuple:
+    """The values of a stream file as json.loads reads its lines, in the form of _values."""
+    header, *frames = map(json.loads, Path(path).read_bytes().splitlines())
+    return (_bits(header["delta"]), header["dim"],
+            [(f["frame"], _bits(f["t"]), _bits([(d["x"], d["y"]) for d in f["det"]]),
+              _bits([d["f"] for d in f["det"]]), f["in"], f["out"],
+              [d.get("id") for d in f["det"]]) for f in frames])
+
+
 class TestStreamFileProperties:
     @_SETTINGS
     @given(_streams())
@@ -563,17 +584,37 @@ class TestStreamFileProperties:
 
     @_SETTINGS
     @given(_streams())
-    def test_write_matches_the_reference_writer(self, stream):
+    def test_every_written_value_reads_back_bit_for_bit(self, stream):
         with tempfile.TemporaryDirectory() as directory:
-            self._assert_written_as_reference(stream, Path(directory))
+            self._assert_reads_back(stream, Path(directory))
 
-    def _assert_written_as_reference(self, stream, directory):
-        got, want = directory / "got.jsonl", directory / "want.jsonl"
-        write_stream(stream, got)
-        _reference_write(stream, want)
-        assert got.read_bytes() == want.read_bytes()
+    @_SETTINGS
+    @given(_streams())
+    def test_a_file_in_json_dumps_form_parses_as_the_written_one(self, stream):
+        with tempfile.TemporaryDirectory() as directory:
+            self._assert_old_form_parses_alike(stream, Path(directory))
 
-    def test_floats_at_the_bounds_of_orjsons_printing_are_written_as_json_does(self, tmp_path):
+    @staticmethod
+    def _assert_reads_back(stream, directory):
+        """parse_stream and json.loads both read every value write_stream wrote to its bits."""
+        path = directory / "got.jsonl"
+        write_stream(stream, path)
+        want = _values(stream)
+        assert _values(parse_stream(path)) == want
+        assert _values_by_json(path) == want
+
+    @staticmethod
+    def _assert_old_form_parses_alike(stream, directory):
+        """A file in json.dumps' form parses to the stream write_stream's file parses to.
+
+        Returns whether the two files' bytes differ."""
+        new, old = directory / "new.jsonl", directory / "old.jsonl"
+        write_stream(stream, new)
+        _reference_write(stream, old)
+        assert _values(parse_stream(old)) == _values(parse_stream(new))
+        return old.read_bytes() != new.read_bytes()
+
+    def test_floats_at_the_bounds_of_orjsons_printing_read_back(self, tmp_path):
         # orjson prints 1e-4 <= |x| < 1e16 as repr does and other nonzero floats differently
         edges = [1e-4, 9.999999999999999e-05, 1e16, 9999999999999998.0, 5e-324,
                  2.2250738585072014e-308, 1.7976931348623157e308, 0.0]
@@ -585,7 +626,9 @@ class TestStreamFileProperties:
         frame = FrameRecord(1, 0.0, coordinates, features, [1] * n, [0] * n, list(range(n)))
         tiny = (np.abs(frame.features) < 1e-4) & (frame.features != 0.0)
         assert tiny.any(axis=1).sum() >= n // 2
-        self._assert_written_as_reference(DetectionStream((frame,), 1.0), tmp_path)
+        stream = DetectionStream((frame,), 1.0)
+        self._assert_reads_back(stream, tmp_path)
+        assert self._assert_old_form_parses_alike(stream, tmp_path)
 
     @pytest.mark.parametrize("frame_index, ids, timestamp", [
         (2**63 - 1, [0, 1], 0.0),
@@ -599,24 +642,22 @@ class TestStreamFileProperties:
         (1, [0, 1], 1e16),
         (2**63 - 1, [2**63 - 1, None], -1e16),
     ])
-    def test_ints_and_times_at_orjsons_limits_are_written_as_json_does(self, tmp_path,
-                                                                       frame_index, ids,
-                                                                       timestamp):
+    def test_ints_and_times_at_orjsons_limits_read_back(self, tmp_path, frame_index, ids,
+                                                        timestamp):
         # a frame index or id holds at most 2**63 - 1, and orjson prints a time outside
-        # 1e-4 <= |t| < 1e16 unlike repr; a tiny coordinate puts a null in the line too
+        # 1e-4 <= |t| < 1e16 unlike repr, as it does the tiny and the huge coordinate
         frame = FrameRecord(frame_index, timestamp, [(1e-5, 2.0), (3.0, 1e17)],
                             [[0.6, 0.8], [1.0, 1e-20]], [1, 1], [0, 1], ids)
         stream = DetectionStream((frame,), 1.0)
-        self._assert_written_as_reference(stream, tmp_path)
-        assert parse_stream(tmp_path / "got.jsonl") == stream
+        self._assert_reads_back(stream, tmp_path)
+        assert self._assert_old_form_parses_alike(stream, tmp_path)
 
     def test_floats_over_every_binary_exponent_are_written(self, tmp_path):
         # 2**20 coordinates: a quarter over every exponent, subnormals included, and the rest
-        # over the exponents from below 1e-4 to above 1e16, most of which orjson prints itself.
-        # Each feature row is a leading +-1 and an entry below 2**-30, whose square vanishes
-        # beside 1, so the rows are unit as they are and orjson prints nearly no entry but
-        # the first. A delta of 1e-5 puts the header's delta and the times of frames 2 to 10
-        # there too.
+        # over the exponents from below 1e-4 to above 1e16, where orjson's form and repr's
+        # meet. Each feature row is a leading +-1 and an entry below 2**-30, whose square
+        # vanishes beside 1, so the rows are unit as they are. A delta of 1e-5 puts the
+        # header's delta and the times of frames 2 to 10 below 1e-4 too.
         rng = np.random.default_rng(20261020)
         shape = (2**19, 2)
         sign = rng.integers(0, 2, size=shape, dtype=np.uint64) << np.uint64(63)
@@ -640,30 +681,10 @@ class TestStreamFileProperties:
             frames.append(FrameRecord(k + 1, k * 1e-5, coordinates[rows], features[rows],
                                       [1] * n, rng.integers(0, 2, size=n), ids))
         stream = DetectionStream(tuple(frames), 1e-5)
-        self._assert_written_as_reference(stream, tmp_path)
-
-    def test_no_frame_line_holds_the_letter_l(self, tmp_path):
-        # write_stream finds each null orjson prints by its l, so no key or number may hold one
-        frame = FrameRecord(2**63 - 1, 1e300, [(-1e-300, 5e-324), (1.5, -1.7976931348623157e308)],
-                            [[1.0, -1e-200, 0.0], [-0.0, 0.6, -0.8]], [1, 1], [0, 1],
-                            [None, 2**63 - 1])
-        stream = DetectionStream((frame,), 1.0)
-        path = tmp_path / "stream.jsonl"
-        write_stream(stream, path)
-
-        def keys(value):
-            if isinstance(value, dict):
-                return set(value) | set().union(*map(keys, value.values()))
-            return set().union(*map(keys, value)) if isinstance(value, list) else set()
-
-        (line,) = path.read_bytes().splitlines()[1:]
-        found = keys(json.loads(line))
-        assert found == {"frame", "t", "det", "x", "y", "f", "id", "in", "out"}
-        assert not any("l" in key for key in found)
-        assert b"l" not in line
+        self._assert_reads_back(stream, tmp_path)
 
     @pytest.mark.parametrize("layout", ["fortran", "strided"])
-    def test_a_frame_of_non_contiguous_arrays_is_written_as_json_does(self, tmp_path, layout):
+    def test_a_frame_of_non_contiguous_arrays_reads_back(self, tmp_path, layout):
         # a frame keeps a read-only array as it is; orjson refuses one not C-contiguous
         rng = np.random.default_rng(7)
         features, coordinates = _unit_rows(rng.standard_normal((12, 5))), rng.random((12, 2))
@@ -677,7 +698,7 @@ class TestStreamFileProperties:
         frame = FrameRecord(1, 0.0, coordinates, features, [1] * n, [1] * n)
         assert frame.features is features and not features.flags.c_contiguous
         assert frame.coordinates is coordinates and not coordinates.flags.c_contiguous
-        self._assert_written_as_reference(DetectionStream((frame,), 1.0), tmp_path)
+        self._assert_reads_back(DetectionStream((frame,), 1.0), tmp_path)
 
     def test_extreme_exponents_round_trip_bit_for_bit(self, tmp_path):
         # Finite floats drawn uniformly over the binary exponent, subnormals

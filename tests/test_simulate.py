@@ -408,16 +408,16 @@ class TestGoldenStreams:
     TRANSPORT = dict(num_identities=900, num_frames=5, feature_dim=64, feature_noise_sigma=0.1)
     CRITERION_6_SIZES = (30, 40, 55, 70, 85, 100, 120, 145, 170, 200)
     CRITERION_6 = (
-        "a5ad718a3d325699c91f8ecd3d861c32017f73efcca2bc80d892bcb185cd1b57",
-        "11e59dbd8668e03c63616263c5580eadbc730800e1f51b89051fed6c3d91132f",
-        "94552a327dc1776e1d53396bbcd85bc50301a099604fdab38094edffff4c1c35",
-        "e418a4be0d20a9520bce43bb86b31268eaf02887872dc483a7346d5e5f5762c8",
-        "075a3c79e64b400b079a83b06bab788de60c727866b8624754a90980c318c938",
-        "3c55d792168c0515a538d0f03d337149bc50f53d0b8a1a8540bf1328fc6cc1c6",
-        "395ea164847068720b72cb43bdf80e492b7d1e7a03b5e787c51a99f32232c5a6",
-        "9811cec436318777be9c7f6188ccd086113eefd19b071105fd4d22e77ab58321",
-        "3ba9d77468fcf92f75e160f3c64ddcf771ccc2551acbf375236e17b85a660d1a",
-        "40293505f93b5b36e707d131fd0f87ec935a14025708ba9e2a84aac114d95ae7",
+        "91927c0fccda28a0d6ae556f373fe55ac169099ddd5e8dc940b3fa529be60790",
+        "20afbf592fd8ce5bcd48748649138d26d288994c65105346ec13716f48ec5ce3",
+        "06befcbd6799a10fadeed67bb8ebb316cbe91324f795fe627e176118fec4515b",
+        "4e55317cba7f8b7bc651157860dba8918be865c62fe12c4067aad61a58619d66",
+        "8521c2c844f55a70abb8a86a77ea508b88c4001c409351d11239957550f3a135",
+        "8405831cf35cb387b3469387e0ab9f489f42807ff56e17bac79db6deac08dc98",
+        "6a89a1ace4a15b3af9032d010048f305d05f21cc49872ffd2a7dbd9c818c9646",
+        "5a6d0ab8e82f740542ee05edf5f51a5c05023be1bf9bfc68552e66c9f1465fc0",
+        "7736c0cf29e7496a3923bac5fb1532de72c2f4af4308713b6b181b4aa7785dec",
+        "68bc83e3028478874f8dd2c0910debb6670da491e58b529a68a6f12949c09660",
     )
 
     @staticmethod
@@ -427,16 +427,16 @@ class TestGoldenStreams:
         return hashlib.sha256(path.read_bytes()).hexdigest()
 
     @pytest.mark.parametrize("seed, digest", [
-        (0, "3c580034e1fb4354992440eb7582c13c057f6fad5ad49215e42c7d7bb6757744"),
-        (1, "88d3c5ffb1e195f80fa86e5ba31bde7618834fa071086b4bf8fd73457eaf6d25"),
+        (0, "339043c1d63735906ef56f419386ec48db37604be95e920bfacba7041e4a82ec"),
+        (1, "2b11a7fbd871ef1a8d619b4baead13fbd970e51eef1cd4f19ec97e80092cc1fa"),
     ])
     def test_crowd(self, seed, digest, tmp_path):
         stream = generate_scene(SimConfig(seed=seed, **self.CROWD))
         assert self._digest(stream, tmp_path) == digest
 
     @pytest.mark.parametrize("seed, digest", [
-        (0, "fb69383e8fe709ca4e0f5395619734ae3ab49959660d628067c2ca1d4c789cb4"),
-        (1, "64e7e06cc25d2599b963effec331fd572c4dc7c796228b0ac7dd2a8185663581"),
+        (0, "8026ac38b9dbdaa5339b38c0ab9b33d254b00e34280f55331f1a591b174904dc"),
+        (1, "d70672769d641c27b7f58d2533ae6595fd3b82e5f8291ec67ca70ec2a5868be2"),
     ])
     def test_transport(self, seed, digest, tmp_path):
         stream = generate_scene(SimConfig(seed=seed, **self.TRANSPORT))
@@ -504,7 +504,7 @@ class TestGoldenStreams:
         # steps far wider than the scene, so walks clip at all four borders
         (dict(num_identities=30, num_frames=10, feature_dim=8, scene_size=(4.0, 3.0),
               seed=8), None,
-         "d896ae5337e9367a9c481dce0b1be8ac6ebab075769c377c4f804a1aed7b1919"),
+         "2252ac90503d2c96aba8d1abc86b656811594ca7576e2f3740d0b73a5c41259c"),
         # single-frame visits between longer ones, none of them drawing a step
         (dict(num_identities=4, num_frames=6, feature_dim=8, feature_noise_sigma=0.05,
               seed=9), [[(0, 0)], [(5, 5)], [(1, 1), (3, 3)], [(0, 0), (2, 3), (5, 5)]],
