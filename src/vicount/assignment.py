@@ -49,12 +49,13 @@ def _solve_rectangular(cost: np.ndarray) -> np.ndarray:
     edges. The rows it leaves unmatched are then inserted one at a time, in
     order, each by a Dijkstra search over reduced costs whose ties break
     toward the smallest column index, so the result is deterministic. The
-    search keeps each column's absolute tentative path length and updates
-    the duals once, after it reaches a free column: u += min_val - d on the
-    tree rows and v -= min_val - d on the scanned columns, where d is the
-    length at which each joined the tree and min_val that of the path found.
-    A search that reaches no finite length, as on a NaN cost, raises
-    NumericalError.
+    search keeps each column's absolute tentative path length and the
+    lengths each tree row offered, and updates the duals once, after it
+    reaches a free column: u += min_val - d on the tree rows and
+    v -= min_val - d on the scanned columns, where d is the length at which
+    each joined the tree and min_val that of the path found. It then traces
+    the path back from the offered lengths it kept. A search that reaches no
+    finite length, as on a NaN cost, raises NumericalError.
     """
     r, c = cost.shape
     best = cost.argmin(axis=1)
@@ -71,33 +72,33 @@ def _solve_rectangular(cost: np.ndarray) -> np.ndarray:
         else:
             pending.append(i)
     # Per search: shortest is the tentative path length to each column not
-    # yet scanned (inf once scanned) and way its predecessor column (-1: the
-    # new row). rows and cols list the tree's rows and scanned columns in the
-    # order they join, and joined the length at which each row joined (0 for
-    # the new row). v is -inf on scanned columns meanwhile, so that no later
-    # row lowers their lengths; cols_v keeps their own v.
+    # yet scanned (inf once scanned). rows and cols list the tree's rows and
+    # scanned columns in the order they join, joined the length at which each
+    # row joined (0 for the new row), and offers[t] the lengths tree row t
+    # offered the columns. v is -inf on scanned columns meanwhile, so that no
+    # later row offers them a finite length; cols_v keeps their own v.
     shortest = np.empty(c)
-    way = np.empty(c, dtype=np.intp)
-    cur = np.empty(c)
-    better = np.empty(c, dtype=bool)
+    offers = np.empty((8, c))
     for i in pending:
         shortest.fill(np.inf)
-        i0, j0, min_val = i, -1, 0.0
+        i0, min_val = i, 0.0
         rows, cols, cols_v, joined = [i], [], [], [0.0]
         while True:
+            if len(rows) > len(offers):
+                offers = np.concatenate((offers, np.empty_like(offers)))
+            cur = offers[len(cols)]
             np.subtract(cost[i0], u[i0] - min_val, out=cur)
             cur -= v
-            np.less(cur, shortest, out=better)
-            np.copyto(shortest, cur, where=better)
-            np.putmask(way, better, j0)
+            # fmin passes a NaN over, so a NaN cost offers nothing.
+            np.fmin(shortest, cur, out=shortest)
             j1 = int(shortest.argmin())
             min_val = shortest[j1]
-            # A NaN cost leaves every length infinite (or NaN), which no path ends.
+            # A NaN cost leaves every length infinite, which no path ends.
             if not min_val < np.inf:
                 raise NumericalError(f"invalid cost matrix: no finite path for row {i}")
             if owner[j1] < 0:
                 break
-            j0, i0 = j1, owner[j1]
+            i0 = owner[j1]
             rows.append(i0)
             cols.append(j1)
             cols_v.append(v[j1])
@@ -107,10 +108,15 @@ def _solve_rectangular(cost: np.ndarray) -> np.ndarray:
         gain = min_val - np.array(joined)
         u[rows] += gain
         v[cols] = np.subtract(cols_v, gain[1:])
-        while j1 >= 0:
-            j0 = int(way[j1])
-            owner[j1] = owner[j0] if j0 >= 0 else i
-            j1 = j0
+        # Each path column's predecessor is the column by which the first tree
+        # row offering its final length joined the tree (none for the new row).
+        j, length = j1, min_val
+        while True:
+            t = int((offers[:len(rows), j] == length).argmax())
+            owner[j] = rows[t]
+            if t == 0:
+                break
+            j, length = cols[t - 1], joined[t]
     row_of = np.array(owner, dtype=np.intp)
     taken = np.flatnonzero(row_of >= 0)
     row_to_col = np.empty(r, dtype=np.intp)

@@ -243,11 +243,17 @@ def step(memory: MemoryState, features, cfg: McpConfig) -> tuple[MemoryState, St
     grown = memory.fill + matched
     keep = np.where(matched, np.minimum(grown, cfg.mem_max), grown * (memory.ttl > 0))
     kept = np.flatnonzero(keep)
+    # One gather from the old rows stacked over the frame's. Entry k keeps the last
+    # keep[k] of its grown rows: old rows up to its last, cumsum(fill)[k] - 1, then,
+    # if it matched, its detection's row in the last place.
+    rows_old = len(memory.templates)
+    ends = np.cumsum(keep)
+    source = np.repeat(np.cumsum(memory.fill) + matched - ends, keep)
+    source += np.arange(len(source))
+    source[ends[entry_idx] - 1] = rows_old + det_idx
     # Reshaped by row count, as the empty memory is (0, 0) whatever the frames' dimension.
-    stored = np.insert(memory.templates.reshape(len(memory.templates), dim),
-                       np.cumsum(memory.fill)[entry_idx], features[det_idx], axis=0)
-    stored = stored[np.arange(len(stored)) >= np.repeat(np.cumsum(grown) - keep, grown)]
-    templates = np.concatenate((stored, features[fresh]))
+    stacked = np.concatenate((memory.templates.reshape(rows_old, dim), features))
+    templates = stacked[np.concatenate((source, rows_old + fresh))]
     fill = np.concatenate((keep[kept], np.ones(len(fresh), dtype=np.intp)))
     ttl = np.concatenate((np.where(matched, cfg.ttl_max, memory.ttl - 1)[kept],
                           np.full(len(fresh), cfg.ttl_max, dtype=np.intp)))

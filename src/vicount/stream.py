@@ -159,8 +159,9 @@ def _array(values, what: str, ndim: int, integer: bool = False, width: int | Non
     Inferred with no dtype, a string, None or an int past 64 bits shows in the dtype: an array
     of such a dtype or of bools is refused, and a list has each entry read by _real (_as_int if
     integer), naming the first bad one as what[i, j]. Of a list, the entries equal to 0 or 1
-    are read too, as True and False land there. If integer, a fraction or an int past 64 bits
-    is refused. Given a width, an empty array of another rank reads as (0, ..., 0, width).
+    that are no plain float or int are read too, as True and False land there. If integer, a
+    fraction or an int past 64 bits is refused. Given a width, an empty array of another rank
+    reads as (0, ..., 0, width).
     values itself if it is already such an array; an array made anew from a list, tuple or
     array is read-only, so _read_only keeps it rather than copy it again.
     """
@@ -179,9 +180,12 @@ def _array(values, what: str, ndim: int, integer: bool = False, width: int | Non
         arr = np.array([read(k, reduce(getitem, k, values))
                         for k in np.ndindex(arr.shape)]).reshape(arr.shape)
     elif listed and (np.count_nonzero(arr == 0) or np.count_nonzero(arr == 1)):
-        # one comparison at a time, so a single mask is alive beside arr
+        # one comparison at a time, so a single mask is alive beside arr; a plain
+        # float or int is no bool, so only another type is read
         for k in sorted(k for v in (0, 1) for k in np.argwhere(arr == v).tolist()):
-            read(k, reduce(getitem, k, values))
+            value = reduce(getitem, k, values)
+            if type(value) not in (float, int):
+                read(k, value)
     if integer and arr.dtype.kind in "fu":
         # NaN compares False here, so it is read, and refused, with the fractions and the
         # entries past 64 bits; an entry that only rounds to 2**63 as a float is read and kept

@@ -202,6 +202,34 @@ class TestCountingProperties:
             for got, (_, templates, _) in zip(memory.entries, entries, strict=True):
                 assert np.array_equal(got.templates, np.array(templates))
 
+    def test_step_matches_nested_loop_reference_at_scale(self):
+        # _scenes draws at most 6 identities; here about 60 come and go over 8 frames, and
+        # mem_max drops below the fills of the memory met, then rises again
+        rng = np.random.default_rng(34)
+        pool, dim = 64, 16
+        bases = _unit_rows(rng.standard_normal((pool, dim)))
+        cfg = McpConfig(zeta=0.3, ttl_max=2)
+        memory = MemoryState.empty()
+        entries, next_id = [], 0
+        for frame, cap in enumerate([4, 4, 4, 4, 2, 3, 1, 3]):
+            if frame == 4:
+                assert memory.fill.max() == 4 and len(memory.ttl) >= 60
+            present = np.sort(rng.permutation(pool)[:rng.integers(40, pool + 1)])
+            rows = _unit_rows(bases[present] + 0.05 * rng.standard_normal((len(present), dim)))
+            cfg = replace(cfg, mem_max=cap)
+            memory, record = step(memory, rows, cfg)
+            entries, next_id, associations, new_ids = _reference_step(
+                entries, next_id, list(rows), cfg
+            )
+            assert record.associations == associations
+            assert record.new_entry_ids == new_ids
+            assert memory.next_entry_id == next_id
+            assert memory.entry_id.tolist() == [entry_id for entry_id, _, _ in entries]
+            assert memory.ttl.tolist() == [ttl for _, _, ttl in entries]
+            assert memory.fill.tolist() == [len(templates) for _, templates, _ in entries]
+            assert np.array_equal(memory.templates,
+                                  np.array([t for _, templates, _ in entries for t in templates]))
+
     @_SETTINGS
     @given(_scenes())
     def test_total_is_inflow_sum_and_at_least_largest_frame(self, scene):
