@@ -14,7 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assignment import _check_cost, hungarian
+# round_to_permutation calls _assign; hungarian stays importable from here, where the
+# benchmark's tracer (perfbench/tracer.py) looks for it.
+from .assignment import _assign, _check_cost, hungarian  # noqa: F401
 from .errors import DataError, NumericalError
 from .stream import (DetectionStream, SimilarityBlocks, _all_finite, _array, _as_int, _finite,
                      _read_only, partition_similarity)
@@ -329,14 +331,14 @@ class _ScaledPlan:
 def round_to_permutation(omega) -> np.ndarray:
     """Snap a transport plan to a permutation (row index -> column index).
 
-    The permutation of largest total plan mass, by a full assignment on the
-    negated plan. Its row-reduction warm start gives every row its first
-    argmax whenever those already form a permutation, so that case needs no
-    search. A non-finite plan raises NumericalError.
+    The permutation of largest total plan mass, by the assignment solver run
+    directly on the negated plan. Its row-reduction warm start gives every
+    row its first argmax whenever those already form a permutation, so that
+    case needs no search. A non-finite plan raises NumericalError.
     """
     arr = _check_cost(omega, "omega", square=True)
-    # A square assignment lists its pairs in row order.
-    return np.array([j for _, j in hungarian(-arr).pairs], dtype=np.intp)
+    # A square matrix's rows are all matched in order, so the columns are the permutation.
+    return _assign(np.negative(arr))[1]
 
 
 def _contrastive_parts(s: np.ndarray, m: int, scale: float):
@@ -348,16 +350,21 @@ def _contrastive_parts(s: np.ndarray, m: int, scale: float):
     shifted one that overflows is infinite and its exponential 0 or NaN,
     which the denominators' check reads. A shared entry whose whole row and
     column underflow under the shift, or meet such a NaN, has no defined
-    contrast and raises NumericalError.
+    contrast and raises NumericalError. Only the m shared rows and columns
+    are summed, each as numpy sums it in the whole of e: a row pairwise, and
+    the columns of a block two or more wide in row order. m is at least 1.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         e = np.multiply(s, scale)
         e -= np.max(e)
         np.exp(e, out=e)
     e0 = e[:m, :m]
-    denom = np.add(e.sum(axis=1)[:m, None], e.sum(axis=0)[None, :m])
+    # a lone column would be summed pairwise, unlike a column of e, so at least two are taken
+    cols = e[:, :max(m, 2)].sum(axis=0)[:m]
+    denom = np.add(e[:m].sum(axis=1)[:, None], cols[None, :])
     denom -= e0
-    if not np.all(denom > 0):
+    # min is NaN when any denominator is
+    if not denom.min() > 0:
         i, j = np.unravel_index(np.argmin(denom), denom.shape)
         raise NumericalError(
             f"contrastive similarity underflows at temperature {scale:g}: "
@@ -410,6 +417,18 @@ def soft_contrastive_loss(blocks: SimilarityBlocks, cfg: LossConfig) -> SoftCont
     if m == 0:
         empty = TransportPlan(np.zeros((0, 0)), True, 0)
         return SoftContrastiveLoss(0.0, 0.0, empty)
+    c, plan = _solved_contrast(blocks, cfg)
+    raw = -float(np.sum(np.multiply(plan.omega, c, out=c)))
+    return SoftContrastiveLoss(raw / m, raw, plan)
+
+
+def _solved_contrast(blocks: SimilarityBlocks,
+                     cfg: LossConfig) -> tuple[np.ndarray, TransportPlan]:
+    """The contrast matrix C of a pair with m >= 1 shared and its converged plan for cost 1 - C.
+
+    A solve that does not converge raises NumericalError.
+    """
+    m = blocks.m
     c = _contrast(blocks.full, m, cfg.temperature)
     # (c - 1) / reg is sinkhorn's -(1 - c) / reg to the bit, and c is finite by construction
     plan = _solve(c, 1.0, cfg.sinkhorn_reg, cfg.sinkhorn_max_iters, cfg.sinkhorn_tol)
@@ -418,8 +437,7 @@ def soft_contrastive_loss(blocks: SimilarityBlocks, cfg: LossConfig) -> SoftCont
             f"transport solve for m={m} did not converge "
             f"in {plan.iterations_used} iterations"
         )
-    raw = -float(np.sum(np.multiply(plan.omega, c, out=c)))
-    return SoftContrastiveLoss(raw / m, raw, plan)
+    return c, plan
 
 
 def supervised_contrastive_loss(
@@ -570,11 +588,11 @@ def _adjacent_pairs(stream: DetectionStream):
 def pseudo_trajectories(stream: DetectionStream, cfg: LossConfig) -> PseudoTrajectories:
     """Recover hard correspondences from the soft plans of a labeled stream.
 
-    For each adjacent pair, solves the soft loss, rounds its plan over the
-    shared blocks to a permutation with round_to_permutation, and maps the
-    matches back to original detection indices. Chaining matched
-    detections across pairs yields pseudo-trajectories usable as free
-    supervision for association.
+    For each adjacent pair, solves the soft loss's transport plan without
+    scoring it, rounds the plan over the shared blocks to a permutation with
+    round_to_permutation, and maps the matches back to original detection
+    indices. Chaining matched detections across pairs yields
+    pseudo-trajectories usable as free supervision for association.
     """
     pair_results = []
     frames = stream.frames
@@ -586,7 +604,8 @@ def pseudo_trajectories(stream: DetectionStream, cfg: LossConfig) -> PseudoTraje
         m = blocks.m
         matches: list[tuple[int, int]] = []
         if m > 0:
-            perm = round_to_permutation(soft_contrastive_loss(blocks, cfg).plan.omega)
+            # the contrast is dropped before rounding, so only the plan is alive then
+            perm = round_to_permutation(_solved_contrast(blocks, cfg)[1].omega)
             matches = sorted(zip(blocks.perm_i[:m].tolist(), blocks.perm_j[perm].tolist()))
         pair_results.append(PairMatching(prev.frame_index, curr.frame_index, tuple(matches)))
         continued = {v: owner[u] for u, v in matches}

@@ -179,13 +179,19 @@ def _array(values, what: str, ndim: int, integer: bool = False, width: int | Non
             raise error(f"{what} must be numbers, got dtype {arr.dtype}")
         arr = np.array([read(k, reduce(getitem, k, values))
                         for k in np.ndindex(arr.shape)]).reshape(arr.shape)
-    elif listed and (np.count_nonzero(arr == 0) or np.count_nonzero(arr == 1)):
-        # one comparison at a time, so a single mask is alive beside arr; a plain
-        # float or int is no bool, so only another type is read
-        for k in sorted(k for v in (0, 1) for k in np.argwhere(arr == v).tolist()):
-            value = reduce(getitem, k, values)
-            if type(value) not in (float, int):
-                read(k, value)
+    elif listed and arr.ndim and (np.count_nonzero(arr == 0) or np.count_nonzero(arr == 1)):
+        # a plain float or int is no bool, so only a row holding another type at a 0 or 1
+        # has its entries there read, in the order of their indices; one comparison at a
+        # time, so a single mask is alive beside arr
+        rows = (arr == 0).any(axis=-1)
+        rows |= (arr == 1).any(axis=-1)
+        for k in np.argwhere(rows).tolist():
+            row = reduce(getitem, k, values)
+            if not set(map(type, row)) <= {float, int}:
+                bits = arr[tuple(k)]
+                for j in np.flatnonzero((bits == 0) | (bits == 1)).tolist():
+                    if type(row[j]) not in (float, int):
+                        read(k + [j], row[j])
     if integer and arr.dtype.kind in "fu":
         # NaN compares False here, so it is read, and refused, with the fractions and the
         # entries past 64 bits; an entry that only rounds to 2**63 as a float is read and kept

@@ -87,6 +87,35 @@ def _decode(line: str):
         return json.loads(line)
 
 
+def _frame(line: str, path, lineno: int, dim: int) -> FrameRecord:
+    """The frame on one line of a stream file, whose header gave dim.
+
+    The decoded line dies when this returns, so parse_stream holds one at a time.
+    """
+    if not line or line.isspace():
+        _fail(path, lineno, "blank line in frame section")
+    try:
+        obj = _decode(_ascii(line, path, lineno))
+    except json.JSONDecodeError as exc:
+        _fail(path, lineno, f"malformed frame: {exc.msg}")
+    if not isinstance(obj, dict):
+        _fail(path, lineno, "frame must be a JSON object")
+    frame_index, timestamp, raw_dets, inflow, outflow = (
+        _need(obj, key, path, lineno) for key in ("frame", "t", "det", "in", "out")
+    )
+    if not isinstance(raw_dets, list):
+        _fail(path, lineno, "det must be a list")
+    try:
+        frame = FrameRecord(frame_index, timestamp, [(d["x"], d["y"]) for d in raw_dets],
+                            [d["f"] for d in raw_dets], inflow, outflow,
+                            [d.get("id") for d in raw_dets])
+    except (KeyError, TypeError, ValueError) as exc:
+        _fail(path, lineno, _bad_detection(raw_dets, dim) or f"{exc}")
+    if len(frame) and frame.features.shape[1] != dim:
+        _fail(path, lineno, _bad_detection(raw_dets, dim))
+    return frame
+
+
 def parse_stream(path) -> DetectionStream:
     """Parse a stream file written by write_stream, validating as it goes.
 
@@ -127,28 +156,7 @@ def parse_stream(path) -> DetectionStream:
             _fail(path, 1, f"{exc}")
         frames = []
         for lineno, line in lines:
-            if not line or line.isspace():
-                _fail(path, lineno, "blank line in frame section")
-            try:
-                obj = _decode(_ascii(line, path, lineno))
-            except json.JSONDecodeError as exc:
-                _fail(path, lineno, f"malformed frame: {exc.msg}")
-            if not isinstance(obj, dict):
-                _fail(path, lineno, "frame must be a JSON object")
-            frame_index, timestamp, raw_dets, inflow, outflow = (
-                _need(obj, key, path, lineno) for key in ("frame", "t", "det", "in", "out")
-            )
-            if not isinstance(raw_dets, list):
-                _fail(path, lineno, "det must be a list")
-            try:
-                frame = FrameRecord(frame_index, timestamp, [(d["x"], d["y"]) for d in raw_dets],
-                                    [d["f"] for d in raw_dets], inflow, outflow,
-                                    [d.get("id") for d in raw_dets])
-            except (KeyError, TypeError, ValueError) as exc:
-                _fail(path, lineno, _bad_detection(raw_dets, dim) or f"{exc}")
-            if len(frame) and frame.features.shape[1] != dim:
-                _fail(path, lineno, _bad_detection(raw_dets, dim))
-            frames.append(frame)
+            frames.append(_frame(line, path, lineno, dim))
     try:
         return DetectionStream(tuple(frames), delta)
     except (ValueError, TypeError) as exc:

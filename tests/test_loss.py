@@ -33,8 +33,9 @@ from vicount import (
     write_stream,
 )
 import vicount.loss as loss_module
+from vicount.assignment import _check_cost, hungarian
 from vicount.cli import _fmt, main
-from vicount.loss import _ScaledPlan, _logsumexp, _violation
+from vicount.loss import _contrastive_parts, _ScaledPlan, _logsumexp, _violation
 from vicount.stream import _read_only
 
 
@@ -486,6 +487,115 @@ class TestRoundToPermutation:
             round_to_permutation(np.array([[np.nan, 0.0], [0.0, np.nan]]))
 
 
+def _rounding_through_hungarian(omega):
+    """round_to_permutation as it was before it called the solver directly: through hungarian."""
+    arr = _check_cost(omega, "omega", square=True)
+    return np.array([j for _, j in hungarian(-arr).pairs], dtype=np.intp)
+
+
+def _plans_to_round():
+    rng = np.random.default_rng(61)
+    yield np.zeros((0, 0))
+    yield np.array([[0.3]])
+    yield [[0.25, 0.75], [0.75, 0.25]]
+    for n in (2, 3, 7, 40, 150):
+        yield rng.random((n, n))
+        yield np.full((n, n), 1.0 / n)
+        # duplicated rows: every row's argmax is the same column
+        yield np.tile(rng.random(n), (n, 1))
+        yield rng.integers(0, 3, (n, n)).astype(float)
+        # near-permutation plans, as a converged sharp solve gives
+        perm = np.eye(n)[rng.permutation(n)]
+        yield perm * (1 - 1e-3) + 1e-3 / n + rng.uniform(0, 1e-9, (n, n))
+        yield perm * 0.5 + rng.random((n, n)) * 0.5 / n
+    for m in (5, 60, 200):
+        blocks = random_similarity_blocks(rng, m + 3, m + 1, m)
+        yield soft_contrastive_loss(blocks, LossConfig()).plan.omega
+
+
+class TestRoundingAgainstHungarian:
+    @pytest.mark.parametrize("k, plan", list(enumerate(_plans_to_round())))
+    def test_same_permutation(self, k, plan):
+        got = round_to_permutation(plan)
+        want = _rounding_through_hungarian(plan)
+        assert got.dtype == want.dtype == np.intp
+        assert np.array_equal(got, want), k
+        assert np.array_equal(np.sort(got), np.arange(len(got)))
+
+    @pytest.mark.parametrize("plan", [
+        [[np.nan, 0.0], [0.0, 1.0]],
+        [[np.inf, 0.0], [0.0, 1.0]],
+        [[0.5, -np.inf], [0.0, 1.0]],
+        np.ones((2, 3)),
+        np.ones((3, 2)),
+        np.ones((0, 2)),
+        [1.0, 0.0],
+        [["a", 0.0], [0.0, 1.0]],
+    ], ids=["nan", "inf", "-inf", "wide", "tall", "empty-wide", "1-d", "string"])
+    def test_same_error(self, plan):
+        with pytest.raises(NumericalError) as want:
+            _rounding_through_hungarian(plan)
+        with pytest.raises(NumericalError) as got:
+            round_to_permutation(plan)
+        assert str(got.value) == str(want.value)
+
+
+def _full_sum_denominators(s, m, scale):
+    """The shared block's denominators from the row and column sums over the whole of e."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = np.multiply(s, scale)
+        e -= np.max(e)
+        np.exp(e, out=e)
+    return np.add(e.sum(axis=1)[:m, None], e.sum(axis=0)[None, :m]) - e[:m, :m]
+
+
+class TestContrastiveDenominators:
+    @pytest.mark.parametrize("n_i, n_j, m", [
+        # m = 1, where the shared columns are one column
+        (1, 1, 1), (5, 9, 1), (9, 5, 1), (300, 7, 1), (7, 300, 1), (300, 1, 1),
+        # m = n_i < n_j, then m = n_j < n_i
+        (40, 65, 40), (3, 700, 3), (65, 40, 40), (700, 3, 3), (300, 2, 2),
+        # m = n_i = n_j, then the largest seed-0 transport pair's shape
+        (2, 2, 2), (64, 64, 64), (257, 257, 257), (603, 576, 463),
+    ])
+    def test_bit_equal_to_full_sums(self, n_i, n_j, m):
+        rng = np.random.default_rng(n_i * 1000 + n_j)
+        s = rng.uniform(-1, 1, (n_i, n_j))
+        for scale in (1.0, 10.0, 37.5):
+            want = _full_sum_denominators(s, m, scale)
+            _, got = _contrastive_parts(s, m, scale)
+            assert got.tobytes() == want.tobytes()
+
+    @staticmethod
+    def _full_sum_cell(s, m, scale):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            denom = _full_sum_denominators(s, m, scale)
+        assert not np.all(denom > 0)
+        return np.unravel_index(np.argmin(denom), denom.shape)
+
+    @pytest.mark.parametrize("case", ["zero", "zeros", "nan-row", "nan-column"])
+    def test_underflow_names_the_full_sum_cell(self, case):
+        # at scale 1000 an entry 1 below the largest underflows, so a shared row
+        # and column holding no 1 have no mass; 2 at scale 1e308 overflows to a NaN
+        s, m, scale = np.zeros((6, 7)), 4, 1000.0
+        for i, j in ((0, 0), (1, 3), (3, 6), (5, 2)):
+            s[i, j] = 1.0
+        if case == "zeros":
+            s[1, 3] = 0.0
+        elif case.startswith("nan"):
+            s, scale = np.random.default_rng(3).uniform(-1, 1, (6, 7)), 1e308
+            s[(2, 5) if case == "nan-row" else (4, 1)] = 2.0
+        i, j = self._full_sum_cell(s, m, scale)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError) as got:
+                _contrastive_parts(s, m, scale)
+        assert f"shared row {i} and column {j} have no mass left" in str(got.value)
+        # the cell is found, not defaulted
+        assert (i, j) != (0, 0)
+
+
 class TestSoftContrastiveLoss:
     def test_range_and_raw(self):
         rng = np.random.default_rng(35)
@@ -836,6 +946,17 @@ class TestPseudoTrajectories:
         stream = self._scene(6, identities=12)
         result = pseudo_trajectories(stream, LossConfig())
         assert len(result.trajectories) == 12
+
+    def test_rounds_the_plan_the_soft_loss_solves(self):
+        stream = self._scene(7, identities=40, frames=5)
+        cfg = LossConfig()
+        result = pseudo_trajectories(stream, cfg)
+        for pm, blocks in zip(result.pairs, pair_blocks(stream)):
+            perm = round_to_permutation(soft_contrastive_loss(blocks, cfg).plan.omega)
+            m = blocks.m
+            assert m > 0
+            assert pm.matches == tuple(sorted(zip(blocks.perm_i[:m].tolist(),
+                                                  blocks.perm_j[perm].tolist())))
 
     def test_empty_stream(self):
         result = pseudo_trajectories(DetectionStream((), 1.0), LossConfig())

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -448,3 +449,118 @@ def test_an_integer_past_64_bits_is_reported_as_json_reads_it(tmp_path, line, fi
     with pytest.raises(StreamFormatError) as got:
         parse_stream(path)
     assert str(got.value).startswith(f"{path}:{line + 1}: ")
+
+
+# ---- one decoded line at a time ----------------------------------------------
+
+def _peak_parse(path):
+    tracemalloc.start()
+    try:
+        stream = parse_stream(path)
+        return tracemalloc.get_traced_memory()[1], stream
+    finally:
+        tracemalloc.stop()
+
+
+def test_parse_holds_one_decoded_line_at_a_time(tmp_path):
+    # six frames of equal size: past the first, each frame adds only its own arrays to the
+    # peak, not the decoded tree of the line before it (about 0.7 MB here)
+    rng = np.random.default_rng(3)
+    n, dim = 300, 64
+    frames = tuple(FrameRecord(k + 1, 0.5 * k, rng.uniform(0, 100, (n, 2)),
+                               rng.standard_normal((n, dim)), [int(k == 0)] * n, [0] * n)
+                   for k in range(6))
+    paths = [tmp_path / "one.jsonl", tmp_path / "six.jsonl"]
+    write_stream(DetectionStream(frames[:1], 0.5), paths[0])
+    write_stream(DetectionStream(frames, 0.5), paths[1])
+    line = paths[0].read_text().splitlines()[1]
+    tracemalloc.start()
+    try:
+        tree = json.loads(line)
+        tree_bytes = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    del tree
+    one, _ = _peak_parse(paths[0])
+    six, stream = _peak_parse(paths[1])
+    assert stream.frames == frames
+    arrays = sum(a.nbytes for f in stream.frames[1:]
+                 for a in (f.coordinates, f.features, f.inflow, f.outflow))
+    assert six - one < arrays + tree_bytes / 2, (six - one, arrays, tree_bytes)
+
+
+# ---- sparse features ----------------------------------------------------------
+
+def _sparse_stream(seed):
+    """Three frames whose features are 90% exact zeros, with one-hot rows holding 1.0."""
+    rng = np.random.default_rng(seed)
+    frames = []
+    for k in range(3):
+        features = rng.standard_normal((50, 16))
+        features[rng.random(features.shape) < 0.9] = 0.0
+        features[:, 0] = rng.choice([-1.0, 1.0], 50) * rng.random(50) + 2.0
+        features[::7] = np.eye(16)[rng.integers(0, 16, len(features[::7]))]
+        frames.append(FrameRecord(k + 1, float(k), rng.uniform(0, 2, (50, 2)).round(),
+                                  features, [int(k == 0)] * 50, [0] * 50))
+    return DetectionStream(tuple(frames), 1.0)
+
+
+def test_sparse_features_parse_to_the_arrays_json_reads(tmp_path):
+    path = tmp_path / "sparse.jsonl"
+    write_stream(_sparse_stream(4), path)
+    text = path.read_text()
+    assert "0.0," in text and "1.0," in text
+    stream = parse_stream(path)
+    for frame, line in zip(stream.frames, text.splitlines()[1:]):
+        dets = json.loads(line)["det"]
+        features = np.array([d["f"] for d in dets], dtype=np.float64)
+        coordinates = np.array([(d["x"], d["y"]) for d in dets], dtype=np.float64)
+        assert frame.features.tobytes() == features.tobytes()
+        assert frame.coordinates.tobytes() == coordinates.tobytes()
+        assert np.count_nonzero(frame.features == 0) > 0.8 * frame.features.size
+
+
+@pytest.mark.parametrize("line, places", [
+    (1, [(5, False, 0)]),
+    # the 1.0 of a one-hot row
+    (2, [(7, True, 0)]),
+    # the earlier of two bools in one line is named, whichever is written first
+    (1, [(35, True, 0), (5, False, 2)]),
+    (1, [(14, False, 6), (14, True, 0)]),
+    # a plain int 0 beside the bool is read as the number it is
+    (3, [(21, 0, 0), (21, False, 1)]),
+])
+def test_a_bool_among_sparse_features_is_refused(tmp_path, line, places):
+    # each place is the nth entry of a detection's feature equal to the value (an exact 0
+    # or 1, where a bool reads as a number), which the value replaces
+    path = tmp_path / "sparse.jsonl"
+    write_stream(_sparse_stream(4), path)
+    lines = path.read_text().splitlines()
+    obj = json.loads(lines[line])
+    bools = []
+    for det, value, nth in places:
+        feature = obj["det"][det]["f"]
+        entry = [j for j, v in enumerate(feature) if v == value and type(v) is float][nth]
+        feature[entry] = value
+        if isinstance(value, bool):
+            bools.append((det, entry, value))
+    lines[line] = json.dumps(obj, separators=(",", ":"))
+    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+    det, entry, value = min(bools)
+    with pytest.raises(StreamFormatError) as got:
+        parse_stream(path)
+    assert str(got.value) == (f"{path}:{line + 1}: features[{det}, {entry}] must be a number, "
+                              f"got {value}")
+
+
+def test_a_bool_coordinate_in_a_sparse_stream_is_refused(tmp_path):
+    path = tmp_path / "sparse.jsonl"
+    write_stream(_sparse_stream(4), path)
+    lines = path.read_text().splitlines()
+    obj = json.loads(lines[2])
+    obj["det"][3]["y"] = obj["det"][3]["y"] == 1.0
+    lines[2] = json.dumps(obj, separators=(",", ":"))
+    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+    with pytest.raises(StreamFormatError, match=r":3: coordinates\[3, 1\] must be a number, "
+                                                r"got (True|False)$"):
+        parse_stream(path)
